@@ -7,9 +7,10 @@ column set is fixed for scripting:
 
     op,bytes_in,cr,t_homo_s,t_oracle_s,speedup,max_abs_diff
 
-(distsim rows append ``node_count`` and ``eps``; text and JSON reports
-additionally carry the derived throughput).  Exit codes: 0 ok, 2 usage,
-3 I/O, 4 codec error, 5 verification mismatch.
+(bench rows append ``eps``, distsim rows ``node_count`` and ``eps``; text
+and JSON reports additionally carry the derived throughput).  The ``op``,
+``stats`` and ``bench`` subcommands take their operations from ``ops.OPS``.
+Exit codes: 0 ok, 2 usage, 3 I/O, 4 codec error, 5 verification mismatch.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .model import OpReport, QuantParams, deserialize, serialize
 from .synth import smooth_field
 
 CSV_COLUMNS = ["op", "bytes_in", "cr", "t_homo_s", "t_oracle_s", "speedup", "max_abs_diff"]
-#: distsim appends these to the fixed schema
+#: bench and distsim append these to the fixed schema
 CSV_EXTRA_COLUMNS = ["node_count", "eps"]
 
 COMMANDS = ("compress", "decompress", "op", "stats", "bench", "distsim")
@@ -130,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("op", help="apply a homomorphic operation to stream file(s)")
-    p.add_argument("op_name", metavar="name", choices=sorted(ops.STREAM_OPS))
+    p.add_argument("op_name", metavar="name",
+                   choices=sorted(n for n, spec in ops.OPS.items() if not spec.reduction))
     p.add_argument("inputs", nargs="+")
     p.add_argument("-o", "--output")
     p.add_argument("--scalar", type=float)
@@ -139,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("stats", help="compute a statistic on stream file(s)")
-    p.add_argument("op_name", metavar="name", choices=sorted(ops.REDUCTIONS))
+    p.add_argument("op_name", metavar="name",
+                   choices=sorted(n for n, spec in ops.OPS.items() if spec.reduction))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--verify", action="store_true")
     _add_common(p)
@@ -204,7 +207,7 @@ def _row(report: OpReport, t_oracle=None, max_abs_diff=None, **extra) -> dict:
     return row
 
 
-def _load_streams(paths, threads):
+def _load_streams(paths):
     streams = []
     for path in paths:
         with open(path, "rb") as fh:
@@ -241,128 +244,91 @@ def _cmd_decompress(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_op(cfg: CliConfig) -> int:
-    streams = _load_streams(cfg.inputs, cfg.threads)
-    arity, needs_scalar = ops.STREAM_OPS[cfg.op_name]
-    if len(streams) != arity:
-        print(f"hoszp: {cfg.op_name} takes {arity} input stream(s)", file=sys.stderr)
-        return EXIT_USAGE
-    if needs_scalar and cfg.scalar is None:
-        print(f"hoszp: {cfg.op_name} requires --scalar", file=sys.stderr)
-        return EXIT_USAGE
+def _run_op(name, streams, scalar, threads, verify):
+    """Time operation ``name``; with ``verify`` also time its oracle and
+    compare (stream results bit for bit, reductions to REDUCTION_RTOL).
+    Returns (result, report row, whether it matched)."""
+    spec = ops.OPS[name]
     t0 = time.perf_counter()
-    result = ops.apply_stream_op(cfg.op_name, streams, cfg.scalar, cfg.threads)
+    result = ops.apply(name, streams, scalar, threads)
     t_homo = time.perf_counter() - t0
+    t_oracle = diff = None
+    ok = True
+    if verify:
+        t0 = time.perf_counter()
+        want = spec.oracle(streams, scalar, threads)
+        t_oracle = time.perf_counter() - t0
+        if spec.reduction:
+            diff = abs(result - want)
+            ok = diff <= REDUCTION_RTOL * max(abs(want), abs(result), 1e-300)
+        else:
+            got = codec.decompress(result, threads, out_dtype=np.float64).values
+            want = codec.decompress(want, threads, out_dtype=np.float64).values
+            diff = float(np.max(np.abs(got - want))) if got.size else 0.0
+            ok = diff == 0.0
+    if spec.reduction:
+        bytes_out, cr = 8, streams[0].compression_ratio
+    else:
+        bytes_out, cr = result.serialized_size, result.compression_ratio
+    report = OpReport(name, t_homo, sum(s.params.raw_nbytes for s in streams),
+                      bytes_out, cr)
+    return result, _row(report, t_oracle, diff), ok
+
+
+def _cmd_op(cfg: CliConfig) -> int:
+    streams = _load_streams(cfg.inputs)
+    result, row, ok = _run_op(cfg.op_name, streams, cfg.scalar, cfg.threads, cfg.verify)
     if cfg.output:
         with open(cfg.output, "wb") as fh:
             fh.write(serialize(result))
-    bytes_in = sum(s.params.raw_nbytes for s in streams)
-    t_oracle = diff = None
-    if cfg.verify:
-        t0 = time.perf_counter()
-        z = ops.oracle_stream(cfg.op_name, streams, cfg.scalar, cfg.threads)
-        t_oracle = time.perf_counter() - t0
-        got = codec.decompress(result, cfg.threads, out_dtype=np.float64).values
-        want = codec.decompress(z, cfg.threads, out_dtype=np.float64).values
-        diff = float(np.max(np.abs(got - want))) if got.size else 0.0
-    report = OpReport(cfg.op_name, t_homo, bytes_in, result.serialized_size,
-                      result.compression_ratio)
-    _emit([_row(report, t_oracle, diff)], cfg.report)
-    if diff is not None and diff != 0.0:
-        print(f"hoszp: error kind=VerificationMismatch: max abs diff {diff}",
-              file=sys.stderr)
-        return EXIT_VERIFY
+    _emit([row], cfg.report)
+    if not ok:
+        raise VerificationMismatch(f"{cfg.op_name}: max abs diff {row['max_abs_diff']}")
     return EXIT_OK
 
 
 def _cmd_stats(cfg: CliConfig) -> int:
-    streams = _load_streams(cfg.inputs, cfg.threads)
-    if len(streams) != ops.REDUCTIONS[cfg.op_name]:
-        print(f"hoszp: {cfg.op_name} takes {ops.REDUCTIONS[cfg.op_name]} input stream(s)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    t0 = time.perf_counter()
-    value = ops.apply_reduction(cfg.op_name, streams, cfg.threads)
-    t_homo = time.perf_counter() - t0
+    streams = _load_streams(cfg.inputs)
+    value, row, ok = _run_op(cfg.op_name, streams, None, cfg.threads, cfg.verify)
     print(f"{cfg.op_name} = {value!r}")
-    bytes_in = sum(s.params.raw_nbytes for s in streams)
-    t_oracle = diff = want = None
-    ok = True
-    if cfg.verify:
-        t0 = time.perf_counter()
-        want = ops.oracle_reduction(cfg.op_name, streams, cfg.threads)
-        t_oracle = time.perf_counter() - t0
-        diff = abs(value - want)
-        ok = diff <= REDUCTION_RTOL * max(abs(want), abs(value), 1e-300)
-    report = OpReport(cfg.op_name, t_homo, bytes_in, 8,
-                      streams[0].compression_ratio)
-    _emit([_row(report, t_oracle, diff)], cfg.report)
+    _emit([row], cfg.report)
     if not ok:
-        print(f"hoszp: error kind=VerificationMismatch: |{value!r} - {want!r}| = {diff}",
-              file=sys.stderr)
-        return EXIT_VERIFY
+        raise VerificationMismatch(f"{cfg.op_name}: abs diff {row['max_abs_diff']}")
     return EXIT_OK
 
 
-def bench_rows(raw, params, names=None, scalar=3.14, threads=1):
-    """Compress ``raw`` once, then time each homomorphic op against the
-    traditional workflow.  Returns report rows (shared by tests/scripts)."""
-    t0 = time.perf_counter()
-    stream = codec.compress(raw, params, threads)
-    t_compress = time.perf_counter() - t0
-    rows = [_row(OpReport("compress", t_compress, raw.nbytes,
-                          stream.serialized_size,
-                          raw.nbytes / stream.serialized_size))]
-    names = names or (list(ops.STREAM_OPS) + list(ops.REDUCTIONS))
-    second = None
-    for name in names:
-        arity = ops.STREAM_OPS[name][0] if name in ops.STREAM_OPS \
-            else ops.REDUCTIONS[name]
-        operands = [stream]
-        if arity == 2:
-            if second is None:
-                second = ops.scalar_add(stream, 16.0 * params.eps)
-            operands = [stream, second]
-        if name in ops.STREAM_OPS:
-            t0 = time.perf_counter()
-            result = ops.apply_stream_op(name, operands, scalar, threads)
-            t_homo = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            z = ops.oracle_stream(name, operands, scalar, threads)
-            t_oracle = time.perf_counter() - t0
-            got = codec.decompress(result, threads, out_dtype=np.float64).values
-            want = codec.decompress(z, threads, out_dtype=np.float64).values
-            diff = float(np.max(np.abs(got - want))) if got.size else 0.0
-            bytes_out = result.serialized_size
-        else:
-            t0 = time.perf_counter()
-            value = ops.apply_reduction(name, operands, threads)
-            t_homo = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            want = ops.oracle_reduction(name, operands, threads)
-            t_oracle = time.perf_counter() - t0
-            diff = abs(value - want)
-            bytes_out = 8
-        report = OpReport(name, t_homo, sum(s.params.raw_nbytes for s in operands),
-                          bytes_out, stream.compression_ratio)
-        rows.append(_row(report, t_oracle, diff))
-    return rows
-
-
 def _cmd_bench(cfg: CliConfig) -> int:
+    """Compress one field, then time each operation against the traditional
+    workflow; a disagreement exits with EXIT_VERIFY after the report."""
     if cfg.inputs:
         raw = codec.read_raw(cfg.inputs[0], cfg.dims, cfg.dtype)
     else:
         raw = smooth_field(cfg.dims, cfg.seed, cfg.dtype)
-    eps = codec.resolve_eps(raw, cfg.eps, cfg.eps_mode)
-    params = QuantParams(eps, cfg.dims, cfg.block_len, cfg.dtype)
-    names = cfg.ops_list.split(",") if cfg.ops_list else None
-    unknown = set(names or []) - set(ops.STREAM_OPS) - set(ops.REDUCTIONS)
+    params = QuantParams(codec.resolve_eps(raw, cfg.eps, cfg.eps_mode), cfg.dims,
+                         cfg.block_len, cfg.dtype)
+    names = cfg.ops_list.split(",") if cfg.ops_list else list(ops.OPS)
+    unknown = set(names) - set(ops.OPS)
     if unknown:
         print(f"hoszp: unknown ops {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
-    rows = bench_rows(raw, params, names, cfg.scalar, cfg.threads)
+    t0 = time.perf_counter()
+    stream = codec.compress(raw, params, cfg.threads)
+    t_compress = time.perf_counter() - t0
+    rows = [_row(OpReport("compress", t_compress, raw.nbytes, stream.serialized_size,
+                          raw.nbytes / stream.serialized_size))]
+    operands = [stream, ops.scalar_add(stream, 16.0 * params.eps)]
+    bad = []
+    for name in names:
+        _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], cfg.scalar,
+                             cfg.threads, verify=True)
+        rows.append(row)
+        if not ok:
+            bad.append(name)
+    for row in rows:
+        row["eps"] = cfg.eps
     _emit(rows, cfg.report)
+    if bad:
+        raise VerificationMismatch(f"differs from the traditional workflow: {', '.join(bad)}")
     return EXIT_OK
 
 

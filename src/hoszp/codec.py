@@ -160,15 +160,19 @@ def dequantize(q: QuantArray) -> RawArray:
     return RawArray(_dequant_values(q.bins, q.params), q.params.dims, q.params.dtype)
 
 
+def _nearest_bins(t: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer bin, ties away from zero."""
+    mag = np.floor(np.abs(t) + 0.5)
+    if np.any(mag >= 2.0**63):
+        raise QuantOverflow("rounded bin exceeds 63-bit range")
+    return np.where(t < 0, -mag, mag).astype(np.int64)
+
+
 def quantize_nearest(values: np.ndarray, params: QuantParams) -> np.ndarray:
     """Requantize real values to bins with round-to-nearest, ties away from
     zero.  This is the multiplicative-operation rescale rule; the standard
     pipeline uses the floor form above."""
-    t = np.asarray(values, dtype=np.float64) / (2.0 * params.eps)
-    mag = np.floor(np.abs(t) + 0.5)
-    if np.any(mag >= 2.0**63):
-        raise QuantOverflow("requantized bin exceeds 63-bit range")
-    return np.where(t < 0, -mag, mag).astype(np.int64)
+    return _nearest_bins(np.asarray(values, dtype=np.float64) / (2.0 * params.eps))
 
 
 # ---------------------------------------------------------------------------

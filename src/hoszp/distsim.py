@@ -18,7 +18,7 @@ equally to both paths (the payload sent is the same).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class SimReport:
     t_traditional: float
     t_homomorphic: float
     max_abs_diff: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -88,9 +87,9 @@ def _aggregate_homomorphic(streams, threads: int) -> CompressedStream:
         for s in streams[1:]:
             acc = ops.elementwise_add(acc, s, threads)
         return acc
-    out_acc, res_acc, _ = ops._unpack_signed(streams[0], threads)
+    out_acc, res_acc = ops._unpack_signed(streams[0], threads)
     for s in streams[1:]:
-        o, r, _ = ops._unpack_signed(s, threads)
+        o, r = ops._unpack_signed(s, threads)
         out_acc += o
         res_acc += r
     return ops._pack_signed(streams[0].params, out_acc, res_acc, threads)

@@ -18,7 +18,7 @@ FORMAT.md at the repository root.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,7 +280,6 @@ class OpReport:
     bytes_in: int
     bytes_out: int
     compression_ratio: float
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.elapsed_seconds < 0 or self.bytes_in < 0 or self.bytes_out < 0:

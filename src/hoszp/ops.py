@@ -13,16 +13,20 @@ No operation ever inverts quantization on its inputs; the reductions sum
 bins in exact integer arithmetic (constant blocks contribute through their
 outlier alone) and apply the real-valued scaling once at the end.
 
-``oracle_stream`` / ``oracle_apply`` implement the traditional reference
-workflow - full decompression, the same operation in the value domain,
-full recompression - used to certify that every homomorphic result is
-identical to it.
+``OPS`` is the one table of operations: each ``OpSpec`` pairs the
+homomorphic call with its oracle, the traditional reference workflow - full
+decompression, the same operation in the value domain, full recompression -
+used to certify that every homomorphic result is identical to it.
+``apply`` runs any operation by name; ``oracle_stream``,
+``oracle_reduction`` and ``oracle_apply`` run its oracle.  All four check
+the name, the operand count and the scalar in one place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,20 +36,6 @@ from .errors import ParamsMismatch, QuantOverflow
 from .model import CompressedStream, QuantArray, QuantParams
 
 _I64_MAX = 2**63 - 1
-
-#: stream-returning operations: name -> (operand streams, takes a scalar)
-STREAM_OPS = {
-    "neg": (1, False),
-    "sadd": (1, True),
-    "ssub": (1, True),
-    "smul": (1, True),
-    "eadd": (2, False),
-    "esub": (2, False),
-    "hadamard": (2, False),
-}
-
-#: scalar-returning reductions: name -> operand streams
-REDUCTIONS = {"mean": 1, "variance": 1, "stddev": 1, "covariance": 2, "ssim": 2}
 
 
 @dataclass(frozen=True)
@@ -119,65 +109,45 @@ def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
 
 
 def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
-    rs = ScalarBin.of(s, c.params.eps).bin
-    return CompressedStream(
-        c.params, c.widths, c.outliers.astype(np.int64) - rs, c.sign_planes, c.payload
-    )
+    # truncation is odd, so the bin of -s is exactly minus the bin of s
+    return scalar_add(c, -s)
 
 
 # ---------------------------------------------------------------------------
 # residual-space operations
 
 
+def _max_width(stream: CompressedStream) -> int:
+    return int(stream.widths.max()) if stream.widths.size else 0
+
+
 def _unpack_signed(stream: CompressedStream, threads: int = 1):
-    """(outliers, signed residuals) in int64; None residuals when the
-    stream holds 63/64-bit magnitudes that need the slow integer path."""
-    wmax = int(stream.widths.max()) if stream.widths.size else 0
+    """(outliers, signed residuals): int64 residuals, or Python ints in an
+    object array when the stream holds 63/64-bit magnitudes."""
     mags, signs = codec._unpack_stream(stream, threads)
-    if wmax >= 63:
-        return stream.outliers.astype(np.int64), None, (mags, signs)
-    resid = np.where(signs.astype(bool), -(mags.astype(np.int64)), mags.astype(np.int64))
-    return stream.outliers.astype(np.int64), resid, None
+    mags = mags.astype(object if _max_width(stream) >= 63 else np.int64)
+    return stream.outliers.astype(np.int64), np.where(signs.astype(bool), -mags, mags)
 
 
 def _pack_signed(params: QuantParams, outliers: np.ndarray, resid: np.ndarray,
                  threads: int = 1) -> CompressedStream:
+    """Re-pack signed residuals, int64 or Python ints in an object array."""
     signs = (resid < 0).astype(np.uint8)
     mags = np.abs(resid).astype(np.uint64)
     widths = codec._block_widths(mags, params)
     return codec._pack_stream(params, outliers, mags, signs, widths, threads)
 
 
-def _pack_signed_py(params, outliers, resid_py, threads=1) -> CompressedStream:
-    mags = np.asarray([abs(r) for r in resid_py], dtype=np.uint64)
-    signs = np.asarray([1 if r < 0 else 0 for r in resid_py], dtype=np.uint8)
-    widths = codec._block_widths(mags, params)
-    return codec._pack_stream(params, outliers, mags, signs, widths, threads)
-
-
-def _signed_py(stream, mags_signs):
-    mags, signs = mags_signs
-    return [-int(m) if s else int(m) for m, s in zip(mags.tolist(), signs.tolist())]
-
-
 def _elementwise(a: CompressedStream, b: CompressedStream, sub: bool,
                  threads: int = 1) -> CompressedStream:
     _check_params(a, b)
-    wa = int(a.widths.max()) if a.widths.size else 0
-    wb = int(b.widths.max()) if b.widths.size else 0
-    oa, ra, slow_a = _unpack_signed(a, threads)
-    ob, rb, slow_b = _unpack_signed(b, threads)
+    oa, ra = _unpack_signed(a, threads)
+    ob, rb = _unpack_signed(b, threads)
+    if (2 ** _max_width(a) - 1) + (2 ** _max_width(b) - 1) > _I64_MAX:
+        ra, rb = ra.astype(object), rb.astype(object)  # the sums need Python ints
     outliers = oa - ob if sub else oa + ob
-    if ra is not None and rb is not None and (2**wa - 1) + (2**wb - 1) <= _I64_MAX:
-        resid = ra - rb if sub else ra + rb
-        return _pack_signed(a.params, outliers, resid, threads)
-    pa = _signed_py(a, slow_a) if ra is None else ra.tolist()
-    pb = _signed_py(b, slow_b) if rb is None else rb.tolist()
-    if sub:
-        resid_py = [x - y for x, y in zip(pa, pb)]
-    else:
-        resid_py = [x + y for x, y in zip(pa, pb)]
-    return _pack_signed_py(a.params, outliers, resid_py, threads)
+    resid = ra - rb if sub else ra + rb
+    return _pack_signed(a.params, outliers, resid, threads)
 
 
 def elementwise_add(a: CompressedStream, b: CompressedStream,
@@ -196,33 +166,29 @@ def elementwise_sub(a: CompressedStream, b: CompressedStream,
 # quantized-space operations
 
 
-def _round_half_away(t: np.ndarray) -> np.ndarray:
-    mag = np.floor(np.abs(t) + 0.5)
-    if np.any(mag >= 2.0**63):
-        raise QuantOverflow("rescaled bin exceeds 63-bit range")
-    return np.where(t < 0, -mag, mag).astype(np.int64)
+def _exact_products(x: np.ndarray, y) -> np.ndarray | list:
+    """Exact element-wise ``x * y`` of int64 bins (``y`` may be one bin): an
+    int64 array when every product fits, else a list of Python ints."""
+    y = np.asarray(y, dtype=np.int64)
+    mx = int(np.abs(x).max()) if x.size else 0
+    my = int(np.abs(y).max()) if y.size else 0
+    if mx == 0 or my == 0 or mx <= _I64_MAX // my:
+        return x * y
+    return [p * q for p, q in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist())]
 
 
 def _rescale_bins(products, eps: float) -> np.ndarray:
     """nearest_int(2 * eps * p), ties away from zero."""
-    return _round_half_away((2.0 * eps) * np.asarray(products, dtype=np.float64))
+    return codec._nearest_bins((2.0 * eps) * np.asarray(products, dtype=np.float64))
 
 
 def scalar_mul(c: CompressedStream, s: float, threads: int = 1) -> CompressedStream:
     """Multiply in the quantized domain: bins scale by the scalar's bin and
     re-center on the grid with nearest-integer rounding."""
-    params = c.params
-    rs = ScalarBin.of(s, params.eps).bin
+    rs = ScalarBin.of(s, c.params.eps).bin
     q = codec.decode_to_quant(c, threads)
-    maxabs = int(np.abs(q.bins).max()) if q.bins.size else 0
-    if rs == 0:
-        products = np.zeros_like(q.bins)
-    elif maxabs <= _I64_MAX // abs(rs):
-        products = q.bins * np.int64(rs)
-    else:
-        products = [b * rs for b in q.bins.tolist()]
-    bins = _rescale_bins(products, params.eps)
-    return codec.encode_from_quant(QuantArray(bins, params), threads)
+    bins = _rescale_bins(_exact_products(q.bins, rs), c.params.eps)
+    return codec.encode_from_quant(QuantArray(bins, c.params), threads)
 
 
 def hadamard(a: CompressedStream, b: CompressedStream,
@@ -232,13 +198,7 @@ def hadamard(a: CompressedStream, b: CompressedStream,
     _check_params(a, b)
     qa = codec.decode_to_quant(a, threads)
     qb = codec.decode_to_quant(b, threads)
-    ma = int(np.abs(qa.bins).max()) if qa.bins.size else 0
-    mb = int(np.abs(qb.bins).max()) if qb.bins.size else 0
-    if ma == 0 or mb == 0 or ma <= _I64_MAX // mb:
-        products = qa.bins * qb.bins
-    else:
-        products = [x * y for x, y in zip(qa.bins.tolist(), qb.bins.tolist())]
-    bins = _rescale_bins(products, a.params.eps)
+    bins = _rescale_bins(_exact_products(qa.bins, qb.bins), a.params.eps)
     return codec.encode_from_quant(QuantArray(bins, a.params), threads)
 
 
@@ -514,130 +474,177 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch used by the CLI and the benchmark harness
+# traditional-workflow reference (the certification oracle)
 
 
-def apply_stream_op(name: str, streams, scalar=None, threads: int = 1) -> CompressedStream:
-    arity, needs_scalar = STREAM_OPS[name]
-    if len(streams) != arity:
-        raise ValueError(f"{name} takes {arity} stream operand(s), got {len(streams)}")
-    if needs_scalar and scalar is None:
-        raise ValueError(f"{name} needs a scalar operand")
-    if name == "neg":
-        return negate(streams[0])
-    if name == "sadd":
-        return scalar_add(streams[0], scalar)
-    if name == "ssub":
-        return scalar_sub(streams[0], scalar)
-    if name == "smul":
-        return scalar_mul(streams[0], scalar, threads)
-    if name == "eadd":
-        return elementwise_add(streams[0], streams[1], threads)
-    if name == "esub":
-        return elementwise_sub(streams[0], streams[1], threads)
-    return hadamard(streams[0], streams[1], threads)
+def _decompressed(streams, threads: int):
+    """Check the operands share params; return them fully decompressed to
+    the double-precision reconstruction grid."""
+    for other in streams[1:]:
+        _check_params(streams[0], other)
+    return [codec.decompress(s, threads, out_dtype=np.float64).values for s in streams]
 
 
-def apply_reduction(name: str, streams, threads: int = 1) -> float:
-    if len(streams) != REDUCTIONS[name]:
-        raise ValueError(f"{name} takes {REDUCTIONS[name]} stream operand(s)")
-    if name == "mean":
-        return mean(streams[0], threads=threads)
-    if name == "variance":
-        return variance(streams[0], threads=threads)
-    if name == "stddev":
-        return stddev(streams[0], threads=threads)
-    if name == "covariance":
-        return covariance(streams[0], streams[1], threads=threads)
-    return ssim_global(streams[0], streams[1], threads=threads)
+def _f64(p: QuantParams) -> QuantParams:
+    return QuantParams(p.eps, p.dims, p.block_len, "f64")
+
+
+def _linear_oracle(fn):
+    """Oracle of a linear stream operation: ``fn(values, scalar, eps)`` in
+    the value domain, recompressed through the standard floor quantizer."""
+    def oracle(streams, scalar, threads):
+        p = streams[0].params
+        vals = _decompressed(streams, threads)
+        return codec.compress(RawArray(fn(vals, scalar, p.eps), p.dims, "f64"),
+                              _f64(p), threads)
+    return oracle
+
+
+def _scalar_value(scalar: float, eps: float) -> float:
+    """A scalar enters the value domain as its quantized value ``2 eps * bin``."""
+    return ScalarBin.of(scalar, eps).quantized_value
+
+
+def _product_oracle(streams, scalar, threads):
+    """Oracle of the multiplicative operations (the scalar's bin is the
+    second factor of a one-stream product).
+
+    The decompressed values requantize back onto the bin grid (nearest
+    rule - an exact recovery), multiply exactly, and take the same pinned
+    nearest-ties-away rescale; a decimal error bound puts a percent-level
+    share of products exactly on rounding ties, where no finite-precision
+    float product could reproduce the rescale faithfully.
+    """
+    p64 = _f64(streams[0].params)
+    vals = _decompressed(streams, threads)
+    rho = [codec.quantize_nearest(v, p64) for v in vals]
+    other = rho[1] if len(rho) == 2 else ScalarBin.of(scalar, p64.eps).bin
+    bins = _rescale_bins(_exact_products(rho[0], other), p64.eps)
+    return codec.encode_from_quant(QuantArray(bins, p64), threads)
+
+
+def _reduction_oracle(fn):
+    """Oracle of a reduction: ``fn`` on the decompressed values, computed in
+    floating point."""
+    def oracle(streams, scalar, threads):
+        return float(fn(*_decompressed(streams, threads)))
+    return oracle
+
+
+def _value_covariance(va: np.ndarray, vb: np.ndarray) -> float:
+    return float(((va - va.mean()) * (vb - vb.mean())).mean())
+
+
+def _value_ssim(va: np.ndarray, vb: np.ndarray) -> float:
+    mu_a, mu_b = va.mean(), vb.mean()
+    var_a, var_b = va.var(), vb.var()
+    cov = _value_covariance(va, vb)
+    value_range = max(va.max() - va.min(), vb.max() - vb.min())
+    c1 = (0.01 * value_range) ** 2
+    c2 = (0.03 * value_range) ** 2
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    if den == 0.0:
+        raise ValueError("SSIM is undefined: degenerate zero-range operands")
+    return (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2) / den
 
 
 # ---------------------------------------------------------------------------
-# traditional-workflow reference (the certification oracle)
+# the operation table
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One operation: its homomorphic call next to the oracle that certifies
+    it.  ``apply`` and ``oracle`` both take ``(streams, scalar, threads)``;
+    a stream operation returns a CompressedStream from both, a reduction a
+    float.  Operations that take no scalar ignore it."""
+
+    name: str
+    arity: int
+    takes_scalar: bool
+    reduction: bool
+    apply: Callable
+    oracle: Callable
+
+
+OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
+    OpSpec("neg", 1, False, False,
+           lambda s, x, t: negate(s[0]),
+           _linear_oracle(lambda v, x, eps: -v[0])),
+    OpSpec("sadd", 1, True, False,
+           lambda s, x, t: scalar_add(s[0], x),
+           _linear_oracle(lambda v, x, eps: v[0] + _scalar_value(x, eps))),
+    OpSpec("ssub", 1, True, False,
+           lambda s, x, t: scalar_sub(s[0], x),
+           _linear_oracle(lambda v, x, eps: v[0] - _scalar_value(x, eps))),
+    OpSpec("smul", 1, True, False,
+           lambda s, x, t: scalar_mul(s[0], x, t),
+           _product_oracle),
+    OpSpec("eadd", 2, False, False,
+           lambda s, x, t: elementwise_add(s[0], s[1], t),
+           _linear_oracle(lambda v, x, eps: v[0] + v[1])),
+    OpSpec("esub", 2, False, False,
+           lambda s, x, t: elementwise_sub(s[0], s[1], t),
+           _linear_oracle(lambda v, x, eps: v[0] - v[1])),
+    OpSpec("hadamard", 2, False, False,
+           lambda s, x, t: hadamard(s[0], s[1], t),
+           _product_oracle),
+    OpSpec("mean", 1, False, True,
+           lambda s, x, t: mean(s[0], threads=t),
+           _reduction_oracle(np.mean)),
+    OpSpec("variance", 1, False, True,
+           lambda s, x, t: variance(s[0], threads=t),
+           _reduction_oracle(np.var)),
+    OpSpec("stddev", 1, False, True,
+           lambda s, x, t: stddev(s[0], threads=t),
+           _reduction_oracle(np.std)),
+    OpSpec("covariance", 2, False, True,
+           lambda s, x, t: covariance(s[0], s[1], threads=t),
+           _reduction_oracle(_value_covariance)),
+    OpSpec("ssim", 2, False, True,
+           lambda s, x, t: ssim_global(s[0], s[1], threads=t),
+           _reduction_oracle(_value_ssim)),
+)}
+
+
+def _spec(name: str, streams, scalar, reduction: bool | None = None) -> OpSpec:
+    """Look up ``name`` (of the given kind, when one is given) and check the
+    operand count and the scalar."""
+    spec = OPS.get(name)
+    if spec is None or reduction not in (None, spec.reduction):
+        kind = {None: "operation", False: "stream operation", True: "reduction"}[reduction]
+        raise ValueError(f"unknown {kind} {name!r}")
+    if len(streams) != spec.arity:
+        raise ValueError(f"{name} takes {spec.arity} stream operand(s), got {len(streams)}")
+    if spec.takes_scalar and scalar is None:
+        raise ValueError(f"{name} needs a scalar operand")
+    return spec
+
+
+def apply(name: str, streams, scalar=None, threads: int = 1):
+    """Run operation ``name`` on compressed ``streams``: a CompressedStream
+    for stream operations, a float for reductions."""
+    return _spec(name, streams, scalar).apply(streams, scalar, threads)
 
 
 def oracle_stream(name: str, streams, scalar=None, threads: int = 1) -> CompressedStream:
     """Traditional workflow for compression-as-output operations: fully
-    decompress every operand, operate in the value domain (scalars enter as
-    their quantized value ``2 eps * bin``), recompress the result.
-
-    Linear results recompress through the standard floor quantizer.
-    Multiplicative results requantize the decompressed values back onto the
-    bin grid (nearest rule - an exact recovery), multiply exactly, and apply
-    the same pinned nearest-ties-away rescale; a decimal error bound puts a
-    percent-level share of products exactly on rounding ties, where no
-    finite-precision float product could reproduce the rescale faithfully.
-    """
-    p = streams[0].params
-    for other in streams[1:]:
-        _check_params(streams[0], other)
-    vals = [codec.decompress(s, threads, out_dtype=np.float64).values for s in streams]
-    p64 = QuantParams(p.eps, p.dims, p.block_len, "f64")
-    if name == "neg":
-        out = -vals[0]
-    elif name == "sadd":
-        out = vals[0] + ScalarBin.of(scalar, p.eps).quantized_value
-    elif name == "ssub":
-        out = vals[0] - ScalarBin.of(scalar, p.eps).quantized_value
-    elif name == "eadd":
-        out = vals[0] + vals[1]
-    elif name == "esub":
-        out = vals[0] - vals[1]
-    elif name in ("smul", "hadamard"):
-        rho_a = codec.quantize_nearest(vals[0], p64)
-        ma = int(np.abs(rho_a).max()) if rho_a.size else 0
-        if name == "smul":
-            rho_b = ScalarBin.of(scalar, p.eps).bin
-            mb = abs(rho_b)
-        else:
-            rho_b = codec.quantize_nearest(vals[1], p64)
-            mb = int(np.abs(rho_b).max()) if rho_b.size else 0
-        if ma == 0 or mb == 0 or ma <= _I64_MAX // mb:
-            products = rho_a * rho_b
-        else:
-            rho_b_list = [rho_b] * rho_a.size if name == "smul" else rho_b.tolist()
-            products = [x * y for x, y in zip(rho_a.tolist(), rho_b_list)]
-        bins = _rescale_bins(products, p.eps)
-        return codec.encode_from_quant(QuantArray(bins, p64), threads)
-    else:
-        raise ValueError(f"unknown stream op {name!r}")
-    return codec.compress(RawArray(out, p.dims, "f64"), p64, threads)
+    decompress every operand, operate in the value domain, recompress the
+    result (see ``_linear_oracle`` and ``_product_oracle``)."""
+    return _spec(name, streams, scalar, reduction=False).oracle(streams, scalar, threads)
 
 
 def oracle_reduction(name: str, streams, threads: int = 1) -> float:
     """Traditional workflow for reductions: fully decompress, then compute
     the statistic in the floating-point value domain."""
-    for other in streams[1:]:
-        _check_params(streams[0], other)
-    vals = [codec.decompress(s, threads, out_dtype=np.float64).values for s in streams]
-    if name == "mean":
-        return float(vals[0].mean())
-    if name == "variance":
-        return float(vals[0].var())
-    if name == "stddev":
-        return float(vals[0].std())
-    if name == "covariance":
-        va, vb = vals
-        return float(((va - va.mean()) * (vb - vb.mean())).mean())
-    if name == "ssim":
-        va, vb = vals
-        mu_a, mu_b = va.mean(), vb.mean()
-        var_a, var_b = va.var(), vb.var()
-        cov = float(((va - mu_a) * (vb - mu_b)).mean())
-        value_range = max(va.max() - va.min(), vb.max() - vb.min())
-        c1 = (0.01 * value_range) ** 2
-        c2 = (0.03 * value_range) ** 2
-        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-        if den == 0.0:
-            raise ValueError("SSIM is undefined: degenerate zero-range operands")
-        return float((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2) / den)
-    raise ValueError(f"unknown reduction {name!r}")
+    return _spec(name, streams, None, reduction=True).oracle(streams, None, threads)
 
 
 def oracle_apply(name: str, streams, scalar=None, threads: int = 1):
     """Reference result for any operation: a double-precision value array
     for compression-as-output operations, a float for reductions."""
-    if name in STREAM_OPS:
-        z = oracle_stream(name, streams, scalar, threads)
-        return codec.decompress(z, threads, out_dtype=np.float64)
-    return oracle_reduction(name, streams, threads)
+    spec = _spec(name, streams, scalar)
+    out = spec.oracle(streams, scalar, threads)
+    if spec.reduction:
+        return out
+    return codec.decompress(out, threads, out_dtype=np.float64)

@@ -98,27 +98,31 @@ def test_criterion_3_theorem_equivalence_suite():
         return random_params(rng, eps_choices=(1e-1, 1e-2, 1e-3, 1e-4, 0.25, 2.0**-7),
                              max_dim=16, max_ndim=3)
 
-    for op, (arity, _) in sorted(ops.STREAM_OPS.items()):
+    for op, spec in sorted(ops.OPS.items()):
+        if spec.reduction:
+            continue
         for _ in range(200):
             p = case_params()
             operands = [random_stream(rng, params=p, hi=2**15)
-                        for _ in range(arity)]
+                        for _ in range(spec.arity)]
             scalar = float(rng.uniform(-30, 30))
-            got = decompress(ops.apply_stream_op(op, operands, scalar=scalar),
+            got = decompress(ops.apply(op, operands, scalar=scalar),
                              out_dtype=np.float64).values
             want = ops.oracle_apply(op, operands, scalar=scalar).values
             assert np.array_equal(got, want), op
 
-    for red, arity in sorted(ops.REDUCTIONS.items()):
+    for red, spec in sorted(ops.OPS.items()):
+        if not spec.reduction:
+            continue
         checked = 0
         while checked < 200:
             p = case_params()
             operands = [random_stream(rng, params=p, hi=2**15)
-                        for _ in range(arity)]
+                        for _ in range(spec.arity)]
             if red == "ssim" and (variance(operands[0]) == 0.0
                                   or variance(operands[1]) == 0.0):
                 continue  # degenerate inputs are rejected by contract
-            got = ops.apply_reduction(red, operands)
+            got = ops.apply(red, operands)
             want = ops.oracle_reduction(red, operands)
             rel = abs(got - want) / max(abs(want), abs(got), 1e-300)
             assert rel <= 1e-9, (red, got, want)
@@ -170,10 +174,12 @@ def test_criterion_5_speedup_over_traditional_workflow():
     stream = compress(raw, params, THREADS)
     second = ops.scalar_add(stream, 16 * params.eps)
     results = {}
-    for name, (arity, _) in ops.STREAM_OPS.items():
-        operands = [stream, second][:arity]
+    for name, spec in ops.OPS.items():
+        if spec.reduction:
+            continue
+        operands = [stream, second][:spec.arity]
         t_op = time.perf_counter()
-        result = ops.apply_stream_op(name, operands, scalar=3.14, threads=THREADS)
+        result = ops.apply(name, operands, scalar=3.14, threads=THREADS)
         t_homo = time.perf_counter() - t_op
         t_op = time.perf_counter()
         ops.oracle_stream(name, operands, scalar=3.14, threads=THREADS)

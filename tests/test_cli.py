@@ -1,13 +1,14 @@
 """Command-line interface: pipelines, report formats, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from hoszp import QuantParams, compress, deserialize, serialize
+from hoszp import QuantParams, compress, deserialize, ops, serialize
 from hoszp.cli import CSV_COLUMNS, _default_threads, main
 from hoszp.codec import RawArray
 from hoszp.synth import smooth_field
@@ -192,6 +193,28 @@ class TestBench:
         code, _ = _run(capsys, ["bench", "--dims", "8x8", "--eps", "1e-2",
                                 "--ops", "fft"])
         assert code == 2
+
+    def test_rows_carry_eps(self, capsys):
+        code, cap = _run(capsys, ["bench", "--dims", "8x8", "--eps", "0.05",
+                                  "--ops", "neg,mean", "--report", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(cap.out)))
+        assert [r["op"] for r in rows] == ["compress", "neg", "mean"]
+        assert all(r["eps"] == "0.05" for r in rows)
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("neg", lambda s, x, t: ops.scalar_add(s[0], 1.0)),
+        ("mean", lambda s, x, t: ops.mean(s[0]) * (1 + 1e-6) + 1e-6),
+    ])
+    def test_oracle_mismatch_is_verify_error(self, monkeypatch, capsys, name, wrong):
+        monkeypatch.setitem(ops.OPS, name, dataclasses.replace(ops.OPS[name], apply=wrong))
+        code, cap = _run(capsys, ["bench", "--dims", "8x8", "--eps", "1e-2",
+                                  "--ops", f"sadd,{name}", "--report", "csv"])
+        assert code == 5
+        assert "kind=VerificationMismatch" in cap.err and name in cap.err
+        rows = {r["op"]: r for r in csv.DictReader(io.StringIO(cap.out))}
+        assert float(rows["sadd"]["max_abs_diff"]) == 0.0
+        assert float(rows[name]["max_abs_diff"]) > 0.0
 
 
 class TestDistsimCommand:

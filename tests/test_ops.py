@@ -1,5 +1,7 @@
 """Homomorphic operations: worked-example goldens, oracle equivalence, invariants."""
 
+import argparse
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from hoszp import (
     variance,
 )
 from hoszp import codec, ops
+from hoszp.cli import build_parser
 
 from conftest import EXAMPLE_BINS, random_params, random_stream
 
@@ -46,6 +49,22 @@ def _stream(bins, eps=0.01, block_len=32, dtype="f32"):
 
 def _values(stream):
     return decompress(stream, out_dtype=np.float64).values
+
+
+#: eps 2^-40 puts these bins on the f64 grid exactly; the scalar 2^-10 has
+#: bin 2^29, so products with the 2^40-sized bins need 70 bits and take
+#: the Python-int product path
+WIDE_EPS = 2.0**-40
+WIDE_BINS = [0, 2**40, 2**40 + 3, -(2**40), 5, 2**39, 7, -1]
+WIDE_SCALAR = 2.0**-10
+
+
+def _nearest_rescaled(product, eps_exp=-40):
+    """nearest_int(2 * eps * product) for eps = 2^eps_exp, ties away from
+    zero, in Python integers."""
+    shift = -(eps_exp + 1)
+    mag = (abs(product) + (1 << (shift - 1))) >> shift
+    return -mag if product < 0 else mag
 
 
 class TestScalarBin:
@@ -211,6 +230,17 @@ class TestScalarMul:
             x = float(rng.uniform(-20, 20))
             assert np.array_equal(_values(scalar_mul(s, x)),
                                   oracle_apply("smul", [s], scalar=x).values)
+
+    def test_wide_products_take_python_int_path(self):
+        s = _stream(WIDE_BINS, eps=WIDE_EPS, dtype="f64")
+        rs = ScalarBin.of(WIDE_SCALAR, WIDE_EPS).bin
+        assert rs == 2**29 and max(abs(b) for b in WIDE_BINS) * rs > 2**63 - 1
+        z = scalar_mul(s, WIDE_SCALAR)
+        want = [_nearest_rescaled(b * rs) for b in WIDE_BINS]
+        assert want == [0, 2**30, 2**30, -(2**30), 0, 2**29, 0, 0]
+        assert decode_to_quant(z).bins.tolist() == want
+        assert np.array_equal(_values(z),
+                              oracle_apply("smul", [s], scalar=WIDE_SCALAR).values)
 
 
 class TestMean:
@@ -414,6 +444,14 @@ class TestHadamard:
         with pytest.raises(ParamsMismatch):
             hadamard(a, b)
 
+    def test_wide_products_take_python_int_path(self):
+        s = _stream(WIDE_BINS, eps=WIDE_EPS, dtype="f64")
+        z = hadamard(s, s)
+        want = [_nearest_rescaled(b * b) for b in WIDE_BINS]
+        assert want[1:4] == [2**41, 2**41 + 12, 2**41]
+        assert decode_to_quant(z).bins.tolist() == want
+        assert np.array_equal(_values(z), oracle_apply("hadamard", [s, s]).values)
+
 
 class TestCovariance:
     def test_self_covariance_is_variance(self, example_stream):
@@ -532,19 +570,61 @@ class TestOracleApply:
             oracle_stream("transpose", [example_stream])
         with pytest.raises(ValueError):
             oracle_reduction("median", [example_stream])
+        for call in (ops.apply, oracle_apply, oracle_stream):
+            with pytest.raises(ValueError, match="unknown"):
+                call("transpose", [example_stream])
+        # a name of the other kind is unknown to a kind-specific entry point
+        with pytest.raises(ValueError, match="unknown stream operation"):
+            oracle_stream("mean", [example_stream])
+        with pytest.raises(ValueError, match="unknown reduction"):
+            oracle_reduction("neg", [example_stream])
+
+    @pytest.mark.parametrize("call", [ops.apply, oracle_apply, oracle_stream])
+    def test_arity_and_scalar_checked(self, call, example_stream):
+        with pytest.raises(ValueError, match="takes 2"):
+            call("eadd", [example_stream])
+        with pytest.raises(ValueError, match="needs a scalar"):
+            call("sadd", [example_stream])
+
+
+class TestOpTable:
+    def test_covers_the_cli_choices(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command):
+            return set(next(a for a in sub.choices[command]._actions
+                            if a.dest == "op_name").choices)
+
+        streams = {n for n, spec in ops.OPS.items() if not spec.reduction}
+        assert choices("op") == streams
+        assert choices("stats") == set(ops.OPS) - streams
+        assert len(ops.OPS) == 12
+
+    def test_every_entry_has_an_oracle(self, example_stream):
+        s = example_stream
+        for name, spec in ops.OPS.items():
+            assert spec.name == name
+            assert callable(spec.apply) and callable(spec.oracle)
+            want = spec.oracle([s] * spec.arity, 0.67, 1)
+            got = ops.apply(name, [s] * spec.arity, 0.67)
+            if spec.reduction:
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+            else:
+                assert np.array_equal(_values(got), _values(want))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       op=st.sampled_from(sorted(ops.STREAM_OPS)))
+       op=st.sampled_from(sorted(n for n, spec in ops.OPS.items() if not spec.reduction)))
 def test_theorem_equivalence_property(seed, op):
     rng = np.random.default_rng(seed)
     p = random_params(rng)
     # bin cap keeps multiplicative results inside the 32-bit outlier slot
     operands = [random_stream(rng, params=p, hi=2**15)]
-    if ops.STREAM_OPS[op][0] == 2:
+    if ops.OPS[op].arity == 2:
         operands.append(random_stream(rng, params=p, hi=2**15))
     scalar = float(rng.uniform(-30, 30))
-    got = _values(ops.apply_stream_op(op, operands, scalar=scalar))
+    got = _values(ops.apply(op, operands, scalar=scalar))
     want = oracle_apply(op, operands, scalar=scalar).values
     assert np.array_equal(got, want)

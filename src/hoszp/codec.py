@@ -7,7 +7,10 @@ so every round-tripped value stays within ``eps`` of the original.  The
 decorrelation stage stores, per block, the first bin as an *outlier* plus
 the differences of consecutive bins split into sign bits and magnitudes.
 Blocks whose residuals are all zero are *constant* and carry no sign or
-payload bytes.
+payload bytes.  The packing stage writes every other block as a row of
+sign bits and a row of ``w``-bit magnitudes (``w`` is the block's width),
+MSB first, each row padded to a byte; the magnitude kernels move eight
+fields at a time as big-endian 64-bit words, never bit by bit.
 
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
@@ -29,7 +32,7 @@ _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
 # beyond this bin magnitude, int64 differences of two bins may overflow
 _FAST_BIN_LIMIT = 2**62 - 1
-# elements handled per vectorized packing chunk (bounds bit-matrix temporaries)
+# elements handled per vectorized packing chunk (bounds the u64 word temporaries)
 _CHUNK_ELEMS = 1 << 20
 
 
@@ -268,35 +271,56 @@ def _bins_from_resid(outliers: np.ndarray, mags: np.ndarray, signs: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # bit packing
-
-
-def _lane(w: int):
-    # smallest big-endian integer lane that holds w bits
-    if w <= 8:
-        return 1, ">u1"
-    if w <= 16:
-        return 2, ">u2"
-    if w <= 32:
-        return 4, ">u4"
-    return 8, ">u8"
+#
+# A non-constant block of k residuals at width w is one byte row: the
+# magnitudes MSB first, w bits each, zero-padded to a byte.  Eight w-bit
+# fields fill exactly w bytes, so both kernels pad a row to ceil(k/8) groups
+# of 8 fields and move each group as ceil(w/8) big-endian u64 words.  Field
+# j of a group starts at bit j*w: inside word (j*w) >> 6, or straddling that
+# word and the next.
 
 
 def _pack_mag_rows(mat: np.ndarray, w: int) -> np.ndarray:
     """Pack a (blocks, k) magnitude matrix into per-block byte rows,
     ``w`` bits per element, MSB first, each row zero-padded to a byte."""
     g, k = mat.shape
-    nb, dt = _lane(w)
-    bits = np.unpackbits(mat.astype(dt).view(np.uint8).reshape(g * k, nb), axis=1)
-    return np.packbits(bits[:, nb * 8 - w :].reshape(g, k * w), axis=1)
+    groups, nw = (k + 7) // 8, (w + 7) // 8
+    vals = np.zeros((g, groups * 8), dtype=np.uint64)
+    vals[:, :k] = mat
+    vals = vals.reshape(g * groups, 8)
+    words = np.zeros((g * groups, nw), dtype=np.uint64)
+    for j in range(8):
+        i, o = divmod(j * w, 64)
+        if o + w <= 64:
+            words[:, i] |= vals[:, j] << np.uint64(64 - o - w)
+        else:  # the field straddles words i and i + 1
+            words[:, i] |= vals[:, j] >> np.uint64(o + w - 64)
+            words[:, i + 1] |= vals[:, j] << np.uint64(128 - o - w)
+    octets = words.astype(">u8").view(np.uint8)[:, :w]
+    return octets.reshape(g, groups * w)[:, : (k * w + 7) // 8]
 
 
 def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
+    """Inverse of :func:`_pack_mag_rows`: a (blocks, k) uint64 matrix."""
     g = rows.shape[0]
-    nb, dt = _lane(w)
-    bits = np.unpackbits(rows, axis=1)[:, : k * w].reshape(g * k, w)
-    full = np.zeros((g * k, nb * 8), dtype=np.uint8)
-    full[:, nb * 8 - w :] = bits
-    return np.packbits(full, axis=1).view(dt).astype(np.uint64).reshape(g, k)
+    groups, nw = (k + 7) // 8, (w + 7) // 8
+    padded = np.zeros((g, groups * w), dtype=np.uint8)
+    padded[:, : rows.shape[1]] = rows
+    octets = np.zeros((g * groups, nw * 8), dtype=np.uint8)
+    octets[:, :w] = padded.reshape(g * groups, w)
+    words = octets.view(">u8").astype(np.uint64)
+    vals = np.empty((g * groups, 8), dtype=np.uint64)
+    mask = np.uint64((1 << w) - 1)
+    for j in range(8):
+        i, o = divmod(j * w, 64)
+        lane = vals[:, j]
+        if o + w <= 64:
+            np.right_shift(words[:, i], np.uint64(64 - o - w), out=lane)
+        else:
+            np.left_shift(words[:, i], np.uint64(o + w - 64), out=lane)
+            lane |= words[:, i + 1] >> np.uint64(128 - o - w)
+        lane &= mask
+    return vals.reshape(g, groups * 8)[:, :k]
 
 
 def _section_offsets(sizes: np.ndarray) -> np.ndarray:
@@ -311,81 +335,55 @@ def _iter_chunks(ids: np.ndarray, k: int):
         yield ids[i : i + step]
 
 
+def _block_chunks(params: QuantParams, widths: np.ndarray, b0: int, b1: int):
+    """The non-constant blocks of [b0, b1) in chunks of one length and width.
+
+    Yields ``(span, length, w, ids, rows)``: the elements ``span`` reshaped
+    to ``(-1, length)`` hold block ``ids[i]`` in row ``rows[i]``.  Full
+    blocks share one matrix; a ragged tail block forms its own.
+    """
+    k, n = params.block_len, params.element_count
+    nfull = n // k
+    segments = [(slice(0, nfull * k), k, 0, np.arange(b0, min(b1, nfull)))]
+    if n % k and b1 == params.block_count:
+        segments.append((slice(nfull * k, n), n % k, nfull, np.array([nfull])))
+    for span, length, first, ids in segments:
+        ids = ids[widths[ids] > 0]
+        ws = widths[ids]
+        for w in np.unique(ws):
+            for chunk in _iter_chunks(ids[ws == w], length):
+                yield span, length, int(w), chunk, chunk - first
+
+
+def _row_index(offs: np.ndarray, ids: np.ndarray, width: int, base: int = 0) -> np.ndarray:
+    """Positions of the ``width``-byte rows of blocks ``ids`` in a section
+    buffer that starts at section offset ``base``."""
+    return (offs[ids] - base)[:, None] + np.arange(width)
+
+
 def _pack_block_range(params, mags, signs, widths, sign_offs, payload_offs, b0, b1):
     """Serialize sign planes and payload for blocks [b0, b1) into two buffers."""
-    k = params.block_len
-    n = params.element_count
-    nfull = n // k
     sign_base = int(sign_offs[b0])
     payload_base = int(payload_offs[b0])
     sign_buf = np.zeros(int(sign_offs[b1]) - sign_base, dtype=np.uint8)
     payload_buf = np.zeros(int(payload_offs[b1]) - payload_base, dtype=np.uint8)
-
-    full_hi = min(b1, nfull)
-    nc = b0 + np.flatnonzero(widths[b0:full_hi] > 0)
-    if nc.size:
-        signs_mat = signs[: nfull * k].reshape(nfull, k)
-        srow = (k + 7) // 8
-        for ids in _iter_chunks(nc, k):
-            rows = np.packbits(signs_mat[ids], axis=1)
-            idx = (sign_offs[ids] - sign_base)[:, None] + np.arange(srow)
-            sign_buf[idx] = rows
-        mags_mat = mags[: nfull * k].reshape(nfull, k)
-        for w in np.unique(widths[nc]):
-            w = int(w)
-            sel = nc[widths[nc] == w]
-            prow = (k * w + 7) // 8
-            for ids in _iter_chunks(sel, k):
-                rows = _pack_mag_rows(mags_mat[ids], w)
-                idx = (payload_offs[ids] - payload_base)[:, None] + np.arange(prow)
-                payload_buf[idx] = rows
-    # partial tail block
-    if n % k and b1 == params.block_count and int(widths[-1]) > 0:
-        w = int(widths[-1])
-        row = np.packbits(signs[nfull * k :][None, :], axis=1)[0]
-        off = int(sign_offs[params.block_count - 1]) - sign_base
-        sign_buf[off : off + len(row)] = row
-        row = _pack_mag_rows(mags[nfull * k :][None, :], w)[0]
-        off = int(payload_offs[params.block_count - 1]) - payload_base
-        payload_buf[off : off + len(row)] = row
+    for span, length, w, ids, rows in _block_chunks(params, widths, b0, b1):
+        sign_buf[_row_index(sign_offs, ids, (length + 7) // 8, sign_base)] = np.packbits(
+            signs[span].reshape(-1, length)[rows], axis=1)
+        payload_buf[_row_index(payload_offs, ids, (length * w + 7) // 8, payload_base)] = (
+            _pack_mag_rows(mags[span].reshape(-1, length)[rows], w))
     return sign_buf.tobytes(), payload_buf.tobytes()
 
 
 def _unpack_block_range(stream, mags, signs, sign_offs, payload_offs, b0, b1):
     """Decode blocks [b0, b1) into the shared mags/signs element arrays."""
-    params = stream.params
-    k = params.block_len
-    n = params.element_count
-    nfull = n // k
-    widths = stream.widths
     sign_bytes = np.frombuffer(stream.sign_planes, dtype=np.uint8)
     payload_bytes = np.frombuffer(stream.payload, dtype=np.uint8)
-
-    full_hi = min(b1, nfull)
-    nc = b0 + np.flatnonzero(widths[b0:full_hi] > 0)
-    if nc.size:
-        signs_mat = signs[: nfull * k].reshape(nfull, k)
-        srow = (k + 7) // 8
-        for ids in _iter_chunks(nc, k):
-            idx = sign_offs[ids][:, None] + np.arange(srow)
-            signs_mat[ids] = np.unpackbits(sign_bytes[idx], axis=1)[:, :k]
-        mags_mat = mags[: nfull * k].reshape(nfull, k)
-        for w in np.unique(widths[nc]):
-            w = int(w)
-            sel = nc[widths[nc] == w]
-            prow = (k * w + 7) // 8
-            for ids in _iter_chunks(sel, k):
-                idx = payload_offs[ids][:, None] + np.arange(prow)
-                mags_mat[ids] = _unpack_mag_rows(payload_bytes[idx], k, w)
-    if n % k and b1 == params.block_count and int(widths[-1]) > 0:
-        r = n % k
-        w = int(widths[-1])
-        off = int(sign_offs[params.block_count - 1])
-        srow = (r + 7) // 8
-        signs[nfull * k :] = np.unpackbits(sign_bytes[off : off + srow][None, :], axis=1)[0, :r]
-        off = int(payload_offs[params.block_count - 1])
-        prow = (r * w + 7) // 8
-        mags[nfull * k :] = _unpack_mag_rows(payload_bytes[off : off + prow][None, :], r, w)[0]
+    for span, length, w, ids, rows in _block_chunks(stream.params, stream.widths, b0, b1):
+        signs[span].reshape(-1, length)[rows] = np.unpackbits(
+            sign_bytes[_row_index(sign_offs, ids, (length + 7) // 8)], axis=1)[:, :length]
+        mags[span].reshape(-1, length)[rows] = _unpack_mag_rows(
+            payload_bytes[_row_index(payload_offs, ids, (length * w + 7) // 8)], length, w)
 
 
 def _thread_ranges(block_count: int, threads: int):

@@ -36,6 +36,7 @@ from .errors import ParamsMismatch, QuantOverflow
 from .model import CompressedStream, QuantArray, QuantParams
 
 _I64_MAX = 2**63 - 1
+_U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,10 @@ def _pack_signed(params: QuantParams, outliers: np.ndarray, resid: np.ndarray,
                  threads: int = 1) -> CompressedStream:
     """Re-pack signed residuals, int64 or Python ints in an object array."""
     signs = (resid < 0).astype(np.uint8)
-    mags = np.abs(resid).astype(np.uint64)
+    mags = np.abs(resid)
+    if mags.dtype == object and mags.size and mags.max() > _U64_MAX:
+        raise QuantOverflow("residual exceeds the 64-bit width of format v1")
+    mags = mags.astype(np.uint64)
     widths = codec._block_widths(mags, params)
     return codec._pack_stream(params, outliers, mags, signs, widths, threads)
 

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from hoszp import QuantParams, compress, deserialize, ops, serialize
+from hoszp import QuantArray, QuantParams, compress, deserialize, encode_from_quant, ops, serialize
 from hoszp.cli import CSV_COLUMNS, _default_threads, main
 from hoszp.codec import RawArray
 from hoszp.synth import smooth_field
@@ -158,6 +158,15 @@ class TestExitCodes:
                                   "--dims", "3x3", "--eps", "0.01"])
         assert code == 4
         assert "kind=GeometryMismatch" in cap.err
+
+    def test_eadd_residual_overflow_is_codec_error(self, tmp_path, capsys):
+        p = QuantParams(eps=0.5, dims=(2,), block_len=2, dtype="f64")
+        wide = tmp_path / "wide.hsz"
+        wide.write_bytes(serialize(encode_from_quant(QuantArray(
+            np.array([-(2**31), 2**63 - 1]), p))))
+        code, cap = _run(capsys, ["op", "eadd", str(wide), str(wide)])
+        assert code == 4
+        assert "kind=QuantOverflow" in cap.err
 
 
 class TestReports:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoszp import (
+    CompressedStream,
     GeometryMismatch,
     QuantArray,
     QuantOverflow,
@@ -27,6 +28,7 @@ from hoszp import (
     serialize,
     write_raw,
 )
+from hoszp import codec
 
 from conftest import EXAMPLE_BINS, EXAMPLE_EPS, EXAMPLE_VALUES, random_params, random_stream
 
@@ -299,6 +301,62 @@ class TestLossinessLocalization:
                                                 bins[:: p.block_len].size)
             q = QuantArray(bins, p)
             assert decode_to_quant(encode_from_quant(q)) == q
+
+
+def _ref_pack_row(values, w):
+    """Reference packer: ``w`` bits per value, MSB first, zero-padded to a
+    byte, built as one Python int."""
+    acc = 0
+    for v in values:
+        acc = (acc << w) | int(v)
+    nbits = len(values) * w
+    nbytes = (nbits + 7) // 8
+    return (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+
+
+class TestBitPacking:
+    @pytest.mark.parametrize("k", [1, 3, 7, 8, 13, 32, 64])
+    def test_kernels_match_reference_packer(self, k):
+        rng = np.random.default_rng(k)
+        for w in range(1, 65):
+            mat = rng.integers(0, 2**64, (4, k), dtype=np.uint64) >> np.uint64(64 - w)
+            mat[:, 0] = 0
+            mat[int(k == 1):, -1] = 2**w - 1  # with k == 1, row 0 keeps the 0
+            ref = np.array([list(_ref_pack_row(row.tolist(), w)) for row in mat],
+                           dtype=np.uint8)
+            assert np.array_equal(codec._pack_mag_rows(mat, w), ref), w
+            assert np.array_equal(codec._unpack_mag_rows(ref, k, w), mat), w
+
+    def test_stream_matches_reference_packer(self):
+        # 8 full blocks of 12 and a ragged tail of 4; widths 0 (constant) to 64
+        rng = np.random.default_rng(61)
+        k, n = 12, 100
+        p = QuantParams(eps=0.5, dims=(n,), block_len=k, dtype="f64")
+        bins = np.zeros(n, dtype=np.int64)
+        for b, e in enumerate([0, 1, 4, 9, 17, 33, 50, 64, 10]):
+            blk = bins[b * k : b * k + k]
+            blk[0] = rng.integers(-(2**31), 2**31)
+            if e == 0:
+                blk[1:] = blk[0]
+            elif e == 64:
+                blk[1:] = [(-1) ** i * 2**62 for i in range(blk.size - 1)]
+            else:
+                blk[1:] = blk[0] + rng.integers(-(2 ** (e - 1)), 2 ** (e - 1), blk.size - 1)
+        widths, outliers, signs, payload = [], [], b"", b""
+        for s in range(0, n, k):
+            blk = bins[s : s + k].tolist()
+            res = [0] + [y - x for x, y in zip(blk, blk[1:])]
+            w = max(abs(r) for r in res).bit_length()
+            widths.append(w)
+            outliers.append(blk[0])
+            if w:
+                signs += _ref_pack_row([r < 0 for r in res], 1)
+                payload += _ref_pack_row([abs(r) for r in res], w)
+        assert widths[0] == 0 and 64 in widths
+        ref = CompressedStream(p, widths, outliers, signs, payload)
+        got = encode_from_quant(QuantArray(bins, p))
+        assert serialize(got) == serialize(ref)
+        assert np.array_equal(decode_to_quant(ref).bins, bins)
 
 
 class TestRawIO:

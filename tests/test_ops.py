@@ -371,6 +371,14 @@ class TestElementwiseAdd:
         want = np.array([1, 2**62 + 2**61, -(2**62) - 2**61, 0])
         assert np.array_equal(decode_to_quant(z).bins, want)
 
+    def test_residual_past_64_bits_is_quant_overflow(self):
+        # a residual of 2^63 + 2^31 - 1 doubles past 2^64 - 1, the widest
+        # magnitude format v1 stores
+        a = _stream([-(2**31), 2**63 - 1], eps=0.5, block_len=2, dtype="f64")
+        assert int(a.widths[0]) == 64
+        with pytest.raises(QuantOverflow, match="64-bit width"):
+            elementwise_add(a, a)
+
 
 class TestElementwiseSub:
     def test_self_subtraction_is_zero_stream(self):

@@ -34,6 +34,8 @@ _I64_MAX = 2**63 - 1
 _FAST_BIN_LIMIT = 2**62 - 1
 # elements handled per vectorized packing chunk (bounds the u64 word temporaries)
 _CHUNK_ELEMS = 1 << 20
+# elements decoded per range: the range's int64 buffer stays in cache
+_RANGE_ELEMS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -232,41 +234,50 @@ def _block_widths(mags: np.ndarray, params: QuantParams) -> np.ndarray:
     return np.searchsorted(_POW2, maxes, side="right").astype(np.uint8)
 
 
-def _bins_from_resid(outliers: np.ndarray, mags: np.ndarray, signs: np.ndarray,
-                     params: QuantParams) -> np.ndarray:
-    """Prefix-sum residuals back into bins, exactly and overflow-checked."""
-    n = params.element_count
-    k = params.block_len
-    maxmag = int(mags.max()) if n else 0
-    maxout = int(np.abs(outliers.astype(np.int64)).max()) if len(outliers) else 0
-    # every prefix sum equals a true bin, bounded by |O| + (k-1) * maxmag
-    if maxout + k * maxmag <= _I64_MAX:
-        bins = np.where(signs.astype(bool), -(mags.astype(np.int64)), mags.astype(np.int64))
-        nfull = n // k
-        if nfull:
-            mat = bins[: nfull * k].reshape(nfull, k)
-            mat[:, 0] = outliers[:nfull]
-            np.cumsum(mat, axis=1, out=mat)
-        if n % k:
-            seg = bins[nfull * k :]
-            seg[0] = outliers[-1]
-            np.cumsum(seg, out=seg)
-        return bins
-    # oversized magnitudes (width near 64): exact Python prefix sums
-    bins = np.empty(n, dtype=np.int64)
-    mags_py = mags.tolist()
-    signs_py = signs.tolist()
-    for b in range(params.block_count):
-        s = b * k
-        e = min(s + k, n)
+def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int,
+                   bins: bool = True) -> np.ndarray:
+    """Finish decoding a block-aligned range in place.
+
+    ``r`` (int64) holds the raw bits of the residual magnitudes, ``s``
+    (int8, clobbered) their 0/1 signs and ``outliers`` the range's block
+    outliers.  Returns ``r`` as signed residuals (0 at block starts) or, with
+    ``bins``, as per-block prefix sums seeded by the outliers.  Every prefix
+    sum is bounded by ``max|O| + (k-1) * max mag``; a range past int64 takes
+    exact Python ints, and residuals past 63 bits come back as an object
+    array.
+    """
+    maxmag = int(r.view(np.uint64).max()) if r.size else 0
+    maxout = int(np.abs(outliers).max()) if outliers.size else 0
+    if maxmag > _I64_MAX or (bins and maxout + (k - 1) * maxmag > _I64_MAX):
+        return _resolve_exact(r, s, outliers, k, bins)
+    np.negative(s, out=s)  # branch-free sign step: -1 is all ones
+    r ^= s
+    r -= s
+    if bins:
+        r[::k] = outliers
+        full = r.size - r.size % k
+        mat = r[:full].reshape(-1, k)
+        np.cumsum(mat, axis=1, out=mat)
+        np.cumsum(r[full:], out=r[full:])
+    return r
+
+
+def _resolve_exact(r, s, outliers, k, bins):
+    """:func:`_resolve_range` in Python ints, overflow-checked."""
+    resid = [-m if g else m for m, g in zip(r.view(np.uint64).tolist(), s.tolist())]
+    if not bins:
+        out = np.empty(r.size, dtype=object)
+        out[:] = resid
+        return out
+    for b, start in enumerate(range(0, r.size, k)):
         acc = int(outliers[b])
-        for i in range(s, e):
-            if i > s:
-                acc += -mags_py[i] if signs_py[i] else mags_py[i]
+        for i in range(start, min(start + k, r.size)):
+            if i > start:
+                acc += resid[i]
             if not -_I64_MAX <= acc <= _I64_MAX:
-                raise QuantOverflow(f"prefix sum overflows 63 bits in block {b}")
-            bins[i] = acc
-    return bins
+                raise QuantOverflow("prefix sum overflows 63 bits")
+            r[i] = acc
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +350,12 @@ def _block_chunks(params: QuantParams, widths: np.ndarray, b0: int, b1: int):
     """The non-constant blocks of [b0, b1) in chunks of one length and width.
 
     Yields ``(span, length, w, ids, rows)``: the elements ``span`` reshaped
-    to ``(-1, length)`` hold block ``ids[i]`` in row ``rows[i]``.  Full
-    blocks share one matrix; a ragged tail block forms its own.
+    to ``(-1, length)`` hold block ``ids[i]`` in row ``rows[i]``.  The full
+    blocks of the range share one matrix; a ragged tail block forms its own.
     """
     k, n = params.block_len, params.element_count
     nfull = n // k
-    segments = [(slice(0, nfull * k), k, 0, np.arange(b0, min(b1, nfull)))]
+    segments = [(slice(b0 * k, min(b1, nfull) * k), k, b0, np.arange(b0, min(b1, nfull)))]
     if n % k and b1 == params.block_count:
         segments.append((slice(nfull * k, n), n % k, nfull, np.array([nfull])))
     for span, length, first, ids in segments:
@@ -361,6 +372,15 @@ def _row_index(offs: np.ndarray, ids: np.ndarray, width: int, base: int = 0) -> 
     return (offs[ids] - base)[:, None] + np.arange(width)
 
 
+def _section_rows(buf: np.ndarray, offs: np.ndarray, ids: np.ndarray, width: int):
+    """The ``width``-byte rows of blocks ``ids`` in section ``buf``: a view
+    when they lie back to back, else a gathered copy."""
+    start = int(offs[ids[0]])
+    if int(offs[ids[-1]]) - start == (len(ids) - 1) * width:
+        return buf[start : start + len(ids) * width].reshape(len(ids), width)
+    return buf[_row_index(offs, ids, width)]
+
+
 def _pack_block_range(params, mags, signs, widths, sign_offs, payload_offs, b0, b1):
     """Serialize sign planes and payload for blocks [b0, b1) into two buffers."""
     sign_base = int(sign_offs[b0])
@@ -373,17 +393,6 @@ def _pack_block_range(params, mags, signs, widths, sign_offs, payload_offs, b0, 
         payload_buf[_row_index(payload_offs, ids, (length * w + 7) // 8, payload_base)] = (
             _pack_mag_rows(mags[span].reshape(-1, length)[rows], w))
     return sign_buf.tobytes(), payload_buf.tobytes()
-
-
-def _unpack_block_range(stream, mags, signs, sign_offs, payload_offs, b0, b1):
-    """Decode blocks [b0, b1) into the shared mags/signs element arrays."""
-    sign_bytes = np.frombuffer(stream.sign_planes, dtype=np.uint8)
-    payload_bytes = np.frombuffer(stream.payload, dtype=np.uint8)
-    for span, length, w, ids, rows in _block_chunks(stream.params, stream.widths, b0, b1):
-        signs[span].reshape(-1, length)[rows] = np.unpackbits(
-            sign_bytes[_row_index(sign_offs, ids, (length + 7) // 8)], axis=1)[:, :length]
-        mags[span].reshape(-1, length)[rows] = _unpack_mag_rows(
-            payload_bytes[_row_index(payload_offs, ids, (length * w + 7) // 8)], length, w)
 
 
 def _thread_ranges(block_count: int, threads: int):
@@ -418,29 +427,52 @@ def _pack_stream(params: QuantParams, outliers, mags, signs, widths,
     return CompressedStream(params, widths, outliers, sign_planes, payload)
 
 
-def _unpack_stream(stream: CompressedStream, threads: int = 1):
-    """Inverse of the packing stage: per-element residual magnitudes and
-    sign bits (zeros for constant blocks)."""
+def _ranges(params: QuantParams):
+    """Block-aligned ``(b0, b1)`` decode ranges of about ``_RANGE_ELEMS``
+    elements, at least one block each."""
+    step = max(1, _RANGE_ELEMS // params.block_len)
+    for b0 in range(0, params.block_count, step):
+        yield b0, min(b0 + step, params.block_count)
+
+
+def _stream_ranges(stream: CompressedStream):
+    """:func:`_ranges` of a stream, each with ``offs``: the sign and payload
+    section offsets of blocks b0..b1, computed one range at a time."""
+    sign_base = payload_base = 0
+    for b0, b1 in _ranges(stream.params):
+        offs = (sign_base + _section_offsets(stream.sign_sizes(b0, b1)),
+                payload_base + _section_offsets(stream.payload_sizes(b0, b1)))
+        yield b0, b1, offs
+        sign_base, payload_base = int(offs[0][-1]), int(offs[1][-1])
+
+
+def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
+                  bins: bool = True) -> np.ndarray:
+    """Decode blocks [b0, b1) in one range-sized int64 buffer (a prefix of
+    ``out`` when given): unpack the sign planes and magnitudes of the
+    non-constant blocks, then :func:`_resolve_range` applies the signs and,
+    with ``bins``, the prefix sums.  ``offs`` come from
+    :func:`_stream_ranges`."""
     params = stream.params
-    n = params.element_count
-    mags = np.zeros(n, dtype=np.uint64)
-    signs = np.zeros(n, dtype=np.uint8)
-    sign_offs = _section_offsets(stream.sign_sizes())
-    payload_offs = _section_offsets(stream.payload_sizes())
-    ranges = _thread_ranges(params.block_count, threads)
-    if len(ranges) == 1:
-        _unpack_block_range(stream, mags, signs, sign_offs, payload_offs,
-                            0, params.block_count)
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            list(
-                pool.map(
-                    lambda r: _unpack_block_range(stream, mags, signs, sign_offs,
-                                                  payload_offs, *r),
-                    ranges,
-                )
-            )
-    return mags, signs
+    k = params.block_len
+    e0, e1 = b0 * k, min(b1 * k, params.element_count)
+    r = np.empty(e1 - e0, dtype=np.int64) if out is None else out[: e1 - e0]
+    s = np.empty(e1 - e0, dtype=np.int8)
+    if not stream.widths[b0:b1].all():  # constant blocks hold zero residuals
+        r[:] = 0
+        s[:] = 0
+    mags = r.view(np.uint64)
+    sign_bytes = np.frombuffer(stream.sign_planes, dtype=np.uint8)
+    payload_bytes = np.frombuffer(stream.payload, dtype=np.uint8)
+    for span, length, w, ids, rows in _block_chunks(params, stream.widths, b0, b1):
+        seg = slice(span.start - e0, span.stop - e0)
+        if rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(rows[0], rows[-1] + 1)
+        s[seg].reshape(-1, length)[rows] = np.unpackbits(
+            _section_rows(sign_bytes, offs[0], ids - b0, (length + 7) // 8), axis=1)[:, :length]
+        mags[seg].reshape(-1, length)[rows] = _unpack_mag_rows(
+            _section_rows(payload_bytes, offs[1], ids - b0, (length * w + 7) // 8), length, w)
+    return _resolve_range(r, s, stream.outliers[b0:b1].astype(np.int64), k, bins)
 
 
 def _encode_bins(bins: np.ndarray, params: QuantParams, threads: int = 1) -> CompressedStream:
@@ -449,9 +481,12 @@ def _encode_bins(bins: np.ndarray, params: QuantParams, threads: int = 1) -> Com
     return _pack_stream(params, outliers, mags, signs, widths, threads)
 
 
-def _decode_bins(stream: CompressedStream, threads: int = 1) -> np.ndarray:
-    mags, signs = _unpack_stream(stream, threads)
-    return _bins_from_resid(stream.outliers.astype(np.int64), mags, signs, stream.params)
+def _decode_bins(stream: CompressedStream) -> np.ndarray:
+    params = stream.params
+    bins = np.empty(params.element_count, dtype=np.int64)
+    for b0, b1, offs in _stream_ranges(stream):
+        _decode_range(stream, b0, b1, offs, out=bins[b0 * params.block_len :])
+    return bins
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +526,9 @@ def lorenzo_decode(blocks, params: QuantParams) -> QuantArray:
         signs[pos : pos + lengths[b]] = view.signs
         outliers[b] = view.outlier
         pos += int(lengths[b])
-    return QuantArray(_bins_from_resid(outliers, mags, signs, params), params)
+    bins = _resolve_range(mags.view(np.int64), signs.view(np.int8), outliers,
+                          params.block_len)
+    return QuantArray(bins, params)
 
 
 def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> CompressedStream:
@@ -502,24 +539,30 @@ def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> Compressed
 
 def decompress(stream: CompressedStream, threads: int = 1,
                out_dtype=None) -> RawArray:
-    """bit-unpack -> prefix-sum -> dequantize.
+    """bit-unpack -> prefix-sum -> dequantize, range by range straight into
+    the output array (``threads`` is accepted for symmetry; decode is serial).
 
     ``out_dtype=np.float64`` returns the exact reconstruction grid
     ``2 * eps * bin`` in double precision regardless of the stream dtype
     (used by the traditional-workflow reference path).
     """
-    bins = _decode_bins(stream, threads)
     params = stream.params
-    if out_dtype is np.float64 and params.dtype == "f32":
-        values = (2.0 * params.eps) * bins.astype(np.float64)
-        return RawArray(values, params.dims, "f64")
-    return RawArray(_dequant_values(bins, params), params.dims, params.dtype)
+    dtype = "f64" if out_dtype is np.float64 else params.dtype
+    values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
+    buf = None
+    for b0, b1, offs in _stream_ranges(stream):
+        bins = _decode_range(stream, b0, b1, offs, out=buf)
+        buf = bins if buf is None else buf
+        e0 = b0 * params.block_len
+        # the f64 grid value, rounded once to the output dtype
+        np.multiply(bins, 2.0 * params.eps, out=values[e0 : e0 + bins.size])
+    return RawArray(values, params.dims, dtype)
 
 
 def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
     """Partial decompression: stop at the quantized-bin domain (no inverse
     quantization).  The operand domain for multiplication and reductions."""
-    return QuantArray(_decode_bins(stream, threads), stream.params)
+    return QuantArray(_decode_bins(stream), stream.params)
 
 
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:

@@ -87,9 +87,9 @@ def _aggregate_homomorphic(streams, threads: int) -> CompressedStream:
         for s in streams[1:]:
             acc = ops.elementwise_add(acc, s, threads)
         return acc
-    out_acc, res_acc = ops._unpack_signed(streams[0], threads)
+    out_acc, res_acc = ops._unpack_signed(streams[0])
     for s in streams[1:]:
-        o, r = ops._unpack_signed(s, threads)
+        o, r = ops._unpack_signed(s)
         out_acc += o
         res_acc += r
     return ops._pack_signed(streams[0].params, out_acc, res_acc, threads)

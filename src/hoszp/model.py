@@ -91,11 +91,13 @@ class QuantParams:
     def raw_nbytes(self) -> int:
         return self.element_count * DTYPES[self.dtype][2]
 
-    def block_lengths(self) -> np.ndarray:
-        """Actual length of each block (the last one may be partial)."""
+    def block_lengths(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
+        """Actual length of each block of [b0, b1) (the last one may be
+        partial)."""
         n, k = self.element_count, self.block_len
-        lengths = np.full(self.block_count, k, dtype=np.int64)
-        if n % k:
+        b1 = self.block_count if b1 is None else b1
+        lengths = np.full(b1 - b0, k, dtype=np.int64)
+        if n % k and b1 == self.block_count and b1 > b0:
             lengths[-1] = n % k
         return lengths
 
@@ -231,18 +233,18 @@ class CompressedStream:
                 f"expected {int(self.payload_sizes().sum())}"
             )
 
-    def sign_sizes(self) -> np.ndarray:
-        """Per-block sign-plane size in bytes (0 for constant blocks)."""
-        lengths = self.params.block_lengths()
-        sizes = (lengths + 7) // 8
-        sizes[self.widths == 0] = 0
+    def sign_sizes(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
+        """Sign-plane size in bytes of each block of [b0, b1) (0 for
+        constant blocks)."""
+        sizes = (self.params.block_lengths(b0, b1) + 7) // 8
+        sizes[self.widths[b0:b1] == 0] = 0
         return sizes
 
-    def payload_sizes(self) -> np.ndarray:
-        """Per-block payload size in bytes (0 for constant blocks)."""
-        lengths = self.params.block_lengths()
-        sizes = (lengths * self.widths.astype(np.int64) + 7) // 8
-        return sizes
+    def payload_sizes(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
+        """Payload size in bytes of each block of [b0, b1) (0 for constant
+        blocks)."""
+        lengths = self.params.block_lengths(b0, b1)
+        return (lengths * self.widths[b0:b1].astype(np.int64) + 7) // 8
 
     @property
     def serialized_size(self) -> int:

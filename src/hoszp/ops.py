@@ -122,12 +122,19 @@ def _max_width(stream: CompressedStream) -> int:
     return int(stream.widths.max()) if stream.widths.size else 0
 
 
-def _unpack_signed(stream: CompressedStream, threads: int = 1):
+def _unpack_signed(stream: CompressedStream):
     """(outliers, signed residuals): int64 residuals, or Python ints in an
-    object array when the stream holds 63/64-bit magnitudes."""
-    mags, signs = codec._unpack_stream(stream, threads)
-    mags = mags.astype(object if _max_width(stream) >= 63 else np.int64)
-    return stream.outliers.astype(np.int64), np.where(signs.astype(bool), -mags, mags)
+    object array when the stream holds 64-bit magnitudes."""
+    params = stream.params
+    wide = _max_width(stream) == 64
+    resid = np.empty(params.element_count, dtype=object if wide else np.int64)
+    for b0, b1, offs in codec._stream_ranges(stream):
+        part = resid[b0 * params.block_len :]
+        x = codec._decode_range(stream, b0, b1, offs, out=None if wide else part,
+                                bins=False)
+        if wide:
+            part[: x.size] = x
+    return stream.outliers.astype(np.int64), resid
 
 
 def _pack_signed(params: QuantParams, outliers: np.ndarray, resid: np.ndarray,
@@ -145,8 +152,8 @@ def _pack_signed(params: QuantParams, outliers: np.ndarray, resid: np.ndarray,
 def _elementwise(a: CompressedStream, b: CompressedStream, sub: bool,
                  threads: int = 1) -> CompressedStream:
     _check_params(a, b)
-    oa, ra = _unpack_signed(a, threads)
-    ob, rb = _unpack_signed(b, threads)
+    oa, ra = _unpack_signed(a)
+    ob, rb = _unpack_signed(b)
     if (2 ** _max_width(a) - 1) + (2 ** _max_width(b) - 1) > _I64_MAX:
         ra, rb = ra.astype(object), rb.astype(object)  # the sums need Python ints
     outliers = oa - ob if sub else oa + ob
@@ -210,233 +217,127 @@ def hadamard(a: CompressedStream, b: CompressedStream,
 # reductions (exact integer sums, scaled once at the end)
 
 
-def _exact_matrix_sum(mat: np.ndarray, bound: int) -> int:
-    """Exact sum of an int64 matrix whose entries are bounded by ``bound``."""
-    if mat.size == 0:
-        return 0
-    if mat.size * bound <= _I64_MAX:
-        return int(mat.sum())
-    rows, cols = mat.shape if mat.ndim == 2 else (1, mat.size)
-    if cols * bound <= _I64_MAX:
-        return int(mat.reshape(rows, cols).sum(axis=1).sum(dtype=object))
-    return int(mat.sum(dtype=object))
+# int64 runs shorter than this are summed as Python ints instead
+_MIN_RUN = 64
 
 
-def _exact_dot(x: np.ndarray, y: np.ndarray) -> int:
-    """Exact ``sum(x * y)`` for integer arrays of any magnitude."""
-    if x.size == 0:
-        return 0
-    mx = int(np.abs(x).max())
-    my = int(np.abs(y).max())
-    if mx and my and mx > _I64_MAX // my:
-        return int((x.astype(object) * y.astype(object)).sum())
-    p = x * y
-    if p.size * mx * my <= _I64_MAX:
-        return int(p.sum())
-    return int(p.sum(dtype=object))
+def _exact_dot(x: np.ndarray, y: np.ndarray | None, bound: int) -> int:
+    """Exact ``sum(x * y)`` of int64 vectors (``sum(x)`` when ``y`` is None)
+    whose terms are at most ``bound`` in magnitude: one int64 sum when the
+    total fits, int64 sums over runs that fit, else Python ints."""
+    if x.size * bound <= _I64_MAX:
+        return int(x.sum() if y is None else np.dot(x, y))
+    run = _I64_MAX // bound
+    if run >= _MIN_RUN:
+        return sum(_exact_dot(x[i : i + run], None if y is None else y[i : i + run], bound)
+                   for i in range(0, x.size, run))
+    xs = x.tolist()
+    return sum(xs) if y is None else sum(p * q for p, q in zip(xs, y.tolist()))
 
 
-def _nonconstant_rows(stream: CompressedStream, threads: int = 1):
-    """Decoded bins of non-constant blocks: (full-block ids, their (g, k)
-    bin matrix, tail bins or None, prefix bound)."""
-    params = stream.params
-    n, k = params.element_count, params.block_len
-    nfull = n // k
-    widths = stream.widths
-    mags, signs = codec._unpack_stream(stream, threads)
-    outliers = stream.outliers.astype(np.int64)
-    maxmag = int(mags.max()) if n else 0
-    bound = 2**31 + k * maxmag
-    if bound > _I64_MAX:
-        bins = codec._bins_from_resid(outliers, mags, signs, params)
-        bound = int(np.abs(bins).max()) if n else 0
-        full_ids = np.flatnonzero(widths[:nfull] > 0)
-        mat = bins[: nfull * k].reshape(nfull, k)[full_ids]
-        tail = bins[nfull * k :] if (n % k and widths[-1] > 0) else None
-        return full_ids, mat, tail, bound
-    resid = np.where(signs.astype(bool), -(mags.astype(np.int64)), mags.astype(np.int64))
-    full_ids = np.flatnonzero(widths[:nfull] > 0)
-    mat = resid[: nfull * k].reshape(nfull, k)[full_ids]
-    if mat.size:
-        mat[:, 0] = outliers[full_ids]
-        np.cumsum(mat, axis=1, out=mat)
-    tail = None
-    if n % k and int(widths[-1]) > 0:
-        tail = resid[nfull * k :].copy()
-        tail[0] = outliers[-1]
-        np.cumsum(tail, out=tail)
-    return full_ids, mat, tail, bound
+def _range_dot(x: np.ndarray, y: np.ndarray | None, bound: int, weights=None) -> int:
+    """:func:`_exact_dot` over one range; a constant range passes its block
+    lengths as ``weights``, so that each outlier stands for its block."""
+    if weights is None:
+        return _exact_dot(x, y, bound)
+    # outliers are int32, so the product of two fits in int64
+    return _exact_dot(x if y is None else x * y, weights, bound * int(weights.max()))
 
 
-def _const_meta(stream: CompressedStream):
-    """(lengths, outliers) of the constant blocks."""
-    const = stream.widths == 0
-    return stream.params.block_lengths()[const], stream.outliers.astype(np.int64)[const]
+@dataclass
+class _Sums:
+    """Exact running sums over one operand's bins: S, sum of squares, min
+    and max."""
+
+    s: int = 0
+    sqq: int = 0
+    lo: int | None = None
+    hi: int | None = None
+
+    def add(self, x: np.ndarray, weights, sq: bool) -> int:
+        """Add one range; returns its ``max |bin|``."""
+        lo, hi = int(x.min()), int(x.max())
+        self.lo = lo if self.lo is None else min(self.lo, lo)
+        self.hi = hi if self.hi is None else max(self.hi, hi)
+        m = max(hi, -lo)
+        self.s += _range_dot(x, None, m, weights)
+        if sq:
+            self.sqq += _range_dot(x, x, m * m, weights)
+        return m
 
 
-def _moments(stream: CompressedStream, *, want_sq: bool = False,
-             want_minmax: bool = False, shortcut: bool = True, threads: int = 1):
-    """Exact integer sums over all bins: (S, Sqq, min, max)."""
-    params = stream.params
-    S = 0
-    sqq = 0
-    bmin = bmax = None
+def _sums(streams, *, sq: bool = False, shortcut: bool = True):
+    """Exact integer sums over the bins of one operand or a pair, walking
+    the operands' decode ranges in lockstep so that each is decoded once.
 
-    def take_minmax(lo, hi):
-        nonlocal bmin, bmax
-        bmin = lo if bmin is None else min(bmin, lo)
-        bmax = hi if bmax is None else max(bmax, hi)
-
-    if shortcut:
-        cl, co = _const_meta(stream)
-        if cl.size:
-            S += _exact_dot(cl, co)
-            if want_sq:
-                sqq += _exact_dot(cl, co * co)  # co*co <= 2^62, exact in int64
-            if want_minmax:
-                take_minmax(int(co.min()), int(co.max()))
-        _, mat, tail, bound = _nonconstant_rows(stream, threads)
-        for part in (mat, tail):
-            if part is None or part.size == 0:
-                continue
-            S += _exact_matrix_sum(part, bound)
-            if want_sq:
-                if bound * bound <= _I64_MAX:
-                    sqq += _exact_matrix_sum(part * part, bound * bound)
-                else:
-                    sqq += sum(int(v) * int(v) for v in part.ravel().tolist())
-            if want_minmax:
-                take_minmax(int(part.min()), int(part.max()))
-    else:
-        bins = codec._decode_bins(stream, threads)
-        bound = int(np.abs(bins).max()) if bins.size else 0
-        S = _exact_matrix_sum(bins[None, :], bound)
-        if want_sq:
-            if bound * bound <= _I64_MAX:
-                sqq = _exact_matrix_sum(bins * bins, bound * bound)
-            else:
-                sqq = sum(int(v) * int(v) for v in bins.tolist())
-        if want_minmax:
-            take_minmax(int(bins.min()), int(bins.max()))
-    return S, sqq, bmin, bmax
+    Returns one :class:`_Sums` per operand and ``sum(a * b)`` of a pair.
+    With ``shortcut``, a range that is constant in every operand contributes
+    from metadata alone; every other range is decoded into one reused int64
+    buffer per operand.  Each range is bounded by its own ``max |bin|``, so
+    only a range whose sums may pass int64 is promoted.
+    """
+    bufs = [None] * len(streams)
+    acc = [_Sums() for _ in streams]
+    sab = 0
+    for ranges in zip(*map(codec._stream_ranges, streams)):
+        b0, b1, _ = ranges[0]
+        if shortcut and not any(c.widths[b0:b1].any() for c in streams):
+            weights = streams[0].params.block_lengths(b0, b1)
+            xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
+        else:
+            weights = None
+            xs = [codec._decode_range(c, b0, b1, offs, out=buf)
+                  for c, (_, _, offs), buf in zip(streams, ranges, bufs)]
+            bufs = [x if buf is None else buf for x, buf in zip(xs, bufs)]
+        bounds = [a.add(x, weights, sq) for a, x in zip(acc, xs)]
+        if len(xs) == 2:
+            sab += _range_dot(xs[0], xs[1], bounds[0] * bounds[1], weights)
+    return acc, sab
 
 
 def mean(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
     """Population mean: ``2 * eps * sum(bins) / N`` in double precision."""
-    S, _, _, _ = _moments(c, shortcut=shortcut, threads=threads)
-    return (2.0 * c.params.eps * S) / c.params.element_count
+    (m,), _ = _sums([c], shortcut=shortcut)
+    return (2.0 * c.params.eps * m.s) / c.params.element_count
 
 
 def block_means(c: CompressedStream, threads: int = 1) -> np.ndarray:
     """Per-block means ``2 * eps * sum(block bins) / block length``."""
     params = c.params
+    k = params.block_len
     lengths = params.block_lengths()
-    sums = np.zeros(params.block_count, dtype=np.float64)
+    sums = np.empty(params.block_count, dtype=np.float64)
     const = c.widths == 0
-    outliers = c.outliers.astype(np.int64)
-    sums[const] = (lengths[const] * outliers[const]).astype(np.float64)
-    full_ids, mat, tail, _ = _nonconstant_rows(c, threads)
-    if mat.size:
-        sums[full_ids] = mat.sum(axis=1, dtype=np.float64)
-    if tail is not None:
-        sums[params.block_count - 1] = float(tail.sum(dtype=np.float64))
+    sums[const] = (lengths[const] * c.outliers.astype(np.int64)[const]).astype(np.float64)
+    buf = None
+    for b0, b1, offs in codec._stream_ranges(c):
+        if const[b0:b1].all():
+            continue
+        x = codec._decode_range(c, b0, b1, offs, out=buf)
+        buf = x if buf is None else buf
+        full = x.size - x.size % k
+        rows = x[:full].reshape(-1, k).sum(axis=1, dtype=np.float64)
+        if full < x.size:
+            rows = np.append(rows, x[full:].sum(dtype=np.float64))
+        sums[b0:b1][~const[b0:b1]] = rows[~const[b0:b1]]
     return 2.0 * params.eps * sums / lengths.astype(np.float64)
 
 
-def _variance_terms(c, shortcut, threads):
+def _variance_terms(c, shortcut):
     n = c.params.element_count
-    S, sqq, _, _ = _moments(c, want_sq=True, shortcut=shortcut, threads=threads)
+    (m,), _ = _sums([c], sq=True, shortcut=shortcut)
     # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers)
-    return S, float(n * sqq - S * S) / (n * n)
+    return float(n * m.sqq - m.s * m.s) / (n * n)
 
 
 def variance(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
     """Population variance via exact integer moments:
     ``(2 eps)^2 * (sum(bins^2)/N - (sum(bins)/N)^2)``."""
-    _, spread = _variance_terms(c, shortcut, threads)
-    return (2.0 * c.params.eps) ** 2 * spread
+    return (2.0 * c.params.eps) ** 2 * _variance_terms(c, shortcut)
 
 
 def stddev(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
     return math.sqrt(variance(c, shortcut=shortcut, threads=threads))
-
-
-def _exact_product_total(x: np.ndarray, y: np.ndarray, bound: int) -> int:
-    """Exact ``sum(x * y)`` for int64 arrays with |x*y| <= bound."""
-    if x.size == 0:
-        return 0
-    if x.size * bound <= _I64_MAX:
-        return int((x * y).sum())
-    if bound <= _I64_MAX:
-        return int((x * y).sum(dtype=object))
-    return int((x.astype(object) * y.astype(object)).sum())
-
-
-def _pair_product_sum(a: CompressedStream, b: CompressedStream, *,
-                      shortcut: bool = True, threads: int = 1) -> int:
-    """Exact ``sum(bins_a * bins_b)`` with constant-pair shortcuts."""
-    params = a.params
-    n, k = params.element_count, params.block_len
-    nfull = n // k
-    if not shortcut:
-        xa = codec._decode_bins(a, threads)
-        xb = codec._decode_bins(b, threads)
-        ma = int(np.abs(xa).max()) if n else 0
-        mb = int(np.abs(xb).max()) if n else 0
-        return _exact_product_total(xa, xb, ma * mb)
-
-    oa = a.outliers.astype(np.int64)
-    ob = b.outliers.astype(np.int64)
-    ids_a, mat_a, tail_a, bound_a = _nonconstant_rows(a, threads)
-    ids_b, mat_b, tail_b, bound_b = _nonconstant_rows(b, threads)
-    nc_a = np.zeros(params.block_count, dtype=bool)
-    nc_a[ids_a] = True
-    nc_b = np.zeros(params.block_count, dtype=bool)
-    nc_b[ids_b] = True
-    if tail_a is not None:
-        nc_a[-1] = True
-    if tail_b is not None:
-        nc_b[-1] = True
-    lengths = params.block_lengths()
-    pbound = bound_a * bound_b
-
-    total = 0
-    # both constant: k * O_a * O_b from metadata alone
-    both_const = ~nc_a & ~nc_b
-    if both_const.any():
-        total += _exact_dot(lengths[both_const],
-                            oa[both_const] * ob[both_const])  # O*O <= 2^62
-    # one constant: the constant factor scales the other block's bin sum
-    for ids, mat, o_const, o_ids, bound in (
-        (ids_a, mat_a, ob, nc_b, bound_a),
-        (ids_b, mat_b, oa, nc_a, bound_b),
-    ):
-        full_ids = ids[~o_ids[ids]] if ids.size else ids
-        if full_ids.size:
-            pos = np.searchsorted(ids, full_ids)
-            rows = mat[pos]
-            if k * bound <= _I64_MAX:
-                rowsums = rows.sum(axis=1)
-            else:
-                rowsums = np.asarray([r.sum() for r in rows.astype(object)],
-                                     dtype=object)
-            total += _exact_dot(o_const[full_ids], rowsums)
-    # both non-constant full blocks: element-wise products
-    common = ids_a[nc_b[ids_a]] if ids_a.size else ids_a
-    if common.size:
-        rows_a = mat_a[np.searchsorted(ids_a, common)]
-        rows_b = mat_b[np.searchsorted(ids_b, common)]
-        total += _exact_product_total(rows_a, rows_b, pbound)
-    # partial tail
-    if n % k and (tail_a is not None or tail_b is not None):
-        blk = params.block_count - 1
-        if tail_a is None:
-            total += int(oa[blk]) * _exact_matrix_sum(tail_b[None, :], bound_b)
-        elif tail_b is None:
-            total += int(ob[blk]) * _exact_matrix_sum(tail_a[None, :], bound_a)
-        else:
-            total += _exact_product_total(tail_a, tail_b, pbound)
-    return total
 
 
 def covariance(a: CompressedStream, b: CompressedStream, *,
@@ -445,10 +346,8 @@ def covariance(a: CompressedStream, b: CompressedStream, *,
     ``(2 eps)^2 * (sum(a*b)/N - mean_a * mean_b)``."""
     _check_params(a, b)
     n = a.params.element_count
-    sa, _, _, _ = _moments(a, shortcut=shortcut, threads=threads)
-    sb, _, _, _ = _moments(b, shortcut=shortcut, threads=threads)
-    sab = _pair_product_sum(a, b, shortcut=shortcut, threads=threads)
-    return (2.0 * a.params.eps) ** 2 * float(n * sab - sa * sb) / (n * n)
+    (ma, mb), sab = _sums([a, b], shortcut=shortcut)
+    return (2.0 * a.params.eps) ** 2 * float(n * sab - ma.s * mb.s) / (n * n)
 
 
 def ssim_global(a: CompressedStream, b: CompressedStream, *,
@@ -459,15 +358,14 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
     params = a.params
     n = params.element_count
     eps2 = 2.0 * params.eps
-    sa, sqa, lo_a, hi_a = _moments(a, want_sq=True, want_minmax=True, threads=threads)
-    sb, sqb, lo_b, hi_b = _moments(b, want_sq=True, want_minmax=True, threads=threads)
-    sab = _pair_product_sum(a, b, threads=threads)
+    (ma, mb), sab = _sums([a, b], sq=True)
+    sa, sb = ma.s, mb.s
     mu_a = eps2 * sa / n
     mu_b = eps2 * sb / n
-    var_a = eps2**2 * float(n * sqa - sa * sa) / (n * n)
-    var_b = eps2**2 * float(n * sqb - sb * sb) / (n * n)
+    var_a = eps2**2 * float(n * ma.sqq - sa * sa) / (n * n)
+    var_b = eps2**2 * float(n * mb.sqq - sb * sb) / (n * n)
     cov = eps2**2 * float(n * sab - sa * sb) / (n * n)
-    value_range = eps2 * max(hi_a - lo_a, hi_b - lo_b)
+    value_range = eps2 * max(ma.hi - ma.lo, mb.hi - mb.lo)
     c1 = (0.01 * value_range) ** 2
     c2 = (0.03 * value_range) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)

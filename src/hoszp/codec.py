@@ -167,10 +167,13 @@ def dequantize(q: QuantArray) -> RawArray:
 
 def _nearest_bins(t: np.ndarray) -> np.ndarray:
     """Round to the nearest integer bin, ties away from zero."""
-    mag = np.floor(np.abs(t) + 0.5)
+    mag = np.abs(t)
+    mag += 0.5
+    np.floor(mag, out=mag)
     if np.any(mag >= 2.0**63):
         raise QuantOverflow("rounded bin exceeds 63-bit range")
-    return np.where(t < 0, -mag, mag).astype(np.int64)
+    np.copysign(mag, t, out=mag)
+    return mag.astype(np.int64)
 
 
 def quantize_nearest(values: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -320,8 +323,12 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
     octets = np.zeros((g * groups, nw * 8), dtype=np.uint8)
     octets[:, :w] = padded.reshape(g * groups, w)
     words = octets.view(">u8").astype(np.uint64)
-    vals = np.empty((g * groups, 8), dtype=np.uint64)
     mask = np.uint64((1 << w) - 1)
+    if w <= 8:  # a group is one word: shift all eight lanes out at once
+        vals = words >> np.arange(64 - w, -1, -w, dtype=np.uint64)[:8]
+        vals &= mask
+        return vals.reshape(g, groups * 8)[:, :k]
+    vals = np.empty((g * groups, 8), dtype=np.uint64)
     for j in range(8):
         i, o = divmod(j * w, 64)
         lane = vals[:, j]

@@ -139,12 +139,16 @@ def _unpack_signed(stream: CompressedStream):
 
 def _pack_signed(params: QuantParams, outliers: np.ndarray, resid: np.ndarray,
                  threads: int = 1) -> CompressedStream:
-    """Re-pack signed residuals, int64 or Python ints in an object array."""
+    """Re-pack signed residuals, int64 (overwritten by their magnitudes) or
+    Python ints in an object array."""
     signs = (resid < 0).astype(np.uint8)
-    mags = np.abs(resid)
-    if mags.dtype == object and mags.size and mags.max() > _U64_MAX:
-        raise QuantOverflow("residual exceeds the 64-bit width of format v1")
-    mags = mags.astype(np.uint64)
+    if resid.dtype == object:
+        mags = np.abs(resid)
+        if mags.size and mags.max() > _U64_MAX:
+            raise QuantOverflow("residual exceeds the 64-bit width of format v1")
+        mags = mags.astype(np.uint64)
+    else:
+        mags = np.abs(resid, out=resid).view(np.uint64)
     widths = codec._block_widths(mags, params)
     return codec._pack_stream(params, outliers, mags, signs, widths, threads)
 
@@ -157,8 +161,11 @@ def _elementwise(a: CompressedStream, b: CompressedStream, sub: bool,
     if (2 ** _max_width(a) - 1) + (2 ** _max_width(b) - 1) > _I64_MAX:
         ra, rb = ra.astype(object), rb.astype(object)  # the sums need Python ints
     outliers = oa - ob if sub else oa + ob
-    resid = ra - rb if sub else ra + rb
-    return _pack_signed(a.params, outliers, resid, threads)
+    if sub:
+        np.subtract(ra, rb, out=ra)
+    else:
+        np.add(ra, rb, out=ra)
+    return _pack_signed(a.params, outliers, ra, threads)
 
 
 def elementwise_add(a: CompressedStream, b: CompressedStream,
@@ -181,8 +188,8 @@ def _exact_products(x: np.ndarray, y) -> np.ndarray | list:
     """Exact element-wise ``x * y`` of int64 bins (``y`` may be one bin): an
     int64 array when every product fits, else a list of Python ints."""
     y = np.asarray(y, dtype=np.int64)
-    mx = int(np.abs(x).max()) if x.size else 0
-    my = int(np.abs(y).max()) if y.size else 0
+    mx = max(int(x.max()), -int(x.min())) if x.size else 0
+    my = max(int(y.max()), -int(y.min())) if y.size else 0
     if mx == 0 or my == 0 or mx <= _I64_MAX // my:
         return x * y
     return [p * q for p, q in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist())]
@@ -190,7 +197,9 @@ def _exact_products(x: np.ndarray, y) -> np.ndarray | list:
 
 def _rescale_bins(products, eps: float) -> np.ndarray:
     """nearest_int(2 * eps * p), ties away from zero."""
-    return codec._nearest_bins((2.0 * eps) * np.asarray(products, dtype=np.float64))
+    t = np.array(products, dtype=np.float64)
+    t *= 2.0 * eps
+    return codec._nearest_bins(t)
 
 
 def scalar_mul(c: CompressedStream, s: float, threads: int = 1) -> CompressedStream:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hoszp import QuantArray, QuantParams, RawArray, compress, encode_from_quant
+from hoszp import QuantArray, QuantParams, RawArray, codec, compress, encode_from_quant
 
 #: the worked single-block example: eps=0.01 reproduces the documented bins,
 #: outlier, residuals, sign bits, and packed payload byte
@@ -53,3 +53,37 @@ def random_stream(rng, params=None, hi=2**20, **kwargs):
     rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     params = params or random_params(rng, **kwargs)
     return encode_from_quant(QuantArray(random_bins(rng, params, hi), params))
+
+
+def range_sizes(k):
+    """Element counts around the decode-range boundaries at block length
+    ``k``: R*k-1, R*k, R*k+1 and 2R*k+k/2, where R is the number of blocks
+    per range."""
+    r = max(1, codec._RANGE_ELEMS // k)
+    return [r * k - 1, r * k, r * k + 1, 2 * r * k + k // 2]
+
+
+def wide_block_bins(rng, n, k, constant_first_range=False):
+    """Bins of ``n`` elements in blocks of ``k`` with small residuals, except
+    for 62-, 63- and 64-bit-wide blocks in the last range and, when there are
+    three ranges, in the middle one; ``constant_first_range`` makes every
+    other block of the first range constant.  Returns ``(bins, {block:
+    width})``."""
+    r = max(1, codec._RANGE_ELEMS // k)
+    nb = -(-n // k)
+    bins = rng.integers(-(2**20), 2**20) + np.cumsum(rng.integers(-7, 8, n))
+    wide = {nb - 1: 64, nb - 2: 63, nb - 3: 62}
+    if nb > 2 * r:
+        wide.update({r + 1: 62, r + r // 2: 63, 2 * r - 1: 64})
+    wide = {b: w for b, w in wide.items() if min(b * k + k, n) - b * k >= 3}
+    for b, w in wide.items():
+        s = b * k  # the first three bins of block b
+        if w == 64:  # 2^63 + 2^31 - 1 up, then about 2^63 back down
+            bins[s : s + 3] = [-(2**31), 2**63 - 1, 5]
+        else:
+            bins[s : s + 3] = [0, 2 ** (w - 1) + int(rng.integers(0, 2 ** (w - 2))), 5]
+    if constant_first_range:
+        for b in range(min(r, nb)):
+            if b not in wide:
+                bins[b * k : b * k + k] = rng.integers(-1000, 1000)
+    return bins, wide

@@ -30,7 +30,15 @@ from hoszp import (
 )
 from hoszp import codec
 
-from conftest import EXAMPLE_BINS, EXAMPLE_EPS, EXAMPLE_VALUES, random_params, random_stream
+from conftest import (
+    EXAMPLE_BINS,
+    EXAMPLE_EPS,
+    EXAMPLE_VALUES,
+    random_params,
+    random_stream,
+    range_sizes,
+    wide_block_bins,
+)
 
 
 def _raw(values, dtype="f64", dims=None):
@@ -287,6 +295,40 @@ class TestPartialDecode:
         assert v.outlier == -3
         assert list(v.residual_mags) == [0, 0, 6, 0]
         assert list(v.signs) == [0, 0, 1, 0]
+
+
+class TestRangeDecode:
+    """Decode runs over block-aligned ranges of ``codec._RANGE_ELEMS``
+    elements; these sizes put block and range edges next to each other and
+    62/63/64-bit-wide blocks inside a middle range and the ragged last one."""
+
+    @pytest.mark.parametrize("k", [32, 33])
+    def test_sizes_at_range_edges(self, k):
+        rng = np.random.default_rng(k)
+        for n in range_sizes(k):
+            p = QuantParams(0.5, (n,), k, "f64")
+            bins, wide = wide_block_bins(rng, n, k)
+            q = QuantArray(bins, p)
+            s = encode_from_quant(q)
+            assert {b: int(s.widths[b]) for b in wide} == wide
+            got = decode_to_quant(s)
+            assert got == q
+            assert got == lorenzo_decode(lorenzo_encode(q), p)
+            assert np.array_equal(decompress(s, out_dtype=np.float64).values,
+                                  bins.astype(np.float64))
+
+    def test_wide_range_between_narrow_ones(self):
+        # only the middle range needs exact Python ints; its neighbours stay
+        # on the int64 path and must still line up with it
+        k = 32
+        n = range_sizes(k)[-1]
+        p = QuantParams(0.5, (n,), k, "f64")
+        bins = np.arange(n, dtype=np.int64) % 5
+        mid = codec._RANGE_ELEMS + 3 * k  # the start of a block in range 1
+        bins[mid : mid + 2] = [-(2**31), 2**63 - 1]
+        s = encode_from_quant(QuantArray(bins, p))
+        assert int(s.widths.max()) == 64
+        assert np.array_equal(decode_to_quant(s).bins, bins)
 
 
 class TestLossinessLocalization:

@@ -1,6 +1,12 @@
 """Homomorphic operations: worked-example goldens, oracle equivalence, invariants."""
 
 import argparse
+import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +19,10 @@ from hoszp import (
     QuantArray,
     QuantOverflow,
     QuantParams,
+    RawArray,
     ScalarBin,
     block_means,
+    compress,
     covariance,
     decode_to_quant,
     decompress,
@@ -38,7 +46,7 @@ from hoszp import (
 from hoszp import codec, ops
 from hoszp.cli import build_parser
 
-from conftest import EXAMPLE_BINS, random_params, random_stream
+from conftest import EXAMPLE_BINS, random_params, random_stream, range_sizes, wide_block_bins
 
 
 def _stream(bins, eps=0.01, block_len=32, dtype="f32"):
@@ -263,6 +271,20 @@ class TestMean:
         got = block_means(s)
         vals = _values(s)
         want = [vals[0:32].mean(), vals[32:64].mean(), vals[64:70].mean()]
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_block_means_across_ranges(self):
+        rng = np.random.default_rng(151)
+        k = 33
+        n = range_sizes(k)[-1]  # three ranges, the last block ragged
+        p = QuantParams(0.01, (n,), k, "f64")
+        bins = rng.integers(-(2**30), 2**30, n)
+        bins[: 40 * k] = np.repeat(rng.integers(-99, 99, 40), k)  # constant blocks
+        s = encode_from_quant(QuantArray(bins, p))
+        got = block_means(s)
+        q = decode_to_quant(s).bins.tolist()
+        want = [2 * 0.01 * sum(q[i : i + k]) / len(q[i : i + k]) for i in range(0, n, k)]
+        assert got.shape == (p.block_count,)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_shortcut_equivalence(self):
@@ -540,6 +562,126 @@ class TestSsim:
         z = _stream(np.zeros(8))
         with pytest.raises(ValueError):
             ssim_global(z, z)
+
+
+def _py_reductions(qa, qb, eps):
+    """mean, variance, covariance and SSIM of two bin arrays from Python-int
+    sums, scaled with the same float expressions as ``ops``."""
+    xa, xb = qa.tolist(), qb.tolist()
+    n = len(xa)
+    sa, sb = sum(xa), sum(xb)
+    sqa, sqb = sum(v * v for v in xa), sum(v * v for v in xb)
+    sab = sum(u * v for u, v in zip(xa, xb))
+    e2 = 2.0 * eps
+    var = e2**2 * (float(n * sqa - sa * sa) / (n * n))
+    cov = e2**2 * float(n * sab - sa * sb) / (n * n)
+    mu_a, mu_b = e2 * sa / n, e2 * sb / n
+    var_a = e2**2 * float(n * sqa - sa * sa) / (n * n)
+    var_b = e2**2 * float(n * sqb - sb * sb) / (n * n)
+    value_range = e2 * max(max(xa) - min(xa), max(xb) - min(xb))
+    c1, c2 = (0.01 * value_range) ** 2, (0.03 * value_range) ** 2
+    ssim = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+            / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
+    return {"mean": (e2 * sa) / n, "variance": var, "covariance": cov, "ssim": ssim}
+
+
+class TestRangeReductions:
+    """Reductions stream exact sums over the decode ranges; each range is
+    bounded on its own, and wide ones are summed as Python ints."""
+
+    @pytest.mark.parametrize("k", [32, 33])
+    def test_sizes_at_range_edges(self, k):
+        rng = np.random.default_rng(300 + k)
+        for n in range_sizes(k):
+            p = QuantParams(0.5, (n,), k, "f64")
+            qa, _ = wide_block_bins(rng, n, k, constant_first_range=True)
+            qb, _ = wide_block_bins(rng, n, k, constant_first_range=True)
+            a = encode_from_quant(QuantArray(qa, p))
+            b = encode_from_quant(QuantArray(qb, p))
+            want = _py_reductions(qa, qb, p.eps)
+            assert mean(a) == mean(a, shortcut=False) == want["mean"]
+            assert variance(a) == variance(a, shortcut=False) == want["variance"]
+            assert stddev(a) == stddev(a, shortcut=False) == math.sqrt(want["variance"])
+            assert (covariance(a, b) == covariance(a, b, shortcut=False)
+                    == want["covariance"])
+            assert ssim_global(a, b) == want["ssim"]
+
+    def test_narrow_ranges_match_python_ints(self):
+        # bins near 2^40: the squares need runs shorter than a range
+        rng = np.random.default_rng(307)
+        n = range_sizes(32)[-1]
+        p = QuantParams(0.5, (n,), 32, "f64")
+        qa = rng.integers(2**40, 2**40 + 2**20, n)
+        qb = -rng.integers(2**40, 2**40 + 2**20, n)
+        qa[::32] = qb[::32] = 7
+        a = encode_from_quant(QuantArray(qa, p))
+        b = encode_from_quant(QuantArray(qb, p))
+        want = _py_reductions(qa, qb, p.eps)
+        assert variance(a) == want["variance"]
+        assert covariance(a, b) == want["covariance"]
+        assert ssim_global(a, b) == want["ssim"]
+
+    def test_prefix_sum_past_63_bits_raises(self):
+        k = 32
+        n = range_sizes(k)[-1]
+        p = QuantParams(0.5, (n,), k, "f64")
+        bins, wide = wide_block_bins(np.random.default_rng(311), n, k)
+        s = encode_from_quant(QuantArray(bins, p))
+        # one more bin on top of the 2^63 - 1 bin of the middle range
+        shifted = scalar_add(s, 1.0)
+        for call in (lambda: decode_to_quant(shifted), lambda: decompress(shifted),
+                     lambda: mean(shifted), lambda: covariance(shifted, s),
+                     lambda: ssim_global(s, shifted)):
+            with pytest.raises(QuantOverflow):
+                call()
+
+
+class TestBoundedMemory:
+    """Reductions hold one range per operand, never a full-length array."""
+
+    def test_huge_constant_stream_reduces_from_metadata(self):
+        # 2^40 elements in 257 constant blocks of 2^32 - 1: 1,313 bytes on
+        # disk, 8 TiB if decoded; the child caps its address space at 1 GiB
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            import numpy as np
+            from hoszp import CompressedStream, QuantParams, deserialize, mean, serialize, variance
+            p = QuantParams(0.5, (2**40,), 2**32 - 1, "f32")
+            outliers = (np.arange(p.block_count) % 7 - 3) * 1000
+            data = serialize(CompressedStream(p, np.zeros(p.block_count), outliers, b"", b""))
+            assert len(data) == 1313
+            s = deserialize(data)
+            n = p.element_count
+            o = [int(v) for v in outliers]
+            lengths = [int(v) for v in p.block_lengths()]
+            total = sum(L * v for L, v in zip(lengths, o))
+            sq = sum(L * v * v for L, v in zip(lengths, o))
+            assert mean(s) == (1.0 * total) / n
+            assert variance(s) == 1.0 * (float(n * sq - total * total) / (n * n))
+            print("ok")
+        """)
+        src = os.path.dirname(os.path.dirname(codec.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_covariance_peak_memory(self):
+        n = 1 << 22  # one full-length int64 array is 32 MiB
+        p = QuantParams(1e-3, (n,), 32, "f32")
+        rng = np.random.default_rng(313)
+        a = compress(RawArray(rng.random(n, dtype=np.float32), (n,), "f32"), p)
+        b = compress(RawArray(rng.random(n, dtype=np.float32), (n,), "f32"), p)
+        tracemalloc.start()
+        try:
+            covariance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestStructuralNoDequantize:

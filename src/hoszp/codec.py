@@ -12,6 +12,18 @@ sign bits and a row of ``w``-bit magnitudes (``w`` is the block's width),
 MSB first, each row padded to a byte; the magnitude kernels move eight
 fields at a time as big-endian 64-bit words, never bit by bit.
 
+Decode runs over block-aligned ranges of about ``_RANGE_ELEMS`` (64 Ki)
+elements, one at a time, each in one range-sized int64 buffer that stays in
+cache: the sign planes and magnitudes of the range's non-constant blocks
+are unpacked into it, the signs applied in place with one branch-free step,
+each block's outlier written into its first slot and the rows prefix-summed
+in place.  ``decompress`` dequantizes each range straight into its output
+and ``decode_to_quant`` decodes into its result; the residual-depth
+operations and the reductions in ``ops`` walk the same ranges, so no stage
+writes a full-length temporary.  Every range checks its own overflow bound
+(``max|O| + (k-1) * max mag``); only a range past int64 takes exact Python
+ints.  Decode is serial; ``threads`` parallelizes only packing.
+
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
 ``encode_from_quant`` stop at the quantized-bin domain and never touch the
@@ -434,19 +446,16 @@ def _pack_stream(params: QuantParams, outliers, mags, signs, widths,
     return CompressedStream(params, widths, outliers, sign_planes, payload)
 
 
-def _ranges(params: QuantParams):
-    """Block-aligned ``(b0, b1)`` decode ranges of about ``_RANGE_ELEMS``
-    elements, at least one block each."""
-    step = max(1, _RANGE_ELEMS // params.block_len)
-    for b0 in range(0, params.block_count, step):
-        yield b0, min(b0 + step, params.block_count)
-
-
 def _stream_ranges(stream: CompressedStream):
-    """:func:`_ranges` of a stream, each with ``offs``: the sign and payload
-    section offsets of blocks b0..b1, computed one range at a time."""
+    """Block-aligned decode ranges ``(b0, b1, offs)`` of about
+    ``_RANGE_ELEMS`` elements, at least one block each; ``offs`` are the
+    sign and payload section offsets of blocks b0..b1, computed one range
+    at a time."""
+    params = stream.params
+    step = max(1, _RANGE_ELEMS // params.block_len)
     sign_base = payload_base = 0
-    for b0, b1 in _ranges(stream.params):
+    for b0 in range(0, params.block_count, step):
+        b1 = min(b0 + step, params.block_count)
         offs = (sign_base + _section_offsets(stream.sign_sizes(b0, b1)),
                 payload_base + _section_offsets(stream.payload_sizes(b0, b1)))
         yield b0, b1, offs
@@ -456,15 +465,16 @@ def _stream_ranges(stream: CompressedStream):
 def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
                   bins: bool = True) -> np.ndarray:
     """Decode blocks [b0, b1) in one range-sized int64 buffer (a prefix of
-    ``out`` when given): unpack the sign planes and magnitudes of the
-    non-constant blocks, then :func:`_resolve_range` applies the signs and,
-    with ``bins``, the prefix sums.  ``offs`` come from
-    :func:`_stream_ranges`."""
+    ``out`` when that is large enough): unpack the sign planes and
+    magnitudes of the non-constant blocks, then :func:`_resolve_range`
+    applies the signs and, with ``bins``, the prefix sums.  ``offs`` come
+    from :func:`_stream_ranges`."""
     params = stream.params
     k = params.block_len
     e0, e1 = b0 * k, min(b1 * k, params.element_count)
-    r = np.empty(e1 - e0, dtype=np.int64) if out is None else out[: e1 - e0]
-    s = np.empty(e1 - e0, dtype=np.int8)
+    m = e1 - e0
+    r = out[:m] if out is not None and out.size >= m else np.empty(m, dtype=np.int64)
+    s = np.empty(m, dtype=np.int8)
     if not stream.widths[b0:b1].all():  # constant blocks hold zero residuals
         r[:] = 0
         s[:] = 0
@@ -486,14 +496,6 @@ def _encode_bins(bins: np.ndarray, params: QuantParams, threads: int = 1) -> Com
     outliers, mags, signs = _split_residuals(bins, params)
     widths = _block_widths(mags, params)
     return _pack_stream(params, outliers, mags, signs, widths, threads)
-
-
-def _decode_bins(stream: CompressedStream) -> np.ndarray:
-    params = stream.params
-    bins = np.empty(params.element_count, dtype=np.int64)
-    for b0, b1, offs in _stream_ranges(stream):
-        _decode_range(stream, b0, b1, offs, out=bins[b0 * params.block_len :])
-    return bins
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +570,13 @@ def decompress(stream: CompressedStream, threads: int = 1,
 
 def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
     """Partial decompression: stop at the quantized-bin domain (no inverse
-    quantization).  The operand domain for multiplication and reductions."""
-    return QuantArray(_decode_bins(stream), stream.params)
+    quantization).  The operand domain for multiplication; ``threads`` is
+    accepted for symmetry, decode is serial."""
+    params = stream.params
+    bins = np.empty(params.element_count, dtype=np.int64)
+    for b0, b1, offs in _stream_ranges(stream):
+        _decode_range(stream, b0, b1, offs, out=bins[b0 * params.block_len :])
+    return QuantArray(bins, params)
 
 
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:

@@ -10,8 +10,10 @@ Each operation runs in the shallowest decode domain that supports it:
   reductions (mean, variance, stddev, covariance, global SSIM).
 
 No operation ever inverts quantization on its inputs; the reductions sum
-bins in exact integer arithmetic (constant blocks contribute through their
-outlier alone) and apply the real-valued scaling once at the end.
+bins in exact integer arithmetic and apply the real-valued scaling once at
+the end.  They walk the codec's decode ranges, decoding each operand once
+(a range that is constant in every operand contributes through its
+outliers alone).
 
 ``OPS`` is the one table of operations: each ``OpSpec`` pairs the
 homomorphic call with its oracle, the traditional reference workflow - full

@@ -66,8 +66,8 @@ def range_sizes(k):
 def wide_block_bins(rng, n, k, constant_first_range=False):
     """Bins of ``n`` elements in blocks of ``k`` with small residuals, except
     for 62-, 63- and 64-bit-wide blocks in the last range and, when there are
-    three ranges, in the middle one; ``constant_first_range`` makes every
-    other block of the first range constant.  Returns ``(bins, {block:
+    three ranges, in the middle one; ``constant_first_range`` makes the
+    other blocks of the first range constant.  Returns ``(bins, {block:
     width})``."""
     r = max(1, codec._RANGE_ELEMS // k)
     nb = -(-n // k)
@@ -76,8 +76,8 @@ def wide_block_bins(rng, n, k, constant_first_range=False):
     if nb > 2 * r:
         wide.update({r + 1: 62, r + r // 2: 63, 2 * r - 1: 64})
     wide = {b: w for b, w in wide.items() if min(b * k + k, n) - b * k >= 3}
-    for b, w in wide.items():
-        s = b * k  # the first three bins of block b
+    for b, w in wide.items():  # set the first three bins of block b
+        s = b * k
         if w == 64:  # 2^63 + 2^31 - 1 up, then about 2^63 back down
             bins[s : s + 3] = [-(2**31), 2**63 - 1, 5]
         else:

@@ -573,7 +573,7 @@ def _py_reductions(qa, qb, eps):
     sqa, sqb = sum(v * v for v in xa), sum(v * v for v in xb)
     sab = sum(u * v for u, v in zip(xa, xb))
     e2 = 2.0 * eps
-    var = e2**2 * (float(n * sqa - sa * sa) / (n * n))
+    var = e2**2 * (float(n * sqa - sa * sa) / (n * n))  # variance() rounds in this order
     cov = e2**2 * float(n * sab - sa * sb) / (n * n)
     mu_a, mu_b = e2 * sa / n, e2 * sb / n
     var_a = e2**2 * float(n * sqa - sa * sa) / (n * n)
@@ -625,7 +625,7 @@ class TestRangeReductions:
         k = 32
         n = range_sizes(k)[-1]
         p = QuantParams(0.5, (n,), k, "f64")
-        bins, wide = wide_block_bins(np.random.default_rng(311), n, k)
+        bins, _ = wide_block_bins(np.random.default_rng(311), n, k)
         s = encode_from_quant(QuantArray(bins, p))
         # one more bin on top of the 2^63 - 1 bin of the middle range
         shifted = scalar_add(s, 1.0)

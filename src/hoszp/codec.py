@@ -148,13 +148,17 @@ def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
         )
     eps = params.eps
     x = raw.values.astype(np.float64)
+    # in place: every full-length temporary costs fresh pages on each call
     with np.errstate(over="ignore"):  # extreme value/eps ratios hit inf below
-        q = np.floor((x + eps) / (2.0 * eps))
-    if np.any(np.abs(q) >= 2.0**63):
+        q = x + eps
+        q /= 2.0 * eps
+        np.floor(q, out=q)
+    if max(-q.min(), q.max()) >= 2.0**63:
         raise QuantOverflow("quantization bin exceeds 63-bit range; eps too small")
     bins = q.astype(np.int64)
-    err = x - _reconstruct_f64(bins, params)
-    bad = np.flatnonzero(np.abs(err) > eps)
+    err = np.multiply(bins, 2.0 * eps, out=q)  # the f64 reconstruction grid
+    np.subtract(x, err, out=err)
+    bad = np.flatnonzero((err > eps) | (err < -eps))
     if bad.size:
         # nudge ulp-level violators one bin toward the input; inputs sitting
         # exactly on a bin boundary may evaluate a hair beyond eps on both
@@ -207,14 +211,14 @@ def _split_residuals(bins: np.ndarray, params: QuantParams):
     """
     starts = params.block_starts()
     n = params.element_count
-    maxabs = int(np.abs(bins).max()) if n else 0
+    maxabs = max(int(bins.max()), -int(bins.min())) if n else 0
     if maxabs <= _FAST_BIN_LIMIT:
         resid = np.empty(n, dtype=np.int64)
         resid[0] = 0
         np.subtract(bins[1:], bins[:-1], out=resid[1:])
         resid[starts] = 0
         signs = (resid < 0).astype(np.uint8)
-        mags = np.abs(resid).astype(np.uint64)
+        mags = np.abs(resid, out=resid).view(np.uint64)
         return bins[starts].astype(np.int64), mags, signs
     # magnitudes near the 63-bit cap: differences need Python integers
     py = bins.tolist()

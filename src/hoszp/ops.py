@@ -334,17 +334,13 @@ def block_means(c: CompressedStream, threads: int = 1) -> np.ndarray:
     return 2.0 * params.eps * sums / lengths.astype(np.float64)
 
 
-def _variance_terms(c, shortcut):
-    n = c.params.element_count
-    (m,), _ = _sums([c], sq=True, shortcut=shortcut)
-    # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers)
-    return float(n * m.sqq - m.s * m.s) / (n * n)
-
-
 def variance(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
     """Population variance via exact integer moments:
     ``(2 eps)^2 * (sum(bins^2)/N - (sum(bins)/N)^2)``."""
-    return (2.0 * c.params.eps) ** 2 * _variance_terms(c, shortcut)
+    n = c.params.element_count
+    (m,), _ = _sums([c], sq=True, shortcut=shortcut)
+    # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers)
+    return (2.0 * c.params.eps) ** 2 * (float(n * m.sqq - m.s * m.s) / (n * n))
 
 
 def stddev(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:

@@ -107,7 +107,8 @@ def _default_threads() -> int:
 
 def _add_common(p):
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for bit packing (default: HOSZP_THREADS or all cores)")
+                   help="accepted for compatibility; encode and decode are serial "
+                        "(default: HOSZP_THREADS or all cores)")
     p.add_argument("--report", choices=["text", "csv", "json"], default="text")
 
 

@@ -12,17 +12,22 @@ sign bits and a row of ``w``-bit magnitudes (``w`` is the block's width),
 MSB first, each row padded to a byte; the magnitude kernels move eight
 fields at a time as big-endian 64-bit words, never bit by bit.
 
-Decode runs over block-aligned ranges of about ``_RANGE_ELEMS`` (64 Ki)
-elements, one at a time, each in one range-sized int64 buffer that stays in
-cache: the sign planes and magnitudes of the range's non-constant blocks
-are unpacked into it, the signs applied in place with one branch-free step,
-each block's outlier written into its first slot and the rows prefix-summed
-in place.  ``decompress`` dequantizes each range straight into its output
-and ``decode_to_quant`` decodes into its result; the residual-depth
-operations and the reductions in ``ops`` walk the same ranges, so no stage
-writes a full-length temporary.  Every range checks its own overflow bound
-(``max|O| + (k-1) * max mag``); only a range past int64 takes exact Python
-ints.  Decode is serial; ``threads`` parallelizes only packing.
+Encode and decode run over block-aligned ranges of about ``_RANGE_ELEMS``
+(64 Ki) elements, one at a time, in range-sized buffers that stay in
+cache; blocks never span ranges, so a stream is its ranges' sections
+joined.  ``_encode_ranges`` is the one encoder: ``compress`` quantizes
+each range, ``encode_from_quant`` and the stream operations in ``ops``
+hand it a range's bins or signed residuals, and it fills the range's
+widths and packs its sign rows (one ``packbits`` over the range) and its
+payload (one chunk per width).  Decode unpacks a range's non-constant
+blocks into one int64 buffer, applies the signs with one branch-free step,
+writes each block's outlier into its first slot and prefix-sums the rows
+in place; ``decompress``, ``decode_to_quant``, the stream operations and
+the reductions consume it range by range, so no stage writes a
+full-length temporary.  Each range picks its own arithmetic: int64 when
+its bounds allow (bins within 2^62 for the residual split,
+``max|O| + (k-1) * max mag`` for the prefix sums), else exact Python ints.
+Both directions are serial; ``threads`` is accepted and ignored.
 
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
@@ -32,7 +37,6 @@ floating-point reconstruction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +48,8 @@ _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
 # beyond this bin magnitude, int64 differences of two bins may overflow
 _FAST_BIN_LIMIT = 2**62 - 1
-# elements handled per vectorized packing chunk (bounds the u64 word temporaries)
-_CHUNK_ELEMS = 1 << 20
-# elements decoded per range: the range's int64 buffer stays in cache
+_U64_MAX = 2**64 - 1
+# elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
 
 
@@ -132,6 +135,47 @@ def _dequant_values(bins: np.ndarray, params: QuantParams) -> np.ndarray:
     return _reconstruct_f64(bins, params).astype(params.numpy_dtype)
 
 
+def _check_geometry(raw: RawArray, params: QuantParams):
+    if raw.dims != params.dims or raw.dtype != params.dtype:
+        raise ValueError(
+            f"raw geometry {raw.dims}/{raw.dtype} does not match params "
+            f"{params.dims}/{params.dtype}"
+        )
+
+
+def _quantize_values(x: np.ndarray, params: QuantParams, out: np.ndarray) -> np.ndarray:
+    """Quantize one range of values into a prefix of ``out`` (int64) while
+    the range is in cache; see :func:`quantize`."""
+    eps = params.eps
+    x = x.astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):  # extreme value/eps ratios hit inf below
+        q = x + eps
+        q /= 2.0 * eps
+        np.floor(q, out=q)
+    if max(-q.min(), q.max()) >= 2.0**63:
+        raise QuantOverflow("quantization bin exceeds 63-bit range; eps too small")
+    bins = out[: x.size]
+    np.copyto(bins, q, casting="unsafe")
+    err = np.multiply(bins, 2.0 * eps, out=q)  # the f64 reconstruction grid
+    np.subtract(x, err, out=err)
+    bad = np.flatnonzero(np.abs(err, out=err) > eps)
+    if bad.size:
+        # nudge ulp-level violators one bin toward the input; inputs sitting
+        # exactly on a bin boundary may evaluate a hair beyond eps on both
+        # sides, so keep whichever neighbor reconstructs nearer
+        err = x[bad] - _reconstruct_f64(bins[bad], params)
+        moved = bins[bad] + np.where(err > 0, 1, -1).astype(np.int64)
+        err2 = x[bad] - _reconstruct_f64(moved, params)
+        keep = np.abs(err2) < np.abs(err)
+        bins[bad[keep]] = moved[keep]
+        final = np.abs(x[bad] - _reconstruct_f64(bins[bad], params))
+        if np.any(final > eps * (1.0 + 1e-9)):
+            raise QuantOverflow(
+                "error bound unattainable at this precision (eps below resolution)"
+            )
+    return bins
+
+
 def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
     """Map each value to its quantization bin, guaranteeing that the
     double-precision reconstruction ``2 * eps * bin`` stays within ``eps``
@@ -139,40 +183,12 @@ def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
 
     The floor division runs in float64 (exact promotion for f32 inputs);
     a repair pass then nudges any bin whose reconstructed value violates
-    the bound by a floating-point rounding ulp.
+    the bound by a floating-point rounding ulp.  Both run range by range.
     """
-    if raw.dims != params.dims or raw.dtype != params.dtype:
-        raise ValueError(
-            f"raw geometry {raw.dims}/{raw.dtype} does not match params "
-            f"{params.dims}/{params.dtype}"
-        )
-    eps = params.eps
-    x = raw.values.astype(np.float64)
-    # in place: every full-length temporary costs fresh pages on each call
-    with np.errstate(over="ignore"):  # extreme value/eps ratios hit inf below
-        q = x + eps
-        q /= 2.0 * eps
-        np.floor(q, out=q)
-    if max(-q.min(), q.max()) >= 2.0**63:
-        raise QuantOverflow("quantization bin exceeds 63-bit range; eps too small")
-    bins = q.astype(np.int64)
-    err = np.multiply(bins, 2.0 * eps, out=q)  # the f64 reconstruction grid
-    np.subtract(x, err, out=err)
-    bad = np.flatnonzero((err > eps) | (err < -eps))
-    if bad.size:
-        # nudge ulp-level violators one bin toward the input; inputs sitting
-        # exactly on a bin boundary may evaluate a hair beyond eps on both
-        # sides, so keep whichever neighbor reconstructs nearer
-        step = np.where(err[bad] > 0, 1, -1).astype(np.int64)
-        moved = bins[bad] + step
-        err2 = x[bad] - _reconstruct_f64(moved, params)
-        keep = np.abs(err2) < np.abs(err[bad])
-        bins[bad[keep]] = moved[keep]
-        final = np.abs(x[bad] - _reconstruct_f64(bins[bad], params))
-        if np.any(final > eps * (1.0 + 1e-9)):
-            raise QuantOverflow(
-                "error bound unattainable at this precision (eps below resolution)"
-            )
+    _check_geometry(raw, params)
+    bins = np.empty(params.element_count, dtype=np.int64)
+    for e in _element_ranges(params):
+        _quantize_values(raw.values[e], params, bins[e])
     return QuantArray(bins, params)
 
 
@@ -203,53 +219,32 @@ def quantize_nearest(values: np.ndarray, params: QuantParams) -> np.ndarray:
 # residual split / rebuild (decorrelation stage)
 
 
-def _split_residuals(bins: np.ndarray, params: QuantParams):
-    """Per-element residual magnitudes and signs plus per-block outliers.
+def _split_residuals(bins: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Signed residuals of a block-aligned run of bins in blocks of ``k``.
 
     Residual ``i`` is ``bins[i] - bins[i-1]`` inside a block; the slot at
     each block start stays 0 because the outlier carries the first bin.
+    They come back as int64 (in ``out`` when given) while every bin of the
+    run is within 2^62, else as Python ints in an object array.
     """
-    starts = params.block_starts()
-    n = params.element_count
-    maxabs = max(int(bins.max()), -int(bins.min())) if n else 0
-    if maxabs <= _FAST_BIN_LIMIT:
-        resid = np.empty(n, dtype=np.int64)
-        resid[0] = 0
-        np.subtract(bins[1:], bins[:-1], out=resid[1:])
-        resid[starts] = 0
-        signs = (resid < 0).astype(np.uint8)
-        mags = np.abs(resid, out=resid).view(np.uint64)
-        return bins[starts].astype(np.int64), mags, signs
-    # magnitudes near the 63-bit cap: differences need Python integers
-    py = bins.tolist()
-    mags_py = [0] * n
-    signs_py = [0] * n
-    for i in range(1, n):
-        if i % params.block_len == 0:
-            continue
-        d = py[i] - py[i - 1]
-        if d < 0:
-            mags_py[i] = -d
-            signs_py[i] = 1
-        else:
-            mags_py[i] = d
-    return (
-        bins[starts].astype(np.int64),
-        np.asarray(mags_py, dtype=np.uint64),
-        np.asarray(signs_py, dtype=np.uint8),
-    )
+    if max(int(bins.max()), -int(bins.min())) > _FAST_BIN_LIMIT:
+        bins = bins.astype(object)  # differences may pass 63 bits
+        resid = np.empty(bins.size, dtype=object)
+    else:
+        resid = np.empty(bins.size, dtype=np.int64) if out is None else out[: bins.size]
+    resid[0] = 0
+    np.subtract(bins[1:], bins[:-1], out=resid[1:])
+    resid[::k] = 0
+    return resid
 
 
-def _block_widths(mags: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Bits needed for the largest residual magnitude of each block."""
-    k = params.block_len
-    n = params.element_count
-    nfull = n // k
-    maxes = np.zeros(params.block_count, dtype=np.uint64)
-    if nfull:
-        maxes[:nfull] = mags[: nfull * k].reshape(nfull, k).max(axis=1)
-    if n % k:
-        maxes[-1] = mags[nfull * k :].max()
+def _block_widths(mags: np.ndarray, k: int) -> np.ndarray:
+    """Bits needed for the largest residual magnitude of each block of a
+    block-aligned run."""
+    full = mags.size - mags.size % k
+    maxes = mags[:full].reshape(-1, k).max(axis=1)
+    if full < mags.size:
+        maxes = np.append(maxes, mags[full:].max())
     return np.searchsorted(_POW2, maxes, side="right").astype(np.uint8)
 
 
@@ -315,18 +310,24 @@ def _pack_mag_rows(mat: np.ndarray, w: int) -> np.ndarray:
     ``w`` bits per element, MSB first, each row zero-padded to a byte."""
     g, k = mat.shape
     groups, nw = (k + 7) // 8, (w + 7) // 8
-    vals = np.zeros((g, groups * 8), dtype=np.uint64)
-    vals[:, :k] = mat
-    vals = vals.reshape(g * groups, 8)
-    words = np.zeros((g * groups, nw), dtype=np.uint64)
-    for j in range(8):
+    # lane j holds field j of every group, contiguous; only a padded
+    # last group needs the zeros
+    lanes = (np.zeros if k % 8 else np.empty)((8, g, groups), dtype=np.uint64)
+    fields = lanes.transpose(1, 2, 0)  # fields[row, group, j]
+    fields[:, : k // 8] = mat[:, : k - k % 8].reshape(g, k // 8, 8)
+    if k % 8:
+        fields[:, -1, : k % 8] = mat[:, k - k % 8 :]
+    lanes = lanes.reshape(8, g * groups)
+    words = np.zeros((nw, g * groups), dtype=np.uint64)
+    tmp = np.empty(g * groups, dtype=np.uint64)
+    for j, lane in enumerate(lanes):
         i, o = divmod(j * w, 64)
         if o + w <= 64:
-            words[:, i] |= vals[:, j] << np.uint64(64 - o - w)
+            words[i] |= np.left_shift(lane, np.uint64(64 - o - w), out=tmp)
         else:  # the field straddles words i and i + 1
-            words[:, i] |= vals[:, j] >> np.uint64(o + w - 64)
-            words[:, i + 1] |= vals[:, j] << np.uint64(128 - o - w)
-    octets = words.astype(">u8").view(np.uint8)[:, :w]
+            words[i] |= np.right_shift(lane, np.uint64(o + w - 64), out=tmp)
+            words[i + 1] |= np.left_shift(lane, np.uint64(128 - o - w), out=tmp)
+    octets = words.T.astype(">u8", order="C").view(np.uint8)[:, :w]
     return octets.reshape(g, groups * w)[:, : (k * w + 7) // 8]
 
 
@@ -363,103 +364,61 @@ def _section_offsets(sizes: np.ndarray) -> np.ndarray:
     return offs
 
 
-def _iter_chunks(ids: np.ndarray, k: int):
-    step = max(1, _CHUNK_ELEMS // max(k, 1))
-    for i in range(0, len(ids), step):
-        yield ids[i : i + step]
-
-
 def _block_chunks(params: QuantParams, widths: np.ndarray, b0: int, b1: int):
-    """The non-constant blocks of [b0, b1) in chunks of one length and width.
+    """The non-constant blocks of range [b0, b1), whose widths are
+    ``widths``, in chunks of one length and width.
 
-    Yields ``(span, length, w, ids, rows)``: the elements ``span`` reshaped
-    to ``(-1, length)`` hold block ``ids[i]`` in row ``rows[i]``.  The full
+    Yields ``(span, length, w, ids, rows)``, all relative to the range: the
+    elements ``span`` reshaped to ``(-1, length)`` hold block ``ids[i]`` in
+    row ``rows[i]`` (a slice when the rows are consecutive).  The full
     blocks of the range share one matrix; a ragged tail block forms its own.
     """
     k, n = params.block_len, params.element_count
-    nfull = n // k
-    segments = [(slice(b0 * k, min(b1, nfull) * k), k, b0, np.arange(b0, min(b1, nfull)))]
+    nfull = min(b1, n // k) - b0
+    segments = [(slice(0, nfull * k), k, 0, np.arange(nfull))]
     if n % k and b1 == params.block_count:
-        segments.append((slice(nfull * k, n), n % k, nfull, np.array([nfull])))
+        segments.append((slice(nfull * k, n - b0 * k), n % k, nfull, np.array([nfull])))
     for span, length, first, ids in segments:
         ids = ids[widths[ids] > 0]
         ws = widths[ids]
         for w in np.unique(ws):
-            for chunk in _iter_chunks(ids[ws == w], length):
-                yield span, length, int(w), chunk, chunk - first
+            chunk = ids[ws == w]
+            rows = chunk - first
+            if rows[-1] - rows[0] + 1 == len(rows):
+                rows = slice(rows[0], rows[-1] + 1)
+            yield span, length, int(w), chunk, rows
 
 
-def _row_index(offs: np.ndarray, ids: np.ndarray, width: int, base: int = 0) -> np.ndarray:
-    """Positions of the ``width``-byte rows of blocks ``ids`` in a section
-    buffer that starts at section offset ``base``."""
-    return (offs[ids] - base)[:, None] + np.arange(width)
-
-
-def _section_rows(buf: np.ndarray, offs: np.ndarray, ids: np.ndarray, width: int):
-    """The ``width``-byte rows of blocks ``ids`` in section ``buf``: a view
-    when they lie back to back, else a gathered copy."""
+def _row_slots(offs: np.ndarray, ids: np.ndarray, width: int):
+    """Where the ``width``-byte rows of blocks ``ids`` lie in a section: a
+    slice when they lie back to back, else a flat index array."""
     start = int(offs[ids[0]])
     if int(offs[ids[-1]]) - start == (len(ids) - 1) * width:
-        return buf[start : start + len(ids) * width].reshape(len(ids), width)
-    return buf[_row_index(offs, ids, width)]
+        return slice(start, start + len(ids) * width)
+    return (offs[ids][:, None] + np.arange(width)).ravel()
 
 
-def _pack_block_range(params, mags, signs, widths, sign_offs, payload_offs, b0, b1):
-    """Serialize sign planes and payload for blocks [b0, b1) into two buffers."""
-    sign_base = int(sign_offs[b0])
-    payload_base = int(payload_offs[b0])
-    sign_buf = np.zeros(int(sign_offs[b1]) - sign_base, dtype=np.uint8)
-    payload_buf = np.zeros(int(payload_offs[b1]) - payload_base, dtype=np.uint8)
-    for span, length, w, ids, rows in _block_chunks(params, widths, b0, b1):
-        sign_buf[_row_index(sign_offs, ids, (length + 7) // 8, sign_base)] = np.packbits(
-            signs[span].reshape(-1, length)[rows], axis=1)
-        payload_buf[_row_index(payload_offs, ids, (length * w + 7) // 8, payload_base)] = (
-            _pack_mag_rows(mags[span].reshape(-1, length)[rows], w))
-    return sign_buf.tobytes(), payload_buf.tobytes()
+def _block_ranges(params: QuantParams):
+    """Block-aligned ranges ``(b0, b1)`` of about ``_RANGE_ELEMS`` elements,
+    at least one block each."""
+    step = max(1, _RANGE_ELEMS // params.block_len)
+    for b0 in range(0, params.block_count, step):
+        yield b0, min(b0 + step, params.block_count)
 
 
-def _thread_ranges(block_count: int, threads: int):
-    threads = max(1, min(threads, block_count))
-    step = -(-block_count // threads)
-    return [(i, min(i + step, block_count)) for i in range(0, block_count, step)]
-
-
-def _pack_stream(params: QuantParams, outliers, mags, signs, widths,
-                 threads: int = 1) -> CompressedStream:
-    lengths = params.block_lengths()
-    sign_sizes = (lengths + 7) // 8
-    sign_sizes[widths == 0] = 0
-    payload_sizes = (lengths * widths.astype(np.int64) + 7) // 8
-    sign_offs = _section_offsets(sign_sizes)
-    payload_offs = _section_offsets(payload_sizes)
-    ranges = _thread_ranges(params.block_count, threads)
-    if len(ranges) == 1:
-        parts = [_pack_block_range(params, mags, signs, widths, sign_offs,
-                                   payload_offs, 0, params.block_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: _pack_block_range(params, mags, signs, widths,
-                                                sign_offs, payload_offs, *r),
-                    ranges,
-                )
-            )
-    sign_planes = b"".join(p[0] for p in parts)
-    payload = b"".join(p[1] for p in parts)
-    return CompressedStream(params, widths, outliers, sign_planes, payload)
+def _element_ranges(params: QuantParams):
+    """The element slices of :func:`_block_ranges`."""
+    k, n = params.block_len, params.element_count
+    for b0, b1 in _block_ranges(params):
+        yield slice(b0 * k, min(b1 * k, n))
 
 
 def _stream_ranges(stream: CompressedStream):
-    """Block-aligned decode ranges ``(b0, b1, offs)`` of about
-    ``_RANGE_ELEMS`` elements, at least one block each; ``offs`` are the
-    sign and payload section offsets of blocks b0..b1, computed one range
-    at a time."""
-    params = stream.params
-    step = max(1, _RANGE_ELEMS // params.block_len)
+    """:func:`_block_ranges` of a stream as ``(b0, b1, offs)``; ``offs``
+    are the sign and payload section offsets of blocks b0..b1, computed one
+    range at a time."""
     sign_base = payload_base = 0
-    for b0 in range(0, params.block_count, step):
-        b1 = min(b0 + step, params.block_count)
+    for b0, b1 in _block_ranges(stream.params):
         offs = (sign_base + _section_offsets(stream.sign_sizes(b0, b1)),
                 payload_base + _section_offsets(stream.payload_sizes(b0, b1)))
         yield b0, b1, offs
@@ -475,8 +434,7 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
     from :func:`_stream_ranges`."""
     params = stream.params
     k = params.block_len
-    e0, e1 = b0 * k, min(b1 * k, params.element_count)
-    m = e1 - e0
+    m = min(b1 * k, params.element_count) - b0 * k
     r = out[:m] if out is not None and out.size >= m else np.empty(m, dtype=np.int64)
     s = np.empty(m, dtype=np.int8)
     if not stream.widths[b0:b1].all():  # constant blocks hold zero residuals
@@ -485,21 +443,73 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
     mags = r.view(np.uint64)
     sign_bytes = np.frombuffer(stream.sign_planes, dtype=np.uint8)
     payload_bytes = np.frombuffer(stream.payload, dtype=np.uint8)
-    for span, length, w, ids, rows in _block_chunks(params, stream.widths, b0, b1):
-        seg = slice(span.start - e0, span.stop - e0)
-        if rows[-1] - rows[0] + 1 == len(rows):
-            rows = slice(rows[0], rows[-1] + 1)
-        s[seg].reshape(-1, length)[rows] = np.unpackbits(
-            _section_rows(sign_bytes, offs[0], ids - b0, (length + 7) // 8), axis=1)[:, :length]
-        mags[seg].reshape(-1, length)[rows] = _unpack_mag_rows(
-            _section_rows(payload_bytes, offs[1], ids - b0, (length * w + 7) // 8), length, w)
+    for span, length, w, ids, rows in _block_chunks(params, stream.widths[b0:b1], b0, b1):
+        signs = sign_bytes[_row_slots(offs[0], ids, (length + 7) // 8)]
+        s[span].reshape(-1, length)[rows] = np.unpackbits(
+            signs.reshape(len(ids), -1), axis=1)[:, :length]
+        payload = payload_bytes[_row_slots(offs[1], ids, (length * w + 7) // 8)]
+        mags[span].reshape(-1, length)[rows] = _unpack_mag_rows(
+            payload.reshape(len(ids), -1), length, w)
     return _resolve_range(r, s, stream.outliers[b0:b1].astype(np.int64), k, bins)
 
 
-def _encode_bins(bins: np.ndarray, params: QuantParams, threads: int = 1) -> CompressedStream:
-    outliers, mags, signs = _split_residuals(bins, params)
-    widths = _block_widths(mags, params)
-    return _pack_stream(params, outliers, mags, signs, widths, threads)
+def _range_buffer(params: QuantParams) -> np.ndarray:
+    """An int64 buffer as long as the first (longest) range."""
+    return np.empty(next(_element_ranges(params)).stop, dtype=np.int64)
+
+
+def _encode_range(params: QuantParams, b0: int, b1: int, resid: np.ndarray,
+                  w: np.ndarray) -> tuple[bytes, bytes]:
+    """Encode blocks [b0, b1) from their signed residuals (int64, clobbered,
+    or Python ints in an object array; 0 at block starts): fill their
+    widths ``w`` and return the range's sign and payload bytes."""
+    k = params.block_len
+    signs = resid < 0
+    if resid.dtype == object:
+        mags = np.abs(resid)
+        if mags.max() > _U64_MAX:
+            raise QuantOverflow("residual exceeds the 64-bit width of format v1")
+        mags = mags.astype(np.uint64)
+    else:
+        mags = np.abs(resid, out=resid).view(np.uint64)
+    w[:] = _block_widths(mags, k)
+    # one packbits over the range's full blocks; the non-constant rows stay
+    full = mags.size - mags.size % k
+    sign_bytes = np.packbits(signs[:full].reshape(-1, k), axis=1)[w[: full // k] > 0].tobytes()
+    if full < mags.size and w[-1]:
+        sign_bytes += np.packbits(signs[full:]).tobytes()
+    offs = _section_offsets((params.block_lengths(b0, b1) * w + 7) // 8)
+    payload = np.empty(int(offs[-1]), dtype=np.uint8)
+    for span, length, width, ids, rows in _block_chunks(params, w, b0, b1):
+        rowbytes = (length * width + 7) // 8
+        payload[_row_slots(offs, ids, rowbytes)] = _pack_mag_rows(
+            mags[span].reshape(-1, length)[rows], width).ravel()
+    return sign_bytes, payload.tobytes()
+
+
+def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
+    """The one encoder.  ``parts`` yields, for each of
+    :func:`_block_ranges` in turn, the range's block outliers and its
+    signed residuals (see :func:`_encode_range`); the per-range sections
+    are joined once at the end."""
+    widths = np.empty(params.block_count, dtype=np.uint8)
+    outliers = np.empty(params.block_count, dtype=np.int64)
+    signs, payload = [], []
+    for (b0, b1), (outs, resid) in zip(_block_ranges(params), parts):
+        outliers[b0:b1] = outs
+        s, p = _encode_range(params, b0, b1, resid, widths[b0:b1])
+        signs.append(s)
+        payload.append(p)
+    return CompressedStream(params, widths, outliers, b"".join(signs), b"".join(payload))
+
+
+def _encode_bin_ranges(params: QuantParams, bins_per_range) -> CompressedStream:
+    """Encode the bins of each of :func:`_block_ranges` in turn, splitting
+    each range into residuals in one reused buffer."""
+    k = params.block_len
+    resid = _range_buffer(params)
+    return _encode_ranges(params, ((bins[::k], _split_residuals(bins, k, out=resid))
+                                   for bins in bins_per_range))
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +520,16 @@ def lorenzo_encode(q: QuantArray) -> list[BlockView]:
     """Decorrelate a quantized array into per-block views (outlier, residual
     magnitudes, signs, width, constancy)."""
     params = q.params
-    outliers, mags, signs = _split_residuals(q.bins, params)
-    widths = _block_widths(mags, params)
     n, k = params.element_count, params.block_len
+    resid = _split_residuals(q.bins, k)
+    signs = (resid < 0).astype(np.uint8)
+    mags = np.abs(resid).astype(np.uint64)
+    widths = _block_widths(mags, k)
     views = []
     for b in range(params.block_count):
         s, e = b * k, min(b * k + k, n)
         w = int(widths[b])
-        views.append(BlockView(int(outliers[b]), mags[s:e], signs[s:e], w, w == 0))
+        views.append(BlockView(int(q.bins[s]), mags[s:e], signs[s:e], w, w == 0))
     return views
 
 
@@ -545,9 +557,13 @@ def lorenzo_decode(blocks, params: QuantParams) -> QuantArray:
 
 
 def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> CompressedStream:
-    """quantize -> decorrelate -> bit-pack.  Deterministic: one canonical
-    output per (input, params), independent of the thread count."""
-    return _encode_bins(quantize(raw, params).bins, params, threads)
+    """quantize -> decorrelate -> bit-pack, one range at a time (``threads``
+    is accepted for symmetry; encode is serial).  Deterministic: one
+    canonical output per (input, params)."""
+    _check_geometry(raw, params)
+    buf = _range_buffer(params)
+    return _encode_bin_ranges(params, (_quantize_values(raw.values[e], params, buf)
+                                       for e in _element_ranges(params)))
 
 
 def decompress(stream: CompressedStream, threads: int = 1,
@@ -584,5 +600,6 @@ def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
 
 
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:
-    """Inverse of :func:`decode_to_quant`: decorrelate and re-pack."""
-    return _encode_bins(q.bins, q.params, threads)
+    """Inverse of :func:`decode_to_quant`: decorrelate and re-pack, range by
+    range (``threads`` is accepted for symmetry; encode is serial)."""
+    return _encode_bin_ranges(q.params, (q.bins[e] for e in _element_ranges(q.params)))

@@ -6,8 +6,8 @@ root aggregates two ways over identical inputs:
 * traditional - fully decompress every stream, sum in the value domain,
   recompress the aggregate once;
 * homomorphic - combine the streams in the residual/outlier domain
-  (the element-wise-addition core applied as a left fold, decoding each
-  incoming stream once and re-packing once at the end).
+  (the n-ary sum behind element-wise addition, decoding each incoming
+  stream once and re-packing once at the end).
 
 Both aggregates must decompress bit-identically; the report records the
 timing of each path and their ratio.  The "network" is an in-memory
@@ -77,29 +77,9 @@ class SimReport:
 
 
 def _aggregate_homomorphic(streams, threads: int) -> CompressedStream:
-    """Left fold of element-wise addition in the residual domain: each
-    stream is decoded once, the accumulator is packed once."""
-    for s in streams[1:]:
-        ops._check_params(streams[0], s)
-    if not _headroom(streams):
-        # oversized residuals: fall back to the stream-level pairwise fold
-        acc = streams[0]
-        for s in streams[1:]:
-            acc = ops.elementwise_add(acc, s, threads)
-        return acc
-    out_acc, res_acc = ops._unpack_signed(streams[0])
-    for s in streams[1:]:
-        o, r = ops._unpack_signed(s)
-        out_acc += o
-        res_acc += r
-    return ops._pack_signed(streams[0].params, out_acc, res_acc, threads)
-
-
-def _headroom(streams) -> bool:
-    # residual accumulation stays in int64 when total magnitude is bounded;
-    # this also guarantees every stream width is <= 62 (no slow decodes)
-    total = sum((1 << int(s.widths.max())) - 1 if s.widths.size else 0 for s in streams)
-    return total <= 2**63 - 1
+    """n-ary sum in the residual domain (``ops.sum_streams``): each stream
+    is decoded once, range by range, and the sum is packed once."""
+    return ops.sum_streams(streams, [1] * len(streams))
 
 
 def _aggregate_traditional(streams, threads: int) -> CompressedStream:

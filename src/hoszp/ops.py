@@ -38,7 +38,6 @@ from .errors import ParamsMismatch, QuantOverflow
 from .model import CompressedStream, QuantArray, QuantParams
 
 _I64_MAX = 2**63 - 1
-_U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -120,66 +119,65 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 # residual-space operations
 
 
-def _max_width(stream: CompressedStream) -> int:
-    return int(stream.widths.max()) if stream.widths.size else 0
+def _lockstep(streams):
+    """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1,
+    decode)``: ``decode(i, bins=True)`` decodes operand ``i``'s range into
+    that operand's reused int64 buffer (see ``codec._decode_range``)."""
+    bufs = [None] * len(streams)
+    for ranges in zip(*map(codec._stream_ranges, streams)):
+        b0, b1, _ = ranges[0]
+
+        def decode(i, bins=True):
+            x = codec._decode_range(streams[i], b0, b1, ranges[i][2], out=bufs[i], bins=bins)
+            if bufs[i] is None and x.dtype == np.int64:
+                bufs[i] = x
+            return x
+
+        yield b0, b1, decode
 
 
-def _unpack_signed(stream: CompressedStream):
-    """(outliers, signed residuals): int64 residuals, or Python ints in an
-    object array when the stream holds 64-bit magnitudes."""
-    params = stream.params
-    wide = _max_width(stream) == 64
-    resid = np.empty(params.element_count, dtype=object if wide else np.int64)
-    for b0, b1, offs in codec._stream_ranges(stream):
-        part = resid[b0 * params.block_len :]
-        x = codec._decode_range(stream, b0, b1, offs, out=None if wide else part,
-                                bins=False)
-        if wide:
-            part[: x.size] = x
-    return stream.outliers.astype(np.int64), resid
+def sum_streams(streams, signs) -> CompressedStream:
+    """``sum(sign * stream)`` in the residual domain, one sign of +1 or -1
+    per stream: per block, the outliers and the signed residuals combine
+    linearly, so the result decompresses to the exact signed sum of the
+    operands' reconstructions.
 
+    Each range is summed in int64 when the widest residuals of its
+    operands add up within int64, else in Python ints; a result residual
+    past 2^64 - 1 raises ``QuantOverflow``.
+    """
+    if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
+        raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
+    for other in streams[1:]:
+        _check_params(streams[0], other)
 
-def _pack_signed(params: QuantParams, outliers: np.ndarray, resid: np.ndarray,
-                 threads: int = 1) -> CompressedStream:
-    """Re-pack signed residuals, int64 (overwritten by their magnitudes) or
-    Python ints in an object array."""
-    signs = (resid < 0).astype(np.uint8)
-    if resid.dtype == object:
-        mags = np.abs(resid)
-        if mags.size and mags.max() > _U64_MAX:
-            raise QuantOverflow("residual exceeds the 64-bit width of format v1")
-        mags = mags.astype(np.uint64)
-    else:
-        mags = np.abs(resid, out=resid).view(np.uint64)
-    widths = codec._block_widths(mags, params)
-    return codec._pack_stream(params, outliers, mags, signs, widths, threads)
+    def parts():
+        for b0, b1, decode in _lockstep(streams):
+            outliers = sum(g * c.outliers[b0:b1].astype(np.int64)
+                           for g, c in zip(signs, streams))
+            exact = sum((1 << int(c.widths[b0:b1].max())) - 1 for c in streams) > _I64_MAX
+            acc = None
+            for i, g in enumerate(signs):
+                x = decode(i, bins=False)
+                x = x.astype(object) if exact else x
+                if g < 0:
+                    np.negative(x, out=x)
+                acc = x if acc is None else np.add(acc, x, out=acc)
+            yield outliers, acc
 
-
-def _elementwise(a: CompressedStream, b: CompressedStream, sub: bool,
-                 threads: int = 1) -> CompressedStream:
-    _check_params(a, b)
-    oa, ra = _unpack_signed(a)
-    ob, rb = _unpack_signed(b)
-    if (2 ** _max_width(a) - 1) + (2 ** _max_width(b) - 1) > _I64_MAX:
-        ra, rb = ra.astype(object), rb.astype(object)  # the sums need Python ints
-    outliers = oa - ob if sub else oa + ob
-    if sub:
-        np.subtract(ra, rb, out=ra)
-    else:
-        np.add(ra, rb, out=ra)
-    return _pack_signed(a.params, outliers, ra, threads)
+    return codec._encode_ranges(streams[0].params, parts())
 
 
 def elementwise_add(a: CompressedStream, b: CompressedStream,
                     threads: int = 1) -> CompressedStream:
     """Per block: outliers add, signed residuals add; the result
     decompresses to the exact sum of the operands' reconstructions."""
-    return _elementwise(a, b, sub=False, threads=threads)
+    return sum_streams([a, b], [1, 1])
 
 
 def elementwise_sub(a: CompressedStream, b: CompressedStream,
                     threads: int = 1) -> CompressedStream:
-    return _elementwise(a, b, sub=True, threads=threads)
+    return sum_streams([a, b], [1, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +202,24 @@ def _rescale_bins(products, eps: float) -> np.ndarray:
     return codec._nearest_bins(t)
 
 
+def _rescaled_products(streams, factor=None) -> CompressedStream:
+    """Encode ``nearest(2 eps * a * b)`` range by range, where ``a`` is the
+    first stream's bins and ``b`` the second's or the bin ``factor``."""
+    params = streams[0].params
+
+    def rescaled():
+        for _, _, decode in _lockstep(streams):
+            x = decode(0)
+            yield _rescale_bins(_exact_products(x, decode(1) if len(streams) == 2 else factor),
+                                params.eps)
+
+    return codec._encode_bin_ranges(params, rescaled())
+
+
 def scalar_mul(c: CompressedStream, s: float, threads: int = 1) -> CompressedStream:
     """Multiply in the quantized domain: bins scale by the scalar's bin and
     re-center on the grid with nearest-integer rounding."""
-    rs = ScalarBin.of(s, c.params.eps).bin
-    q = codec.decode_to_quant(c, threads)
-    bins = _rescale_bins(_exact_products(q.bins, rs), c.params.eps)
-    return codec.encode_from_quant(QuantArray(bins, c.params), threads)
+    return _rescaled_products([c], ScalarBin.of(s, c.params.eps).bin)
 
 
 def hadamard(a: CompressedStream, b: CompressedStream,
@@ -218,10 +227,7 @@ def hadamard(a: CompressedStream, b: CompressedStream,
     """Element-wise product via the quantized domain; same rescale rule as
     scalar multiplication with the second stream's bins as the scalars."""
     _check_params(a, b)
-    qa = codec.decode_to_quant(a, threads)
-    qb = codec.decode_to_quant(b, threads)
-    bins = _rescale_bins(_exact_products(qa.bins, qb.bins), a.params.eps)
-    return codec.encode_from_quant(QuantArray(bins, a.params), threads)
+    return _rescaled_products([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +293,15 @@ def _sums(streams, *, sq: bool = False, shortcut: bool = True):
     buffer per operand.  Each range is bounded by its own ``max |bin|``, so
     only a range whose sums may pass int64 is promoted.
     """
-    bufs = [None] * len(streams)
     acc = [_Sums() for _ in streams]
     sab = 0
-    for ranges in zip(*map(codec._stream_ranges, streams)):
-        b0, b1, _ = ranges[0]
+    for b0, b1, decode in _lockstep(streams):
         if shortcut and not any(c.widths[b0:b1].any() for c in streams):
             weights = streams[0].params.block_lengths(b0, b1)
             xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
         else:
             weights = None
-            xs = [codec._decode_range(c, b0, b1, offs, out=buf)
-                  for c, (_, _, offs), buf in zip(streams, ranges, bufs)]
-            bufs = [x if buf is None else buf for x, buf in zip(xs, bufs)]
+            xs = [decode(i) for i in range(len(streams))]
         bounds = [a.add(x, weights, sq) for a, x in zip(acc, xs)]
         if len(xs) == 2:
             sab += _range_dot(xs[0], xs[1], bounds[0] * bounds[1], weights)
@@ -320,12 +322,10 @@ def block_means(c: CompressedStream, threads: int = 1) -> np.ndarray:
     sums = np.empty(params.block_count, dtype=np.float64)
     const = c.widths == 0
     sums[const] = (lengths[const] * c.outliers.astype(np.int64)[const]).astype(np.float64)
-    buf = None
-    for b0, b1, offs in codec._stream_ranges(c):
+    for b0, b1, decode in _lockstep([c]):
         if const[b0:b1].all():
             continue
-        x = codec._decode_range(c, b0, b1, offs, out=buf)
-        buf = x if buf is None else buf
+        x = decode(0)
         full = x.size - x.size % k
         rows = x[:full].reshape(-1, k).sum(axis=1, dtype=np.float64)
         if full < x.size:

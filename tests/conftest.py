@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hoszp import QuantArray, QuantParams, RawArray, codec, compress, encode_from_quant
+from hoszp import (
+    CompressedStream,
+    QuantArray,
+    QuantParams,
+    RawArray,
+    codec,
+    compress,
+    encode_from_quant,
+    lorenzo_encode,
+)
 
 #: the worked single-block example: eps=0.01 reproduces the documented bins,
 #: outlier, residuals, sign bits, and packed payload byte
@@ -87,3 +96,27 @@ def wide_block_bins(rng, n, k, constant_first_range=False):
             if b not in wide:
                 bins[b * k : b * k + k] = rng.integers(-1000, 1000)
     return bins, wide
+
+
+def ref_pack_row(values, w):
+    """Reference packer: ``w`` bits per value, MSB first, zero-padded to a
+    byte, built as one Python int."""
+    acc = 0
+    for v in values:
+        acc = (acc << w) | int(v)
+    nbits = len(values) * w
+    nbytes = (nbits + 7) // 8
+    return (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+
+
+def reference_stream(q):
+    """The stream of quantized array ``q`` assembled block by block from
+    :func:`lorenzo_encode` and the reference packer."""
+    widths, outliers, signs, payload = [], [], [], []
+    for v in lorenzo_encode(q):
+        widths.append(v.width)
+        outliers.append(v.outlier)
+        if v.width:
+            signs.append(ref_pack_row(v.signs.tolist(), 1))
+            payload.append(ref_pack_row(v.residual_mags.tolist(), v.width))
+    return CompressedStream(q.params, widths, outliers, b"".join(signs), b"".join(payload))

@@ -37,6 +37,8 @@ from conftest import (
     random_params,
     random_stream,
     range_sizes,
+    ref_pack_row,
+    reference_stream,
     wide_block_bins,
 )
 
@@ -212,19 +214,13 @@ class TestCompressDecompress:
         assert example_stream.payload == b"\x08"
 
     def test_compress_is_the_composed_pipeline(self):
-        from hoszp.codec import _pack_stream, _split_residuals, _block_widths
-
         rng = np.random.default_rng(23)
         for _ in range(20):
             p = random_params(rng)
             raw = _raw(rng.uniform(-5, 5, p.element_count), dims=p.dims) \
                 if p.dtype == "f64" else \
                 RawArray(rng.uniform(-5, 5, p.element_count), p.dims, "f32")
-            q = quantize(raw, p)
-            outliers, mags, signs = _split_residuals(q.bins, p)
-            widths = _block_widths(mags, p)
-            composed = _pack_stream(p, outliers, mags, signs, widths)
-            assert compress(raw, p) == composed
+            assert compress(raw, p) == reference_stream(quantize(raw, p))
 
     def test_constant_field_size(self):
         n = 64**3
@@ -331,6 +327,65 @@ class TestRangeDecode:
         assert np.array_equal(decode_to_quant(s).bins, bins)
 
 
+class TestRangeEncode:
+    """Encode runs over the same block-aligned ranges as decode; every
+    encode must equal the stream that lorenzo_encode and the reference
+    packer assemble."""
+
+    @pytest.mark.parametrize("k", [32, 33])
+    def test_sizes_at_range_edges(self, k):
+        rng = np.random.default_rng(400 + k)
+        r = codec._RANGE_ELEMS // k
+        for n in range_sizes(k):
+            # the first range wholly constant, 62/63/64-bit blocks in the
+            # middle range and the ragged last one
+            p = QuantParams(0.5, (n,), k, "f64")
+            bins, wide = wide_block_bins(rng, n, k, constant_first_range=True)
+            q = QuantArray(bins.copy(), p)
+            s = encode_from_quant(q)
+            assert np.array_equal(q.bins, bins)  # the input is not clobbered
+            assert {b: int(s.widths[b]) for b in wide} == wide
+            assert s == reference_stream(q)
+            if n > 2 * r * k:
+                assert not s.widths[:r].any()
+
+            p32 = QuantParams(1e-3, (n,), k, "f32")
+            values = rng.uniform(-5, 5, n).astype(np.float32)
+            values[: r * k] = np.repeat(rng.uniform(-5, 5, r), k)[: min(n, r * k)]
+            raw = RawArray(values, (n,), "f32")
+            c = compress(raw, p32)
+            assert c == reference_stream(quantize(raw, p32))
+            assert not c.widths[: min(r, p32.block_count - 1)].any()
+
+    def test_wide_bins_split_per_range(self):
+        # only the ranges holding a bin past 2^62 take Python ints
+        k = 32
+        n = range_sizes(k)[-1]
+        p = QuantParams(0.5, (n,), k, "f64")
+        bins, _ = wide_block_bins(np.random.default_rng(409), n, k)
+        dtypes = []
+        for e in codec._element_ranges(p):
+            part = bins[e]
+            resid = codec._split_residuals(part, k)
+            xs = part.tolist()
+            assert resid.tolist() == [0 if i % k == 0 else xs[i] - xs[i - 1]
+                                      for i in range(len(xs))]
+            dtypes.append(resid.dtype)
+        assert dtypes == [np.int64, object, object]
+
+    @pytest.mark.parametrize("where", [1, 2])
+    def test_quant_overflow_in_one_range(self, where):
+        k = 32
+        n = range_sizes(k)[-1]
+        p = QuantParams(1e-3, (n,), k, "f64")
+        values = np.random.default_rng(419).uniform(-1, 1, n)
+        values[where * codec._RANGE_ELEMS + 5] = 1e300
+        raw = _raw(values)
+        for call in (compress, quantize):
+            with pytest.raises(QuantOverflow, match="63-bit"):
+                call(raw, p)
+
+
 class TestLossinessLocalization:
     """Quantization is the only lossy stage; everything after it is exact."""
 
@@ -345,17 +400,6 @@ class TestLossinessLocalization:
             assert decode_to_quant(encode_from_quant(q)) == q
 
 
-def _ref_pack_row(values, w):
-    """Reference packer: ``w`` bits per value, MSB first, zero-padded to a
-    byte, built as one Python int."""
-    acc = 0
-    for v in values:
-        acc = (acc << w) | int(v)
-    nbits = len(values) * w
-    nbytes = (nbits + 7) // 8
-    return (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
-
-
 class TestBitPacking:
     @pytest.mark.parametrize("k", [1, 3, 7, 8, 13, 32, 64])
     def test_kernels_match_reference_packer(self, k):
@@ -364,7 +408,7 @@ class TestBitPacking:
             mat = rng.integers(0, 2**64, (4, k), dtype=np.uint64) >> np.uint64(64 - w)
             mat[:, 0] = 0
             mat[int(k == 1):, -1] = 2**w - 1  # with k == 1, row 0 keeps the 0
-            ref = np.array([list(_ref_pack_row(row.tolist(), w)) for row in mat],
+            ref = np.array([list(ref_pack_row(row.tolist(), w)) for row in mat],
                            dtype=np.uint8)
             assert np.array_equal(codec._pack_mag_rows(mat, w), ref), w
             assert np.array_equal(codec._unpack_mag_rows(ref, k, w), mat), w
@@ -392,8 +436,8 @@ class TestBitPacking:
             widths.append(w)
             outliers.append(blk[0])
             if w:
-                signs += _ref_pack_row([r < 0 for r in res], 1)
-                payload += _ref_pack_row([abs(r) for r in res], w)
+                signs += ref_pack_row([r < 0 for r in res], 1)
+                payload += ref_pack_row([abs(r) for r in res], w)
         assert widths[0] == 0 and 64 in widths
         ref = CompressedStream(p, widths, outliers, signs, payload)
         got = encode_from_quant(QuantArray(bins, p))

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from hoszp import ParamsMismatch, QuantParams, compress, decompress, elementwise_add, negate
+from hoszp import (
+    OutlierOverflow,
+    ParamsMismatch,
+    QuantArray,
+    QuantOverflow,
+    QuantParams,
+    compress,
+    decompress,
+    elementwise_add,
+    encode_from_quant,
+    negate,
+)
 from hoszp.codec import RawArray
 from hoszp.distsim import SimScenario, _aggregate_homomorphic, _aggregate_traditional, simulate
 from hoszp.synth import smooth_field
@@ -57,6 +68,26 @@ class TestAggregation:
         trad = _aggregate_traditional(streams, threads=1)
         assert np.array_equal(decompress(homo, out_dtype=np.float64).values,
                               decompress(trad, out_dtype=np.float64).values)
+
+
+    @pytest.mark.parametrize("bins, error", [
+        ([2**31 - 1, 2**31 + 2**61], OutlierOverflow),  # a + a: outlier past int32
+        ([-(2**31) + 1, 2**63 - 1], QuantOverflow),  # a + a: residual past 2^64 - 1
+    ])
+    def test_sum_fits_where_pairwise_fold_overflows(self, bins, error):
+        # the n-ary sum checks only the result, not a left fold's partial sums
+        a = encode_from_quant(QuantArray(np.array(bins), QuantParams(0.5, (2,), 2, "f64")))
+        with pytest.raises(error):
+            elementwise_add(a, a)
+        assert _aggregate_homomorphic([a, a, negate(a)], threads=1) == a
+
+    def test_result_residual_past_64_bits_is_quant_overflow(self):
+        # the result has both an outlier past int32 and a residual past
+        # 2^64 - 1; as in elementwise_add, the residual is reported
+        a = encode_from_quant(QuantArray(np.array([-(2**31), 2**63 - 1]),
+                                         QuantParams(0.5, (2,), 2, "f64")))
+        with pytest.raises(QuantOverflow):
+            _aggregate_homomorphic([a, a, a], threads=1)
 
 
 class TestSimulate:

@@ -46,7 +46,14 @@ from hoszp import (
 from hoszp import codec, ops
 from hoszp.cli import build_parser
 
-from conftest import EXAMPLE_BINS, random_params, random_stream, range_sizes, wide_block_bins
+from conftest import (
+    EXAMPLE_BINS,
+    random_params,
+    random_stream,
+    range_sizes,
+    reference_stream,
+    wide_block_bins,
+)
 
 
 def _stream(bins, eps=0.01, block_len=32, dtype="f32"):
@@ -636,6 +643,77 @@ class TestRangeReductions:
                 call()
 
 
+def _edge_operands(rng, n, k):
+    """Two bin arrays of ``n`` elements in blocks of ``k``: the first range
+    wholly constant in both and, with three ranges, a block in the middle
+    range whose residuals are 63 bits wide and add up to 64 bits."""
+    r = codec._RANGE_ELEMS // k
+    ops_ = []
+    for _ in range(2):
+        q = rng.integers(-(2**20), 2**20) + np.cumsum(rng.integers(-7, 8, n))
+        first = min(n, r * k)
+        q[:first] = np.repeat(rng.integers(-1000, 1000, -(-first // k)), k)[:first]
+        if n > 2 * r * k:
+            s = (r + r // 2) * k
+            q[s : s + 4] = [0, -(2**62) + 2**31, 2**62 - 2**31, 5]
+        ops_.append(q)
+    return ops_
+
+
+class TestRangeEncodeOps:
+    """Every stream operation decodes, combines and re-encodes range by
+    range; its result must equal the stream that lorenzo_encode and the
+    reference packer assemble from the expected bins."""
+
+    @pytest.mark.parametrize("k", [32, 33])
+    def test_sizes_at_range_edges(self, k):
+        rng = np.random.default_rng(500 + k)
+        r = codec._RANGE_ELEMS // k
+        for n in range_sizes(k):
+            p = QuantParams(0.5, (n,), k, "f64")  # 2 eps = 1: the rescale is exact
+            qa, qb = _edge_operands(rng, n, k)
+            a, b, neg_b = (encode_from_quant(QuantArray(q, p)) for q in (qa, qb, -qb))
+            total = reference_stream(QuantArray(qa + qb, p))
+            if n > 2 * r * k:
+                assert int(total.widths.max()) == 64
+                assert not total.widths[:r].any()
+            assert elementwise_add(a, b) == total
+            assert elementwise_sub(a, neg_b) == total
+            assert elementwise_sub(a, b) == reference_stream(QuantArray(qa - qb, p))
+            # products of clipped operands stay in the int32 outlier range
+            qa, qb = np.clip(qa, -40000, 40000), np.clip(qb, -40000, 40000)
+            a, b = (encode_from_quant(QuantArray(q, p)) for q in (qa, qb))
+            assert scalar_mul(a, 3.0) == reference_stream(QuantArray(3 * qa, p))
+            assert hadamard(a, b) == reference_stream(QuantArray(qa * qb, p))
+
+    def test_wide_products_in_middle_range(self):
+        # only the middle range needs Python-int products
+        k = 32
+        n = range_sizes(k)[-1]
+        p = QuantParams(WIDE_EPS, (n,), k, "f64")
+        rng = np.random.default_rng(509)
+        qa = rng.integers(-1000, 1000, n)
+        mid = codec._RANGE_ELEMS + 7 * k
+        qa[mid : mid + len(WIDE_BINS)] = WIDE_BINS
+        a = encode_from_quant(QuantArray(qa, p))
+        want = [_nearest_rescaled(v * v) for v in qa.tolist()]
+        assert hadamard(a, a) == reference_stream(QuantArray(np.array(want), p))
+        rs = ScalarBin.of(WIDE_SCALAR, WIDE_EPS).bin
+        want = [_nearest_rescaled(v * rs) for v in qa.tolist()]
+        assert scalar_mul(a, WIDE_SCALAR) == reference_stream(QuantArray(np.array(want), p))
+
+    def test_sum_streams_signs(self):
+        rng = np.random.default_rng(521)
+        p = QuantParams(0.5, (range_sizes(33)[-1],), 33, "f64")
+        qs = [rng.integers(-(2**28), 2**28, p.element_count) for _ in range(3)]
+        streams = [encode_from_quant(QuantArray(q, p)) for q in qs]
+        got = ops.sum_streams(streams, [1, -1, 1])
+        assert got == reference_stream(QuantArray(qs[0] - qs[1] + qs[2], p))
+        for operands, signs in ((streams, [1, 1]), (streams, [1, 2, 1]), ([], [])):
+            with pytest.raises(ValueError):
+                ops.sum_streams(operands, signs)
+
+
 class TestBoundedMemory:
     """Reductions hold one range per operand, never a full-length array."""
 
@@ -682,6 +760,27 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+    def test_encode_peak_memory(self):
+        # the input is 16 MiB, a full-length int64 array 32 MiB and each
+        # stream about 5 MiB; encodes hold one range of temporaries
+        n = 1 << 22
+        p = QuantParams(1e-3, (n,), 32, "f32")
+        rng = np.random.default_rng(317)
+        raw = RawArray(rng.random(n, dtype=np.float32), (n,), "f32")
+        a = compress(raw, p)
+        b = compress(RawArray(rng.random(n, dtype=np.float32), (n,), "f32"), p)
+        for name, call in (("compress", lambda: compress(raw, p)),
+                           ("eadd", lambda: elementwise_add(a, b)),
+                           ("hadamard", lambda: hadamard(a, b))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2**20, (name, peak)
 
 
 class TestStructuralNoDequantize:

@@ -39,7 +39,6 @@ from .model import (
 )
 from .ops import (
     ScalarBin,
-    block_means,
     covariance,
     elementwise_add,
     elementwise_sub,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -62,7 +61,6 @@ class CliConfig:
     scalar: float | None = None
     verify: bool = False
     report: str = "text"
-    threads: int = 1
     # bench / distsim knobs
     ops_list: list | None = None
     seed: int = 0
@@ -75,8 +73,6 @@ class CliConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.eps is not None and not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "CliConfig":
@@ -95,20 +91,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _default_threads() -> int:
-    env = os.environ.get("HOSZP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _add_common(p):
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; encode and decode are serial "
-                        "(default: HOSZP_THREADS or all cores)")
+                   help="accepted for compatibility and ignored; everything runs serially")
     p.add_argument("--report", choices=["text", "csv", "json"], default="text")
 
 
@@ -221,7 +206,7 @@ def _cmd_compress(cfg: CliConfig) -> int:
     eps = codec.resolve_eps(raw, cfg.eps, cfg.eps_mode)
     params = QuantParams(eps, cfg.dims, cfg.block_len, cfg.dtype)
     t0 = time.perf_counter()
-    stream = codec.compress(raw, params, cfg.threads)
+    stream = codec.compress(raw, params)
     elapsed = time.perf_counter() - t0
     data = serialize(stream)
     with open(cfg.output, "wb") as fh:
@@ -236,7 +221,7 @@ def _cmd_decompress(cfg: CliConfig) -> int:
     with open(cfg.inputs[0], "rb") as fh:
         stream = deserialize(fh.read())
     t0 = time.perf_counter()
-    raw = codec.decompress(stream, cfg.threads)
+    raw = codec.decompress(stream)
     elapsed = time.perf_counter() - t0
     codec.write_raw(raw, cfg.output)
     report = OpReport("decompress", elapsed, stream.serialized_size, raw.nbytes,
@@ -245,26 +230,26 @@ def _cmd_decompress(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _run_op(name, streams, scalar, threads, verify):
+def _run_op(name, streams, scalar, verify):
     """Time operation ``name``; with ``verify`` also time its oracle and
     compare (stream results bit for bit, reductions to REDUCTION_RTOL).
     Returns (result, report row, whether it matched)."""
     spec = ops.OPS[name]
     t0 = time.perf_counter()
-    result = ops.apply(name, streams, scalar, threads)
+    result = ops.apply(name, streams, scalar)
     t_homo = time.perf_counter() - t0
     t_oracle = diff = None
     ok = True
     if verify:
         t0 = time.perf_counter()
-        want = spec.oracle(streams, scalar, threads)
+        want = spec.oracle(streams, scalar)
         t_oracle = time.perf_counter() - t0
         if spec.reduction:
             diff = abs(result - want)
             ok = diff <= REDUCTION_RTOL * max(abs(want), abs(result), 1e-300)
         else:
-            got = codec.decompress(result, threads, out_dtype=np.float64).values
-            want = codec.decompress(want, threads, out_dtype=np.float64).values
+            got = codec.decompress(result, out_dtype=np.float64).values
+            want = codec.decompress(want, out_dtype=np.float64).values
             diff = float(np.max(np.abs(got - want))) if got.size else 0.0
             ok = diff == 0.0
     if spec.reduction:
@@ -278,7 +263,7 @@ def _run_op(name, streams, scalar, threads, verify):
 
 def _cmd_op(cfg: CliConfig) -> int:
     streams = _load_streams(cfg.inputs)
-    result, row, ok = _run_op(cfg.op_name, streams, cfg.scalar, cfg.threads, cfg.verify)
+    result, row, ok = _run_op(cfg.op_name, streams, cfg.scalar, cfg.verify)
     if cfg.output:
         with open(cfg.output, "wb") as fh:
             fh.write(serialize(result))
@@ -290,7 +275,7 @@ def _cmd_op(cfg: CliConfig) -> int:
 
 def _cmd_stats(cfg: CliConfig) -> int:
     streams = _load_streams(cfg.inputs)
-    value, row, ok = _run_op(cfg.op_name, streams, None, cfg.threads, cfg.verify)
+    value, row, ok = _run_op(cfg.op_name, streams, None, cfg.verify)
     print(f"{cfg.op_name} = {value!r}")
     _emit([row], cfg.report)
     if not ok:
@@ -313,15 +298,14 @@ def _cmd_bench(cfg: CliConfig) -> int:
         print(f"hoszp: unknown ops {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.perf_counter()
-    stream = codec.compress(raw, params, cfg.threads)
+    stream = codec.compress(raw, params)
     t_compress = time.perf_counter() - t0
     rows = [_row(OpReport("compress", t_compress, raw.nbytes, stream.serialized_size,
                           raw.nbytes / stream.serialized_size))]
     operands = [stream, ops.scalar_add(stream, 16.0 * params.eps)]
     bad = []
     for name in names:
-        _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], cfg.scalar,
-                             cfg.threads, verify=True)
+        _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], cfg.scalar, verify=True)
         rows.append(row)
         if not ok:
             bad.append(name)
@@ -343,8 +327,7 @@ def _cmd_distsim(cfg: CliConfig) -> int:
     else:
         arrays = [smooth_field(cfg.dims, cfg.seed + i, cfg.dtype)
                   for i in range(cfg.nodes)]
-    scn = SimScenario(arrays, cfg.eps, cfg.block_len, cfg.reps,
-                      cfg.latency_per_byte, cfg.threads)
+    scn = SimScenario(arrays, cfg.eps, cfg.block_len, cfg.reps, cfg.latency_per_byte)
     sim = simulate(scn)
     report = OpReport("distsim_sum", sim.t_homomorphic, sim.bytes_in,
                       sim.bytes_compressed, sim.compression_ratio)
@@ -367,8 +350,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "input", None) is not None:
         args.inputs = [args.input]
-    if args.threads is None:
-        args.threads = _default_threads()
     try:
         cfg = CliConfig.from_args(args)
         return _COMMANDS[cfg.command](cfg)

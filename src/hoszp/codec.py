@@ -24,10 +24,12 @@ blocks into one int64 buffer, applies the signs with one branch-free step,
 writes each block's outlier into its first slot and prefix-sums the rows
 in place; ``decompress``, ``decode_to_quant``, the stream operations and
 the reductions consume it range by range, so no stage writes a
-full-length temporary.  Each range picks its own arithmetic: int64 when
-its bounds allow (bins within 2^62 for the residual split,
-``max|O| + (k-1) * max mag`` for the prefix sums), else exact Python ints.
-Both directions are serial; ``threads`` is accepted and ignored.
+full-length temporary.  Each range picks its own arithmetic, by one rule:
+int64 when its bounds allow (bins within 2^62 for the residual split,
+``max|O| + (k-1) * max mag`` for the prefix sums), else the same numpy
+steps on an object array of exact Python ints.  Both directions are
+serial; the ``threads`` argument of the public entry points is accepted
+and ignored.
 
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
@@ -51,6 +53,8 @@ _FAST_BIN_LIMIT = 2**62 - 1
 _U64_MAX = 2**64 - 1
 # elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
+# the output dtypes of decompress, by numpy dtype
+_OUT_DTYPES = {np.dtype(t): name for name, (_, t, _) in DTYPES.items()}
 
 
 @dataclass(eq=False)
@@ -257,40 +261,30 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int,
     outliers.  Returns ``r`` as signed residuals (0 at block starts) or, with
     ``bins``, as per-block prefix sums seeded by the outliers.  Every prefix
     sum is bounded by ``max|O| + (k-1) * max mag``; a range past int64 takes
-    exact Python ints, and residuals past 63 bits come back as an object
-    array.
+    the same steps on Python ints in an object array (np.int64 scalars would
+    wrap), and residuals past 63 bits come back as that array.
     """
     maxmag = int(r.view(np.uint64).max()) if r.size else 0
     maxout = int(np.abs(outliers).max()) if outliers.size else 0
     if maxmag > _I64_MAX or (bins and maxout + (k - 1) * maxmag > _I64_MAX):
-        return _resolve_exact(r, s, outliers, k, bins)
-    np.negative(s, out=s)  # branch-free sign step: -1 is all ones
-    r ^= s
-    r -= s
-    if bins:
-        r[::k] = outliers
-        full = r.size - r.size % k
-        mat = r[:full].reshape(-1, k)
-        np.cumsum(mat, axis=1, out=mat)
-        np.cumsum(r[full:], out=r[full:])
-    return r
-
-
-def _resolve_exact(r, s, outliers, k, bins):
-    """:func:`_resolve_range` in Python ints, overflow-checked."""
-    resid = [-m if g else m for m, g in zip(r.view(np.uint64).tolist(), s.tolist())]
+        x = r.view(np.uint64).astype(object)
+        np.negative(x, out=x, where=s.view(np.bool_))
+    else:
+        np.negative(s, out=s)  # branch-free sign step: -1 is all ones
+        r ^= s
+        r -= s
+        x = r
     if not bins:
-        out = np.empty(r.size, dtype=object)
-        out[:] = resid
-        return out
-    for b, start in enumerate(range(0, r.size, k)):
-        acc = int(outliers[b])
-        for i in range(start, min(start + k, r.size)):
-            if i > start:
-                acc += resid[i]
-            if not -_I64_MAX <= acc <= _I64_MAX:
-                raise QuantOverflow("prefix sum overflows 63 bits")
-            r[i] = acc
+        return x
+    x[::k] = outliers
+    full = x.size - x.size % k
+    mat = x[:full].reshape(-1, k)
+    np.cumsum(mat, axis=1, out=mat)
+    np.cumsum(x[full:], out=x[full:])
+    if x is not r:
+        if max(x.max(), -x.min()) > _I64_MAX:
+            raise QuantOverflow("prefix sum overflows 63 bits")
+        r[:] = x
     return r
 
 
@@ -558,8 +552,8 @@ def lorenzo_decode(blocks, params: QuantParams) -> QuantArray:
 
 def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> CompressedStream:
     """quantize -> decorrelate -> bit-pack, one range at a time (``threads``
-    is accepted for symmetry; encode is serial).  Deterministic: one
-    canonical output per (input, params)."""
+    is accepted and ignored).  Deterministic: one canonical output per
+    (input, params)."""
     _check_geometry(raw, params)
     buf = _range_buffer(params)
     return _encode_bin_ranges(params, (_quantize_values(raw.values[e], params, buf)
@@ -569,14 +563,18 @@ def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> Compressed
 def decompress(stream: CompressedStream, threads: int = 1,
                out_dtype=None) -> RawArray:
     """bit-unpack -> prefix-sum -> dequantize, range by range straight into
-    the output array (``threads`` is accepted for symmetry; decode is serial).
+    the output array (``threads`` is accepted and ignored).
 
-    ``out_dtype=np.float64`` returns the exact reconstruction grid
-    ``2 * eps * bin`` in double precision regardless of the stream dtype
-    (used by the traditional-workflow reference path).
+    ``out_dtype`` is None (the stream dtype), float32 or float64 (anything
+    ``np.dtype`` maps to them).  Float64 returns the exact reconstruction
+    grid ``2 * eps * bin`` regardless of the stream dtype (used by the
+    traditional-workflow reference path).
     """
     params = stream.params
-    dtype = "f64" if out_dtype is np.float64 else params.dtype
+    try:
+        dtype = params.dtype if out_dtype is None else _OUT_DTYPES[np.dtype(out_dtype)]
+    except (TypeError, KeyError):
+        raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
     values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
     buf = None
     for b0, b1, offs in _stream_ranges(stream):
@@ -591,7 +589,7 @@ def decompress(stream: CompressedStream, threads: int = 1,
 def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
     """Partial decompression: stop at the quantized-bin domain (no inverse
     quantization).  The operand domain for multiplication; ``threads`` is
-    accepted for symmetry, decode is serial."""
+    accepted and ignored."""
     params = stream.params
     bins = np.empty(params.element_count, dtype=np.int64)
     for b0, b1, offs in _stream_ranges(stream):
@@ -601,5 +599,5 @@ def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
 
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:
     """Inverse of :func:`decode_to_quant`: decorrelate and re-pack, range by
-    range (``threads`` is accepted for symmetry; encode is serial)."""
+    range (``threads`` is accepted and ignored)."""
     return _encode_bin_ranges(q.params, (q.bins[e] for e in _element_ranges(q.params)))

@@ -35,7 +35,7 @@ class SimScenario:
     block_len: int = 32
     repetitions: int = 1
     latency_per_byte: float = 0.0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: aggregation is serial
 
     def __post_init__(self):
         if len(self.node_arrays) < 2:
@@ -76,39 +76,39 @@ class SimReport:
         return self.bytes_in / self.bytes_compressed
 
 
-def _aggregate_homomorphic(streams, threads: int) -> CompressedStream:
+def _aggregate_homomorphic(streams) -> CompressedStream:
     """n-ary sum in the residual domain (``ops.sum_streams``): each stream
     is decoded once, range by range, and the sum is packed once."""
     return ops.sum_streams(streams, [1] * len(streams))
 
 
-def _aggregate_traditional(streams, threads: int) -> CompressedStream:
+def _aggregate_traditional(streams) -> CompressedStream:
     """Fully decompress every stream, sum values, recompress once."""
     params = streams[0].params
-    total = codec.decompress(streams[0], threads, out_dtype=np.float64).values.copy()
+    total = codec.decompress(streams[0], out_dtype=np.float64).values.copy()
     for s in streams[1:]:
-        total += codec.decompress(s, threads, out_dtype=np.float64).values
+        total += codec.decompress(s, out_dtype=np.float64).values
     p64 = QuantParams(params.eps, params.dims, params.block_len, "f64")
-    return codec.compress(RawArray(total, params.dims, "f64"), p64, threads)
+    return codec.compress(RawArray(total, params.dims, "f64"), p64)
 
 
 def simulate(scn: SimScenario) -> SimReport:
     params = scn.params
-    streams = [codec.compress(raw, params, scn.threads) for raw in scn.node_arrays]
+    streams = [codec.compress(raw, params) for raw in scn.node_arrays]
     bytes_compressed = sum(s.serialized_size for s in streams)
     transfer = scn.latency_per_byte * bytes_compressed
 
     t_homo = t_trad = float("inf")
     for _ in range(scn.repetitions):
         t0 = time.perf_counter()
-        homo = _aggregate_homomorphic(streams, scn.threads)
+        homo = _aggregate_homomorphic(streams)
         t_homo = min(t_homo, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        trad = _aggregate_traditional(streams, scn.threads)
+        trad = _aggregate_traditional(streams)
         t_trad = min(t_trad, time.perf_counter() - t0)
 
-    v_homo = codec.decompress(homo, scn.threads, out_dtype=np.float64).values
-    v_trad = codec.decompress(trad, scn.threads, out_dtype=np.float64).values
+    v_homo = codec.decompress(homo, out_dtype=np.float64).values
+    v_trad = codec.decompress(trad, out_dtype=np.float64).values
     if not np.array_equal(v_homo, v_trad):
         raise VerificationMismatch(
             "homomorphic and traditional aggregates decompress differently "

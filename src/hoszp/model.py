@@ -101,9 +101,6 @@ class QuantParams:
             lengths[-1] = n % k
         return lengths
 
-    def block_starts(self) -> np.ndarray:
-        return np.arange(self.block_count, dtype=np.int64) * self.block_len
-
 
 @dataclass(eq=False)
 class QuantArray:
@@ -197,7 +194,7 @@ def _as_int32_outliers(outliers) -> np.ndarray:
 class CompressedStream:
     """The serialized artifact: header parameters plus the four sections.
 
-    Instances are immutable by contract and safe to share across threads.
+    Instances are immutable by contract and safe to share between concurrent callers.
     Construction normalizes and cross-checks section sizes, so any stream
     object in circulation is structurally valid.
     """

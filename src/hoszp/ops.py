@@ -18,10 +18,12 @@ outliers alone).
 ``OPS`` is the one table of operations: each ``OpSpec`` pairs the
 homomorphic call with its oracle, the traditional reference workflow - full
 decompression, the same operation in the value domain, full recompression -
-used to certify that every homomorphic result is identical to it.
-``apply`` runs any operation by name; ``oracle_stream``,
-``oracle_reduction`` and ``oracle_apply`` run its oracle.  All four check
-the name, the operand count and the scalar in one place.
+used to certify that every homomorphic result is identical to it.  Both are
+called as ``(streams, scalar)``.  ``apply`` runs any operation by name;
+``oracle_stream``, ``oracle_reduction`` and ``oracle_apply`` run its
+oracle.  All four check the name, the operand count and the scalar in one
+place.  Where a public function takes ``threads``, it is accepted and
+ignored: every operation is serial.
 """
 
 from __future__ import annotations
@@ -184,15 +186,16 @@ def elementwise_sub(a: CompressedStream, b: CompressedStream,
 # quantized-space operations
 
 
-def _exact_products(x: np.ndarray, y) -> np.ndarray | list:
+def _exact_products(x: np.ndarray, y) -> np.ndarray:
     """Exact element-wise ``x * y`` of int64 bins (``y`` may be one bin): an
-    int64 array when every product fits, else a list of Python ints."""
+    int64 array when every product fits, else an object array of Python
+    ints."""
     y = np.asarray(y, dtype=np.int64)
     mx = max(int(x.max()), -int(x.min())) if x.size else 0
     my = max(int(y.max()), -int(y.min())) if y.size else 0
     if mx == 0 or my == 0 or mx <= _I64_MAX // my:
         return x * y
-    return [p * q for p, q in zip(x.tolist(), np.broadcast_to(y, x.shape).tolist())]
+    return x.astype(object) * y.astype(object)
 
 
 def _rescale_bins(products, eps: float) -> np.ndarray:
@@ -241,15 +244,16 @@ _MIN_RUN = 64
 def _exact_dot(x: np.ndarray, y: np.ndarray | None, bound: int) -> int:
     """Exact ``sum(x * y)`` of int64 vectors (``sum(x)`` when ``y`` is None)
     whose terms are at most ``bound`` in magnitude: one int64 sum when the
-    total fits, int64 sums over runs that fit, else Python ints."""
+    total fits, int64 sums over runs that fit, else an object array of
+    Python ints."""
     if x.size * bound <= _I64_MAX:
         return int(x.sum() if y is None else np.dot(x, y))
     run = _I64_MAX // bound
     if run >= _MIN_RUN:
         return sum(_exact_dot(x[i : i + run], None if y is None else y[i : i + run], bound)
                    for i in range(0, x.size, run))
-    xs = x.tolist()
-    return sum(xs) if y is None else sum(p * q for p, q in zip(xs, y.tolist()))
+    xs = x.astype(object)
+    return (xs if y is None else xs * y.astype(object)).sum()
 
 
 def _range_dot(x: np.ndarray, y: np.ndarray | None, bound: int, weights=None) -> int:
@@ -283,20 +287,20 @@ class _Sums:
         return m
 
 
-def _sums(streams, *, sq: bool = False, shortcut: bool = True):
+def _sums(streams, *, sq: bool = False):
     """Exact integer sums over the bins of one operand or a pair, walking
     the operands' decode ranges in lockstep so that each is decoded once.
 
     Returns one :class:`_Sums` per operand and ``sum(a * b)`` of a pair.
-    With ``shortcut``, a range that is constant in every operand contributes
-    from metadata alone; every other range is decoded into one reused int64
-    buffer per operand.  Each range is bounded by its own ``max |bin|``, so
-    only a range whose sums may pass int64 is promoted.
+    A range that is constant in every operand contributes from metadata
+    alone; every other range is decoded into one reused int64 buffer per
+    operand.  Each range is bounded by its own ``max |bin|``, so only a
+    range whose sums may pass int64 is promoted.
     """
     acc = [_Sums() for _ in streams]
     sab = 0
     for b0, b1, decode in _lockstep(streams):
-        if shortcut and not any(c.widths[b0:b1].any() for c in streams):
+        if not any(c.widths[b0:b1].any() for c in streams):
             weights = streams[0].params.block_lengths(b0, b1)
             xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
         else:
@@ -308,52 +312,32 @@ def _sums(streams, *, sq: bool = False, shortcut: bool = True):
     return acc, sab
 
 
-def mean(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
+def mean(c: CompressedStream, *, threads: int = 1) -> float:
     """Population mean: ``2 * eps * sum(bins) / N`` in double precision."""
-    (m,), _ = _sums([c], shortcut=shortcut)
+    (m,), _ = _sums([c])
     return (2.0 * c.params.eps * m.s) / c.params.element_count
 
 
-def block_means(c: CompressedStream, threads: int = 1) -> np.ndarray:
-    """Per-block means ``2 * eps * sum(block bins) / block length``."""
-    params = c.params
-    k = params.block_len
-    lengths = params.block_lengths()
-    sums = np.empty(params.block_count, dtype=np.float64)
-    const = c.widths == 0
-    sums[const] = (lengths[const] * c.outliers.astype(np.int64)[const]).astype(np.float64)
-    for b0, b1, decode in _lockstep([c]):
-        if const[b0:b1].all():
-            continue
-        x = decode(0)
-        full = x.size - x.size % k
-        rows = x[:full].reshape(-1, k).sum(axis=1, dtype=np.float64)
-        if full < x.size:
-            rows = np.append(rows, x[full:].sum(dtype=np.float64))
-        sums[b0:b1][~const[b0:b1]] = rows[~const[b0:b1]]
-    return 2.0 * params.eps * sums / lengths.astype(np.float64)
-
-
-def variance(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
+def variance(c: CompressedStream, *, threads: int = 1) -> float:
     """Population variance via exact integer moments:
     ``(2 eps)^2 * (sum(bins^2)/N - (sum(bins)/N)^2)``."""
     n = c.params.element_count
-    (m,), _ = _sums([c], sq=True, shortcut=shortcut)
+    (m,), _ = _sums([c], sq=True)
     # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers)
     return (2.0 * c.params.eps) ** 2 * (float(n * m.sqq - m.s * m.s) / (n * n))
 
 
-def stddev(c: CompressedStream, *, shortcut: bool = True, threads: int = 1) -> float:
-    return math.sqrt(variance(c, shortcut=shortcut, threads=threads))
+def stddev(c: CompressedStream, *, threads: int = 1) -> float:
+    return math.sqrt(variance(c))
 
 
 def covariance(a: CompressedStream, b: CompressedStream, *,
-               shortcut: bool = True, threads: int = 1) -> float:
+               threads: int = 1) -> float:
     """Population covariance via exact integer sums:
     ``(2 eps)^2 * (sum(a*b)/N - mean_a * mean_b)``."""
     _check_params(a, b)
     n = a.params.element_count
-    (ma, mb), sab = _sums([a, b], shortcut=shortcut)
+    (ma, mb), sab = _sums([a, b])
     return (2.0 * a.params.eps) ** 2 * float(n * sab - ma.s * mb.s) / (n * n)
 
 
@@ -386,12 +370,12 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
 # traditional-workflow reference (the certification oracle)
 
 
-def _decompressed(streams, threads: int):
+def _decompressed(streams):
     """Check the operands share params; return them fully decompressed to
     the double-precision reconstruction grid."""
     for other in streams[1:]:
         _check_params(streams[0], other)
-    return [codec.decompress(s, threads, out_dtype=np.float64).values for s in streams]
+    return [codec.decompress(s, out_dtype=np.float64).values for s in streams]
 
 
 def _f64(p: QuantParams) -> QuantParams:
@@ -401,11 +385,10 @@ def _f64(p: QuantParams) -> QuantParams:
 def _linear_oracle(fn):
     """Oracle of a linear stream operation: ``fn(values, scalar, eps)`` in
     the value domain, recompressed through the standard floor quantizer."""
-    def oracle(streams, scalar, threads):
+    def oracle(streams, scalar):
         p = streams[0].params
-        vals = _decompressed(streams, threads)
-        return codec.compress(RawArray(fn(vals, scalar, p.eps), p.dims, "f64"),
-                              _f64(p), threads)
+        vals = _decompressed(streams)
+        return codec.compress(RawArray(fn(vals, scalar, p.eps), p.dims, "f64"), _f64(p))
     return oracle
 
 
@@ -414,7 +397,7 @@ def _scalar_value(scalar: float, eps: float) -> float:
     return ScalarBin.of(scalar, eps).quantized_value
 
 
-def _product_oracle(streams, scalar, threads):
+def _product_oracle(streams, scalar):
     """Oracle of the multiplicative operations (the scalar's bin is the
     second factor of a one-stream product).
 
@@ -425,18 +408,18 @@ def _product_oracle(streams, scalar, threads):
     float product could reproduce the rescale faithfully.
     """
     p64 = _f64(streams[0].params)
-    vals = _decompressed(streams, threads)
+    vals = _decompressed(streams)
     rho = [codec.quantize_nearest(v, p64) for v in vals]
     other = rho[1] if len(rho) == 2 else ScalarBin.of(scalar, p64.eps).bin
     bins = _rescale_bins(_exact_products(rho[0], other), p64.eps)
-    return codec.encode_from_quant(QuantArray(bins, p64), threads)
+    return codec.encode_from_quant(QuantArray(bins, p64))
 
 
 def _reduction_oracle(fn):
     """Oracle of a reduction: ``fn`` on the decompressed values, computed in
     floating point."""
-    def oracle(streams, scalar, threads):
-        return float(fn(*_decompressed(streams, threads)))
+    def oracle(streams, scalar):
+        return float(fn(*_decompressed(streams)))
     return oracle
 
 
@@ -464,9 +447,9 @@ def _value_ssim(va: np.ndarray, vb: np.ndarray) -> float:
 @dataclass(frozen=True)
 class OpSpec:
     """One operation: its homomorphic call next to the oracle that certifies
-    it.  ``apply`` and ``oracle`` both take ``(streams, scalar, threads)``;
-    a stream operation returns a CompressedStream from both, a reduction a
-    float.  Operations that take no scalar ignore it."""
+    it.  ``apply`` and ``oracle`` both take ``(streams, scalar)``; a stream
+    operation returns a CompressedStream from both, a reduction a float.
+    Operations that take no scalar ignore it."""
 
     name: str
     arity: int
@@ -478,40 +461,40 @@ class OpSpec:
 
 OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
     OpSpec("neg", 1, False, False,
-           lambda s, x, t: negate(s[0]),
+           lambda s, x: negate(s[0]),
            _linear_oracle(lambda v, x, eps: -v[0])),
     OpSpec("sadd", 1, True, False,
-           lambda s, x, t: scalar_add(s[0], x),
+           lambda s, x: scalar_add(s[0], x),
            _linear_oracle(lambda v, x, eps: v[0] + _scalar_value(x, eps))),
     OpSpec("ssub", 1, True, False,
-           lambda s, x, t: scalar_sub(s[0], x),
+           lambda s, x: scalar_sub(s[0], x),
            _linear_oracle(lambda v, x, eps: v[0] - _scalar_value(x, eps))),
     OpSpec("smul", 1, True, False,
-           lambda s, x, t: scalar_mul(s[0], x, t),
+           lambda s, x: scalar_mul(s[0], x),
            _product_oracle),
     OpSpec("eadd", 2, False, False,
-           lambda s, x, t: elementwise_add(s[0], s[1], t),
+           lambda s, x: elementwise_add(s[0], s[1]),
            _linear_oracle(lambda v, x, eps: v[0] + v[1])),
     OpSpec("esub", 2, False, False,
-           lambda s, x, t: elementwise_sub(s[0], s[1], t),
+           lambda s, x: elementwise_sub(s[0], s[1]),
            _linear_oracle(lambda v, x, eps: v[0] - v[1])),
     OpSpec("hadamard", 2, False, False,
-           lambda s, x, t: hadamard(s[0], s[1], t),
+           lambda s, x: hadamard(s[0], s[1]),
            _product_oracle),
     OpSpec("mean", 1, False, True,
-           lambda s, x, t: mean(s[0], threads=t),
+           lambda s, x: mean(s[0]),
            _reduction_oracle(np.mean)),
     OpSpec("variance", 1, False, True,
-           lambda s, x, t: variance(s[0], threads=t),
+           lambda s, x: variance(s[0]),
            _reduction_oracle(np.var)),
     OpSpec("stddev", 1, False, True,
-           lambda s, x, t: stddev(s[0], threads=t),
+           lambda s, x: stddev(s[0]),
            _reduction_oracle(np.std)),
     OpSpec("covariance", 2, False, True,
-           lambda s, x, t: covariance(s[0], s[1], threads=t),
+           lambda s, x: covariance(s[0], s[1]),
            _reduction_oracle(_value_covariance)),
     OpSpec("ssim", 2, False, True,
-           lambda s, x, t: ssim_global(s[0], s[1], threads=t),
+           lambda s, x: ssim_global(s[0], s[1]),
            _reduction_oracle(_value_ssim)),
 )}
 
@@ -530,30 +513,30 @@ def _spec(name: str, streams, scalar, reduction: bool | None = None) -> OpSpec:
     return spec
 
 
-def apply(name: str, streams, scalar=None, threads: int = 1):
+def apply(name: str, streams, scalar=None):
     """Run operation ``name`` on compressed ``streams``: a CompressedStream
     for stream operations, a float for reductions."""
-    return _spec(name, streams, scalar).apply(streams, scalar, threads)
+    return _spec(name, streams, scalar).apply(streams, scalar)
 
 
 def oracle_stream(name: str, streams, scalar=None, threads: int = 1) -> CompressedStream:
     """Traditional workflow for compression-as-output operations: fully
     decompress every operand, operate in the value domain, recompress the
     result (see ``_linear_oracle`` and ``_product_oracle``)."""
-    return _spec(name, streams, scalar, reduction=False).oracle(streams, scalar, threads)
+    return _spec(name, streams, scalar, reduction=False).oracle(streams, scalar)
 
 
 def oracle_reduction(name: str, streams, threads: int = 1) -> float:
     """Traditional workflow for reductions: fully decompress, then compute
     the statistic in the floating-point value domain."""
-    return _spec(name, streams, None, reduction=True).oracle(streams, None, threads)
+    return _spec(name, streams, None, reduction=True).oracle(streams, None)
 
 
-def oracle_apply(name: str, streams, scalar=None, threads: int = 1):
+def oracle_apply(name: str, streams, scalar=None):
     """Reference result for any operation: a double-precision value array
     for compression-as-output operations, a float for reductions."""
     spec = _spec(name, streams, scalar)
-    out = spec.oracle(streams, scalar, threads)
+    out = spec.oracle(streams, scalar)
     if spec.reduction:
         return out
-    return codec.decompress(out, threads, out_dtype=np.float64)
+    return codec.decompress(out, out_dtype=np.float64)

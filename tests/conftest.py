@@ -109,6 +109,34 @@ def ref_pack_row(values, w):
     return (acc << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
 
 
+def py_reductions(eps, qa, qb=None):
+    """Mean and variance of bin array ``qa`` and, given ``qb``, covariance
+    and SSIM of the pair, from Python-int sums scaled with the same float
+    expressions as ``ops``."""
+    xa = qa.tolist()
+    n = len(xa)
+    sa, sqa = sum(xa), sum(v * v for v in xa)
+    e2 = 2.0 * eps
+    out = {"mean": (e2 * sa) / n,
+           # variance() rounds in this order
+           "variance": e2**2 * (float(n * sqa - sa * sa) / (n * n))}
+    if qb is None:
+        return out
+    xb = qb.tolist()
+    sb, sqb = sum(xb), sum(v * v for v in xb)
+    sab = sum(u * v for u, v in zip(xa, xb))
+    cov = e2**2 * float(n * sab - sa * sb) / (n * n)
+    mu_a, mu_b = e2 * sa / n, e2 * sb / n
+    var_a = e2**2 * float(n * sqa - sa * sa) / (n * n)
+    var_b = e2**2 * float(n * sqb - sb * sb) / (n * n)
+    value_range = e2 * max(max(xa) - min(xa), max(xb) - min(xb))
+    c1, c2 = (0.01 * value_range) ** 2, (0.03 * value_range) ** 2
+    out["covariance"] = cov
+    out["ssim"] = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+                   / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
+    return out
+
+
 def reference_stream(q):
     """The stream of quantized array ``q`` assembled block by block from
     :func:`lorenzo_encode` and the reference packer."""

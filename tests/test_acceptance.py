@@ -33,7 +33,14 @@ from hoszp import ops
 from hoszp.distsim import SimScenario, simulate
 from hoszp.synth import random_field, smooth_field
 
-from conftest import EXAMPLE_BINS, EXAMPLE_EPS, EXAMPLE_VALUES, random_params, random_stream
+from conftest import (
+    EXAMPLE_BINS,
+    EXAMPLE_EPS,
+    EXAMPLE_VALUES,
+    py_reductions,
+    random_params,
+    random_stream,
+)
 
 THREADS = os.cpu_count() or 1
 
@@ -178,7 +185,7 @@ def test_criterion_5_speedup_over_traditional_workflow():
     for name, spec in ops.OPS.items():
         operands = [stream, second][:spec.arity]
         t_op = time.perf_counter()
-        result = ops.apply(name, operands, scalar=3.14, threads=THREADS)
+        result = ops.apply(name, operands, scalar=3.14)
         t_homo = time.perf_counter() - t_op
         t_op = time.perf_counter()
         if spec.reduction:
@@ -202,7 +209,7 @@ def test_criterion_6_constant_block_effectiveness():
     """A uniform 256^3 f32 field compresses entirely into constant blocks;
     the size follows the exact formula, the ratio clears 100 at a block
     length whose 5-byte overhead allows it, and reductions on the shortcut
-    path match the oracle exactly."""
+    path match the oracle and Python-int sums over the bins exactly."""
     dims = (256, 256, 256)
     n = 256**3
     raw = RawArray(np.full(n, 1.0, dtype=np.float32), dims, "f32")
@@ -214,7 +221,8 @@ def test_criterion_6_constant_block_effectiveness():
         assert s.compression_ratio == pytest.approx(want_ratio, rel=1e-3)
         assert mean(s) == ops.oracle_reduction("mean", [s], THREADS)
         assert variance(s) == ops.oracle_reduction("variance", [s], THREADS) == 0.0
-        assert mean(s, shortcut=True) == mean(s, shortcut=False)
+        want = py_reductions(params.eps, decode_to_quant(s).bins)
+        assert mean(s) == want["mean"] and variance(s) == want["variance"]
     # 5 bytes per block bound the constant-block ratio at raw_bytes/5 per
     # block: >= 100 requires block_len >= 125 for f32
     params = QuantParams(1e-2, dims, 128, "f32")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hoszp import QuantArray, QuantParams, compress, deserialize, encode_from_quant, ops, serialize
-from hoszp.cli import CSV_COLUMNS, _default_threads, main
+from hoszp.cli import CSV_COLUMNS, main
 from hoszp.codec import RawArray
 from hoszp.synth import smooth_field
 
@@ -212,8 +212,8 @@ class TestBench:
         assert all(r["eps"] == "0.05" for r in rows)
 
     @pytest.mark.parametrize("name, wrong", [
-        ("neg", lambda s, x, t: ops.scalar_add(s[0], 1.0)),
-        ("mean", lambda s, x, t: ops.mean(s[0]) * (1 + 1e-6) + 1e-6),
+        ("neg", lambda s, x: ops.scalar_add(s[0], 1.0)),
+        ("mean", lambda s, x: ops.mean(s[0]) * (1 + 1e-6) + 1e-6),
     ])
     def test_oracle_mismatch_is_verify_error(self, monkeypatch, capsys, name, wrong):
         monkeypatch.setitem(ops.OPS, name, dataclasses.replace(ops.OPS[name], apply=wrong))
@@ -241,13 +241,3 @@ class TestDistsimCommand:
         code, _ = _run(capsys, ["distsim", "--nodes", "1", "--dims", "8x8",
                                 "--eps", "1e-2"])
         assert code == 2
-
-
-class TestThreadsDefault:
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("HOSZP_THREADS", "5")
-        assert _default_threads() == 5
-        monkeypatch.setenv("HOSZP_THREADS", "junk")
-        assert _default_threads() >= 1
-        monkeypatch.delenv("HOSZP_THREADS")
-        assert _default_threads() >= 1

@@ -261,6 +261,22 @@ class TestCompressDecompress:
             assert np.array_equal(decompress(base, threads=threads).values,
                                   decompress(base, threads=1).values)
 
+    def test_out_dtype_is_any_spelling_of_float32_or_float64(self):
+        rng = np.random.default_rng(43)
+        for dtype in ("f32", "f64"):
+            p = QuantParams(eps=1e-3, dims=(9, 7), block_len=4, dtype=dtype)
+            s = compress(_raw(rng.uniform(-3, 3, 63), dtype, p.dims), p)
+            grid = 2.0 * p.eps * decode_to_quant(s).bins
+            for out, want in ((None, dtype), (np.float64, "f64"), (np.dtype("float64"), "f64"),
+                              ("float64", "f64"), ("f8", "f64"), (np.float32, "f32"),
+                              (np.dtype("float32"), "f32"), ("float32", "f32")):
+                got = decompress(s, out_dtype=out)
+                assert got.dtype == want, out
+                assert np.array_equal(got.values, grid.astype(got.values.dtype))
+            for bad in ("f64", np.int64, np.float16, "junk"):
+                with pytest.raises(ValueError, match="out_dtype"):
+                    decompress(s, out_dtype=bad)
+
 
 class TestPartialDecode:
     def test_decode_to_quant_worked_example(self, example_stream):
@@ -325,6 +341,18 @@ class TestRangeDecode:
         s = encode_from_quant(QuantArray(bins, p))
         assert int(s.widths.max()) == 64
         assert np.array_equal(decode_to_quant(s).bins, bins)
+
+    def test_prefix_sum_of_int64_residuals_past_63_bits_raises(self):
+        # every residual fits in int64, but the outlier shifted up by
+        # 2^31 - 1 carries the block's prefix sum past 2^63 - 1, where
+        # int64 scalars would wrap back into range
+        p = QuantParams(0.5, (4,), 4, "f64")
+        s = encode_from_quant(QuantArray(np.array([0, 2**62, 2**63 - 1, 2**63 - 9]), p))
+        shifted = CompressedStream(p, s.widths, s.outliers.astype(np.int64) + 2**31 - 1,
+                                   s.sign_planes, s.payload)
+        for call in (decode_to_quant, decompress):
+            with pytest.raises(QuantOverflow, match="prefix sum"):
+                call(shifted)
 
 
 class TestRangeEncode:

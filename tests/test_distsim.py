@@ -40,7 +40,7 @@ class TestAggregation:
         chunk = smooth_field((40, 40), seed=3)
         params = QuantParams(1e-2, (40, 40), 32, "f32")
         s = compress(chunk, params)
-        agg = _aggregate_homomorphic([s] * 4, threads=1)
+        agg = _aggregate_homomorphic([s] * 4)
         got = decompress(agg, out_dtype=np.float64).values
         want = 4.0 * decompress(s, out_dtype=np.float64).values
         assert np.array_equal(got, want)
@@ -49,7 +49,7 @@ class TestAggregation:
         chunk = smooth_field((40, 40), seed=4)
         params = QuantParams(1e-2, (40, 40), 32, "f32")
         s = compress(chunk, params)
-        agg = _aggregate_homomorphic([s, negate(s)], threads=1)
+        agg = _aggregate_homomorphic([s, negate(s)])
         assert int(agg.widths.max()) == 0
         assert not np.any(decompress(agg).values)
 
@@ -59,13 +59,13 @@ class TestAggregation:
         acc = streams[0]
         for s in streams[1:]:
             acc = elementwise_add(acc, s)
-        assert _aggregate_homomorphic(streams, threads=1) == acc
+        assert _aggregate_homomorphic(streams) == acc
 
     def test_matches_traditional_bitwise(self):
         params = QuantParams(1e-3, (48, 48), 32, "f32")
         streams = [compress(c, params) for c in _chunks(6, base_seed=20)]
-        homo = _aggregate_homomorphic(streams, threads=1)
-        trad = _aggregate_traditional(streams, threads=1)
+        homo = _aggregate_homomorphic(streams)
+        trad = _aggregate_traditional(streams)
         assert np.array_equal(decompress(homo, out_dtype=np.float64).values,
                               decompress(trad, out_dtype=np.float64).values)
 
@@ -79,7 +79,7 @@ class TestAggregation:
         a = encode_from_quant(QuantArray(np.array(bins), QuantParams(0.5, (2,), 2, "f64")))
         with pytest.raises(error):
             elementwise_add(a, a)
-        assert _aggregate_homomorphic([a, a, negate(a)], threads=1) == a
+        assert _aggregate_homomorphic([a, a, negate(a)]) == a
 
     def test_result_residual_past_64_bits_is_quant_overflow(self):
         # the result has both an outlier past int32 and a residual past
@@ -87,7 +87,7 @@ class TestAggregation:
         a = encode_from_quant(QuantArray(np.array([-(2**31), 2**63 - 1]),
                                          QuantParams(0.5, (2,), 2, "f64")))
         with pytest.raises(QuantOverflow):
-            _aggregate_homomorphic([a, a, a], threads=1)
+            _aggregate_homomorphic([a, a, a])
 
 
 class TestSimulate:

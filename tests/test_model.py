@@ -54,7 +54,6 @@ class TestQuantParams:
         p = QuantParams(eps=0.1, dims=(7,), block_len=3)
         assert p.block_count == 3
         assert list(p.block_lengths()) == [3, 3, 1]
-        assert list(p.block_starts()) == [0, 3, 6]
 
     def test_block_len_may_exceed_element_count(self):
         p = QuantParams(eps=0.1, dims=(5,), block_len=32)

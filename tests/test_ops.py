@@ -21,7 +21,6 @@ from hoszp import (
     QuantParams,
     RawArray,
     ScalarBin,
-    block_means,
     compress,
     covariance,
     decode_to_quant,
@@ -48,6 +47,7 @@ from hoszp.cli import build_parser
 
 from conftest import (
     EXAMPLE_BINS,
+    py_reductions,
     random_params,
     random_stream,
     range_sizes,
@@ -273,42 +273,31 @@ class TestMean:
             value_range = float(vals.max() - vals.min()) or 1.0
             assert abs(mean(s) - float(vals.mean())) <= 1e-12 * value_range
 
-    def test_block_means(self):
-        s = _stream(np.arange(70) - 35, eps=0.5, block_len=32)
-        got = block_means(s)
-        vals = _values(s)
-        want = [vals[0:32].mean(), vals[32:64].mean(), vals[64:70].mean()]
-        assert np.allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_block_means_across_ranges(self):
-        rng = np.random.default_rng(151)
-        k = 33
-        n = range_sizes(k)[-1]  # three ranges, the last block ragged
-        p = QuantParams(0.01, (n,), k, "f64")
-        bins = rng.integers(-(2**30), 2**30, n)
-        bins[: 40 * k] = np.repeat(rng.integers(-99, 99, 40), k)  # constant blocks
-        s = encode_from_quant(QuantArray(bins, p))
-        got = block_means(s)
-        q = decode_to_quant(s).bins.tolist()
-        want = [2 * 0.01 * sum(q[i : i + k]) / len(q[i : i + k]) for i in range(0, n, k)]
-        assert got.shape == (p.block_count,)
-        assert np.allclose(got, want, rtol=1e-12, atol=0)
-
     def test_shortcut_equivalence(self):
+        # the wholly constant first range is summed from metadata alone
         rng = np.random.default_rng(149)
-        for _ in range(25):
-            s = _mixed_constant_stream(rng)
-            assert mean(s, shortcut=True) == mean(s, shortcut=False)
+        for _ in range(10):
+            s = _constant_first_range_stream(rng, _two_range_params(rng))
+            assert mean(s) == py_reductions(s.params.eps, decode_to_quant(s).bins)["mean"]
 
 
-def _mixed_constant_stream(rng):
-    """Stream with a mix of constant and non-constant blocks."""
-    p = random_params(rng, dtypes=("f64",))
+def _two_range_params(rng):
+    """f64 params of one to two decode ranges plus a ragged block."""
+    k = int(rng.choice([1, 4, 8, 32, 33]))
+    r = max(1, codec._RANGE_ELEMS // k)
+    n = int(rng.integers(r * k + 1, 2 * r * k + k))
+    return QuantParams(float(rng.choice([1e-1, 1e-2, 0.25])), (n,), k, "f64")
+
+
+def _constant_first_range_stream(rng, p):
+    """Stream whose first decode range holds only constant blocks; every
+    other block after it is constant too."""
     bins = rng.integers(-500, 500, p.element_count)
     k = p.block_len
-    for b in range(0, p.block_count, 2):  # every other block constant
-        s, e = b * k, min((b + 1) * k, p.element_count)
-        bins[s:e] = rng.integers(-500, 500)
+    r = max(1, codec._RANGE_ELEMS // k)
+    for b in range(p.block_count):
+        if b < r or b % 2 == 0:
+            bins[b * k : (b + 1) * k] = rng.integers(-500, 500)
     return encode_from_quant(QuantArray(bins, p))
 
 
@@ -333,9 +322,11 @@ class TestVariance:
 
     def test_shortcut_equivalence(self):
         rng = np.random.default_rng(157)
-        for _ in range(25):
-            s = _mixed_constant_stream(rng)
-            assert variance(s, shortcut=True) == variance(s, shortcut=False)
+        for _ in range(10):
+            s = _constant_first_range_stream(rng, _two_range_params(rng))
+            want = py_reductions(s.params.eps, decode_to_quant(s).bins)["variance"]
+            assert variance(s) == want
+            assert stddev(s) == math.sqrt(want)
 
     def test_never_negative(self):
         rng = np.random.default_rng(163)
@@ -514,25 +505,17 @@ class TestCovariance:
 
     def test_shortcut_equivalence(self):
         rng = np.random.default_rng(229)
-        for _ in range(15):
-            p = random_params(rng, dtypes=("f64",))
-            rng2 = np.random.default_rng(rng.integers(2**32))
-            a = _mixed_constant_stream_with_params(rng, p)
-            b = _mixed_constant_stream_with_params(rng2, p)
-            assert covariance(a, b, shortcut=True) == covariance(a, b, shortcut=False)
+        for _ in range(8):
+            p = _two_range_params(rng)
+            a = _constant_first_range_stream(rng, p)
+            b = _constant_first_range_stream(rng, p)
+            want = py_reductions(p.eps, decode_to_quant(a).bins, decode_to_quant(b).bins)
+            assert covariance(a, b) == want["covariance"]
+            assert ssim_global(a, b) == want["ssim"]
 
     def test_params_mismatch(self):
         with pytest.raises(ParamsMismatch):
             covariance(_stream([1, 2]), _stream([1, 2], eps=0.5))
-
-
-def _mixed_constant_stream_with_params(rng, p):
-    bins = rng.integers(-500, 500, p.element_count)
-    k = p.block_len
-    for b in range(0, p.block_count, 2):
-        s, e = b * k, min((b + 1) * k, p.element_count)
-        bins[s:e] = rng.integers(-500, 500)
-    return encode_from_quant(QuantArray(bins, p))
 
 
 class TestSsim:
@@ -571,27 +554,6 @@ class TestSsim:
             ssim_global(z, z)
 
 
-def _py_reductions(qa, qb, eps):
-    """mean, variance, covariance and SSIM of two bin arrays from Python-int
-    sums, scaled with the same float expressions as ``ops``."""
-    xa, xb = qa.tolist(), qb.tolist()
-    n = len(xa)
-    sa, sb = sum(xa), sum(xb)
-    sqa, sqb = sum(v * v for v in xa), sum(v * v for v in xb)
-    sab = sum(u * v for u, v in zip(xa, xb))
-    e2 = 2.0 * eps
-    var = e2**2 * (float(n * sqa - sa * sa) / (n * n))  # variance() rounds in this order
-    cov = e2**2 * float(n * sab - sa * sb) / (n * n)
-    mu_a, mu_b = e2 * sa / n, e2 * sb / n
-    var_a = e2**2 * float(n * sqa - sa * sa) / (n * n)
-    var_b = e2**2 * float(n * sqb - sb * sb) / (n * n)
-    value_range = e2 * max(max(xa) - min(xa), max(xb) - min(xb))
-    c1, c2 = (0.01 * value_range) ** 2, (0.03 * value_range) ** 2
-    ssim = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-            / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))
-    return {"mean": (e2 * sa) / n, "variance": var, "covariance": cov, "ssim": ssim}
-
-
 class TestRangeReductions:
     """Reductions stream exact sums over the decode ranges; each range is
     bounded on its own, and wide ones are summed as Python ints."""
@@ -605,12 +567,11 @@ class TestRangeReductions:
             qb, _ = wide_block_bins(rng, n, k, constant_first_range=True)
             a = encode_from_quant(QuantArray(qa, p))
             b = encode_from_quant(QuantArray(qb, p))
-            want = _py_reductions(qa, qb, p.eps)
-            assert mean(a) == mean(a, shortcut=False) == want["mean"]
-            assert variance(a) == variance(a, shortcut=False) == want["variance"]
-            assert stddev(a) == stddev(a, shortcut=False) == math.sqrt(want["variance"])
-            assert (covariance(a, b) == covariance(a, b, shortcut=False)
-                    == want["covariance"])
+            want = py_reductions(p.eps, qa, qb)
+            assert mean(a) == want["mean"]
+            assert variance(a) == want["variance"]
+            assert stddev(a) == math.sqrt(want["variance"])
+            assert covariance(a, b) == want["covariance"]
             assert ssim_global(a, b) == want["ssim"]
 
     def test_narrow_ranges_match_python_ints(self):
@@ -623,7 +584,7 @@ class TestRangeReductions:
         qa[::32] = qb[::32] = 7
         a = encode_from_quant(QuantArray(qa, p))
         b = encode_from_quant(QuantArray(qb, p))
-        want = _py_reductions(qa, qb, p.eps)
+        want = py_reductions(p.eps, qa, qb)
         assert variance(a) == want["variance"]
         assert covariance(a, b) == want["covariance"]
         assert ssim_global(a, b) == want["ssim"]
@@ -855,7 +816,7 @@ class TestOpTable:
         for name, spec in ops.OPS.items():
             assert spec.name == name
             assert callable(spec.apply) and callable(spec.oracle)
-            want = spec.oracle([s] * spec.arity, 0.67, 1)
+            want = spec.oracle([s] * spec.arity, 0.67)
             got = ops.apply(name, [s] * spec.arity, 0.67)
             if spec.reduction:
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-15)

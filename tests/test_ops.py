@@ -282,7 +282,7 @@ class TestMean:
 
 
 def _two_range_params(rng):
-    """f64 params of one to two decode ranges plus a ragged block."""
+    """f64 params past one decode range: up to two ranges and a block."""
     k = int(rng.choice([1, 4, 8, 32, 33]))
     r = max(1, codec._RANGE_ELEMS // k)
     n = int(rng.integers(r * k + 1, 2 * r * k + k))

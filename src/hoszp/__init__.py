@@ -31,7 +31,6 @@ from .errors import (
 from .model import (
     BlockView,
     CompressedStream,
-    OpReport,
     QuantArray,
     QuantParams,
     deserialize,

@@ -19,21 +19,18 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import codec, ops
 from .distsim import SimScenario, simulate
 from .errors import HoszpError, VerificationMismatch
-from .model import OpReport, QuantParams, deserialize, serialize
+from .model import QuantParams, deserialize, serialize
 from .synth import smooth_field
 
 CSV_COLUMNS = ["op", "bytes_in", "cr", "t_homo_s", "t_oracle_s", "speedup", "max_abs_diff"]
 #: bench and distsim append these to the fixed schema
 CSV_EXTRA_COLUMNS = ["node_count", "eps"]
-
-COMMANDS = ("compress", "decompress", "op", "stats", "bench", "distsim")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,42 +40,6 @@ EXIT_VERIFY = 5
 
 #: relative tolerance for --verify on computation-as-output reductions
 REDUCTION_RTOL = 1e-9
-
-
-@dataclass
-class CliConfig:
-    """Parsed invocation: one flat record shared by every subcommand."""
-
-    command: str
-    inputs: list = field(default_factory=list)
-    output: str | None = None
-    dims: tuple[int, ...] | None = None
-    dtype: str = "f32"
-    eps: float | None = None
-    eps_mode: str = "abs"
-    block_len: int = 32
-    op_name: str | None = None
-    scalar: float | None = None
-    verify: bool = False
-    report: str = "text"
-    # bench / distsim knobs
-    ops_list: list | None = None
-    seed: int = 0
-    nodes: int = 4
-    reps: int = 3
-    latency_per_byte: float = 0.0
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.eps is not None and not self.eps > 0:
-            raise ValueError("eps must be positive")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        fields = {k: v for k, v in vars(args).items() if k in known and v is not None}
-        return cls(**fields)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -176,18 +137,19 @@ def _emit(rows: list[dict], fmt: str, file=None):
         print("  ".join(f"{c}={v}" for c, v in row.items()), file=file)
 
 
-def _row(report: OpReport, t_oracle=None, max_abs_diff=None, **extra) -> dict:
-    t_homo = report.elapsed_seconds
+def _row(op, seconds, bytes_in, ratio, t_oracle=None, max_abs_diff=None, **extra) -> dict:
+    """One report row; ``throughput_Bps`` is ``bytes_in / seconds`` (0.0 when
+    no time elapsed)."""
     row = {
-        "op": report.op_name,
-        "bytes_in": report.bytes_in,
-        "cr": f"{report.compression_ratio:.4g}",
-        "t_homo_s": f"{t_homo:.6g}",
+        "op": op,
+        "bytes_in": bytes_in,
+        "cr": f"{ratio:.4g}",
+        "t_homo_s": f"{seconds:.6g}",
         "t_oracle_s": "" if t_oracle is None else f"{t_oracle:.6g}",
         "speedup": "" if t_oracle is None else
-                   f"{t_oracle / t_homo:.4g}" if t_homo > 0 else "inf",
+                   f"{t_oracle / seconds:.4g}" if seconds > 0 else "inf",
         "max_abs_diff": "" if max_abs_diff is None else repr(max_abs_diff),
-        "throughput_Bps": f"{report.throughput:.6g}",
+        "throughput_Bps": f"{bytes_in / seconds if seconds > 0 else 0.0:.6g}",
     }
     row.update(extra)
     return row
@@ -201,32 +163,28 @@ def _load_streams(paths):
     return streams
 
 
-def _cmd_compress(cfg: CliConfig) -> int:
-    raw = codec.read_raw(cfg.inputs[0], cfg.dims, cfg.dtype)
-    eps = codec.resolve_eps(raw, cfg.eps, cfg.eps_mode)
-    params = QuantParams(eps, cfg.dims, cfg.block_len, cfg.dtype)
+def _cmd_compress(args: argparse.Namespace) -> int:
+    raw = codec.read_raw(args.input, args.dims, args.dtype)
+    eps = codec.resolve_eps(raw, args.eps, args.eps_mode)
+    params = QuantParams(eps, args.dims, args.block_len, args.dtype)
     t0 = time.perf_counter()
     stream = codec.compress(raw, params)
     elapsed = time.perf_counter() - t0
     data = serialize(stream)
-    with open(cfg.output, "wb") as fh:
+    with open(args.output, "wb") as fh:
         fh.write(data)
-    report = OpReport("compress", elapsed, raw.nbytes, len(data),
-                      raw.nbytes / len(data))
-    _emit([_row(report)], cfg.report)
+    _emit([_row("compress", elapsed, raw.nbytes, raw.nbytes / len(data))], args.report)
     return EXIT_OK
 
 
-def _cmd_decompress(cfg: CliConfig) -> int:
-    with open(cfg.inputs[0], "rb") as fh:
-        stream = deserialize(fh.read())
+def _cmd_decompress(args: argparse.Namespace) -> int:
+    (stream,) = _load_streams([args.input])
     t0 = time.perf_counter()
     raw = codec.decompress(stream)
     elapsed = time.perf_counter() - t0
-    codec.write_raw(raw, cfg.output)
-    report = OpReport("decompress", elapsed, stream.serialized_size, raw.nbytes,
-                      stream.compression_ratio)
-    _emit([_row(report)], cfg.report)
+    codec.write_raw(raw, args.output)
+    _emit([_row("decompress", elapsed, stream.serialized_size, stream.compression_ratio)],
+          args.report)
     return EXIT_OK
 
 
@@ -252,47 +210,38 @@ def _run_op(name, streams, scalar, verify):
             want = codec.decompress(want, out_dtype=np.float64).values
             diff = float(np.max(np.abs(got - want))) if got.size else 0.0
             ok = diff == 0.0
-    if spec.reduction:
-        bytes_out, cr = 8, streams[0].compression_ratio
-    else:
-        bytes_out, cr = result.serialized_size, result.compression_ratio
-    report = OpReport(name, t_homo, sum(s.params.raw_nbytes for s in streams),
-                      bytes_out, cr)
-    return result, _row(report, t_oracle, diff), ok
+    cr = (streams[0] if spec.reduction else result).compression_ratio
+    row = _row(name, t_homo, sum(s.params.raw_nbytes for s in streams), cr, t_oracle, diff)
+    return result, row, ok
 
 
-def _cmd_op(cfg: CliConfig) -> int:
-    streams = _load_streams(cfg.inputs)
-    result, row, ok = _run_op(cfg.op_name, streams, cfg.scalar, cfg.verify)
-    if cfg.output:
-        with open(cfg.output, "wb") as fh:
+def _cmd_op(args: argparse.Namespace) -> int:
+    """``op`` writes the result stream to ``-o``; ``stats`` prints
+    ``name = value``."""
+    streams = _load_streams(args.inputs)
+    result, row, ok = _run_op(args.op_name, streams, getattr(args, "scalar", None),
+                              args.verify)
+    if args.command == "stats":
+        print(f"{args.op_name} = {result!r}")
+    elif args.output:
+        with open(args.output, "wb") as fh:
             fh.write(serialize(result))
-    _emit([row], cfg.report)
+    _emit([row], args.report)
     if not ok:
-        raise VerificationMismatch(f"{cfg.op_name}: max abs diff {row['max_abs_diff']}")
+        raise VerificationMismatch(f"{args.op_name}: max abs diff {row['max_abs_diff']}")
     return EXIT_OK
 
 
-def _cmd_stats(cfg: CliConfig) -> int:
-    streams = _load_streams(cfg.inputs)
-    value, row, ok = _run_op(cfg.op_name, streams, None, cfg.verify)
-    print(f"{cfg.op_name} = {value!r}")
-    _emit([row], cfg.report)
-    if not ok:
-        raise VerificationMismatch(f"{cfg.op_name}: abs diff {row['max_abs_diff']}")
-    return EXIT_OK
-
-
-def _cmd_bench(cfg: CliConfig) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     """Compress one field, then time each operation against the traditional
     workflow; a disagreement exits with EXIT_VERIFY after the report."""
-    if cfg.inputs:
-        raw = codec.read_raw(cfg.inputs[0], cfg.dims, cfg.dtype)
+    if args.input is not None:
+        raw = codec.read_raw(args.input, args.dims, args.dtype)
     else:
-        raw = smooth_field(cfg.dims, cfg.seed, cfg.dtype)
-    params = QuantParams(codec.resolve_eps(raw, cfg.eps, cfg.eps_mode), cfg.dims,
-                         cfg.block_len, cfg.dtype)
-    names = cfg.ops_list.split(",") if cfg.ops_list else list(ops.OPS)
+        raw = smooth_field(args.dims, args.seed, args.dtype)
+    params = QuantParams(codec.resolve_eps(raw, args.eps, args.eps_mode), args.dims,
+                         args.block_len, args.dtype)
+    names = args.ops_list.split(",") if args.ops_list else list(ops.OPS)
     unknown = set(names) - set(ops.OPS)
     if unknown:
         print(f"hoszp: unknown ops {sorted(unknown)}", file=sys.stderr)
@@ -300,39 +249,36 @@ def _cmd_bench(cfg: CliConfig) -> int:
     t0 = time.perf_counter()
     stream = codec.compress(raw, params)
     t_compress = time.perf_counter() - t0
-    rows = [_row(OpReport("compress", t_compress, raw.nbytes, stream.serialized_size,
-                          raw.nbytes / stream.serialized_size))]
+    rows = [_row("compress", t_compress, raw.nbytes, raw.nbytes / stream.serialized_size)]
     operands = [stream, ops.scalar_add(stream, 16.0 * params.eps)]
     bad = []
     for name in names:
-        _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], cfg.scalar, verify=True)
+        _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], args.scalar, verify=True)
         rows.append(row)
         if not ok:
             bad.append(name)
     for row in rows:
-        row["eps"] = cfg.eps
-    _emit(rows, cfg.report)
+        row["eps"] = args.eps
+    _emit(rows, args.report)
     if bad:
         raise VerificationMismatch(f"differs from the traditional workflow: {', '.join(bad)}")
     return EXIT_OK
 
 
-def _cmd_distsim(cfg: CliConfig) -> int:
-    if cfg.nodes < 2:
+def _cmd_distsim(args: argparse.Namespace) -> int:
+    if args.nodes < 2:
         print("hoszp: --nodes must be >= 2", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.inputs:
-        chunk = codec.read_raw(cfg.inputs[0], cfg.dims, cfg.dtype)
-        arrays = [chunk] * cfg.nodes
+    if args.input is not None:
+        arrays = [codec.read_raw(args.input, args.dims, args.dtype)] * args.nodes
     else:
-        arrays = [smooth_field(cfg.dims, cfg.seed + i, cfg.dtype)
-                  for i in range(cfg.nodes)]
-    scn = SimScenario(arrays, cfg.eps, cfg.block_len, cfg.reps, cfg.latency_per_byte)
-    sim = simulate(scn)
-    report = OpReport("distsim_sum", sim.t_homomorphic, sim.bytes_in,
-                      sim.bytes_compressed, sim.compression_ratio)
-    _emit([_row(report, sim.t_traditional, sim.max_abs_diff,
-                node_count=sim.node_count, eps=sim.eps)], cfg.report)
+        arrays = [smooth_field(args.dims, args.seed + i, args.dtype)
+                  for i in range(args.nodes)]
+    sim = simulate(SimScenario(arrays, args.eps, args.block_len, args.reps,
+                               args.latency_per_byte))
+    _emit([_row("distsim_sum", sim.t_homomorphic, sim.bytes_in, sim.compression_ratio,
+                sim.t_traditional, sim.max_abs_diff,
+                node_count=sim.node_count, eps=sim.eps)], args.report)
     return EXIT_OK
 
 
@@ -340,7 +286,7 @@ _COMMANDS = {
     "compress": _cmd_compress,
     "decompress": _cmd_decompress,
     "op": _cmd_op,
-    "stats": _cmd_stats,
+    "stats": _cmd_op,
     "bench": _cmd_bench,
     "distsim": _cmd_distsim,
 }
@@ -348,11 +294,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "input", None) is not None:
-        args.inputs = [args.input]
     try:
-        cfg = CliConfig.from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except VerificationMismatch as exc:
         print(f"hoszp: error kind=VerificationMismatch: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, QuantOverflow
-from .model import BlockView, CompressedStream, DTYPES, QuantArray, QuantParams
+from .model import BlockView, CompressedStream, DTYPES, QuantArray, QuantParams, section_sizes
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
@@ -413,8 +413,8 @@ def _stream_ranges(stream: CompressedStream):
     range at a time."""
     sign_base = payload_base = 0
     for b0, b1 in _block_ranges(stream.params):
-        offs = (sign_base + _section_offsets(stream.sign_sizes(b0, b1)),
-                payload_base + _section_offsets(stream.payload_sizes(b0, b1)))
+        sign, payload = section_sizes(stream.params, stream.widths, b0, b1)
+        offs = (sign_base + _section_offsets(sign), payload_base + _section_offsets(payload))
         yield b0, b1, offs
         sign_base, payload_base = int(offs[0][-1]), int(offs[1][-1])
 

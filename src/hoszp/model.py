@@ -178,6 +178,17 @@ class BlockView:
         ]
 
 
+def section_sizes(params: QuantParams, widths: np.ndarray, b0: int = 0,
+                  b1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-plane and payload sizes in bytes of each block of [b0, b1); a
+    constant block (width 0) stores neither."""
+    lengths = params.block_lengths(b0, b1)
+    w = widths[b0:b1]
+    sign = (lengths + 7) >> 3
+    sign[w == 0] = 0
+    return sign, (lengths * w + 7) >> 3
+
+
 def _as_int32_outliers(outliers) -> np.ndarray:
     arr = np.ascontiguousarray(outliers)
     if arr.dtype != np.int32:
@@ -219,29 +230,13 @@ class CompressedStream:
         self.outliers = outliers
         self.sign_planes = bytes(self.sign_planes)
         self.payload = bytes(self.payload)
-        if len(self.sign_planes) != int(self.sign_sizes().sum()):
-            raise GeometryMismatch(
-                f"sign section is {len(self.sign_planes)} bytes, "
-                f"expected {int(self.sign_sizes().sum())}"
-            )
-        if len(self.payload) != int(self.payload_sizes().sum()):
-            raise GeometryMismatch(
-                f"payload section is {len(self.payload)} bytes, "
-                f"expected {int(self.payload_sizes().sum())}"
-            )
-
-    def sign_sizes(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
-        """Sign-plane size in bytes of each block of [b0, b1) (0 for
-        constant blocks)."""
-        sizes = (self.params.block_lengths(b0, b1) + 7) // 8
-        sizes[self.widths[b0:b1] == 0] = 0
-        return sizes
-
-    def payload_sizes(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
-        """Payload size in bytes of each block of [b0, b1) (0 for constant
-        blocks)."""
-        lengths = self.params.block_lengths(b0, b1)
-        return (lengths * self.widths[b0:b1].astype(np.int64) + 7) // 8
+        sign, payload = section_sizes(self.params, widths)
+        for name, section, want in (("sign", self.sign_planes, int(sign.sum())),
+                                    ("payload", self.payload, int(payload.sum()))):
+            if len(section) != want:
+                raise GeometryMismatch(
+                    f"{name} section is {len(section)} bytes, expected {want}"
+                )
 
     @property
     def serialized_size(self) -> int:
@@ -267,31 +262,6 @@ class CompressedStream:
             and self.sign_planes == other.sign_planes
             and self.payload == other.payload
         )
-
-
-@dataclass
-class OpReport:
-    """Timing/size record emitted by the CLI, the benchmark harness, and the
-    distributed simulator."""
-
-    op_name: str
-    elapsed_seconds: float
-    bytes_in: int
-    bytes_out: int
-    compression_ratio: float
-
-    def __post_init__(self):
-        if self.elapsed_seconds < 0 or self.bytes_in < 0 or self.bytes_out < 0:
-            raise ValueError("sizes and elapsed time must be non-negative")
-        if not self.compression_ratio > 0:
-            raise ValueError("compression_ratio must be positive")
-
-    @property
-    def throughput(self) -> float:
-        """Bytes processed per second (0.0 when elapsed time is 0)."""
-        if self.elapsed_seconds > 0:
-            return self.bytes_in / self.elapsed_seconds
-        return 0.0
 
 
 def serialize(stream: CompressedStream) -> bytes:
@@ -356,9 +326,7 @@ def deserialize(data: bytes) -> CompressedStream:
     outliers = np.frombuffer(data[pos : pos + 4 * b], dtype="<i4").astype(np.int32)
     pos += 4 * b
 
-    lengths = params.block_lengths()
-    sign_total = int(((lengths + 7) // 8)[widths > 0].sum())
-    payload_total = int((((lengths * widths.astype(np.int64)) + 7) // 8).sum())
+    sign_total, payload_total = (int(sizes.sum()) for sizes in section_sizes(params, widths))
     if len(data) < pos + sign_total:
         raise TruncatedStream("byte sequence ends inside the sign-plane section")
     sign_planes = data[pos : pos + sign_total]

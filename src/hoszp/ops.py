@@ -37,7 +37,7 @@ import numpy as np
 from . import codec
 from .codec import RawArray
 from .errors import ParamsMismatch, QuantOverflow
-from .model import CompressedStream, QuantArray, QuantParams
+from .model import CompressedStream, QuantArray, QuantParams, section_sizes
 
 _I64_MAX = 2**63 - 1
 
@@ -81,7 +81,7 @@ def _check_params(a: CompressedStream, b: CompressedStream):
 
 def _sign_flip_mask(stream: CompressedStream) -> np.ndarray:
     """0xFF over every stored sign bit, 0 over byte-padding bits."""
-    sizes = stream.sign_sizes()
+    sizes, _ = section_sizes(stream.params, stream.widths)
     mask = np.full(int(sizes.sum()), 0xFF, dtype=np.uint8)
     lengths = stream.params.block_lengths()
     rem = (lengths % 8).astype(np.int64)
@@ -312,6 +312,20 @@ def _sums(streams, *, sq: bool = False):
     return acc, sab
 
 
+def _square(x: float) -> float:
+    """``x ** 2``, or inf where that overflows (float ``**`` raises there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _moment(eps: float, num: int, n: int) -> float:
+    """``(2 eps)^2 * num / n^2`` from an exact integer numerator: 0.0 when
+    ``num`` is 0, infinite when ``(2 eps)^2`` overflows."""
+    return _square(2.0 * eps) * float(num) / (n * n) if num else 0.0
+
+
 def mean(c: CompressedStream, *, threads: int = 1) -> float:
     """Population mean: ``2 * eps * sum(bins) / N`` in double precision."""
     (m,), _ = _sums([c])
@@ -323,8 +337,10 @@ def variance(c: CompressedStream, *, threads: int = 1) -> float:
     ``(2 eps)^2 * (sum(bins^2)/N - (sum(bins)/N)^2)``."""
     n = c.params.element_count
     (m,), _ = _sums([c], sq=True)
-    # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers)
-    return (2.0 * c.params.eps) ** 2 * (float(n * m.sqq - m.s * m.s) / (n * n))
+    # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers);
+    # this rounds in another order than _moment
+    num = n * m.sqq - m.s * m.s
+    return _square(2.0 * c.params.eps) * (float(num) / (n * n)) if num else 0.0
 
 
 def stddev(c: CompressedStream, *, threads: int = 1) -> float:
@@ -338,7 +354,7 @@ def covariance(a: CompressedStream, b: CompressedStream, *,
     _check_params(a, b)
     n = a.params.element_count
     (ma, mb), sab = _sums([a, b])
-    return (2.0 * a.params.eps) ** 2 * float(n * sab - ma.s * mb.s) / (n * n)
+    return _moment(a.params.eps, n * sab - ma.s * mb.s, n)
 
 
 def ssim_global(a: CompressedStream, b: CompressedStream, *,
@@ -353,12 +369,12 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
     sa, sb = ma.s, mb.s
     mu_a = eps2 * sa / n
     mu_b = eps2 * sb / n
-    var_a = eps2**2 * float(n * ma.sqq - sa * sa) / (n * n)
-    var_b = eps2**2 * float(n * mb.sqq - sb * sb) / (n * n)
-    cov = eps2**2 * float(n * sab - sa * sb) / (n * n)
+    var_a = _moment(params.eps, n * ma.sqq - sa * sa, n)
+    var_b = _moment(params.eps, n * mb.sqq - sb * sb, n)
+    cov = _moment(params.eps, n * sab - sa * sb, n)
     value_range = eps2 * max(ma.hi - ma.lo, mb.hi - mb.lo)
-    c1 = (0.01 * value_range) ** 2
-    c2 = (0.03 * value_range) ** 2
+    c1 = _square(0.01 * value_range)
+    c2 = _square(0.03 * value_range)
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     if den == 0.0:

@@ -4,12 +4,17 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hoszp
 from hoszp import QuantArray, QuantParams, compress, deserialize, encode_from_quant, ops, serialize
-from hoszp.cli import CSV_COLUMNS, main
+from hoszp.cli import CSV_COLUMNS, _row, main
 from hoszp.codec import RawArray
 from hoszp.synth import smooth_field
 
@@ -34,6 +39,35 @@ def example_hsz(tmp_path, example_file):
 def _run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr()
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text[text.index("op,"):])))
+
+
+@pytest.fixture
+def zeros_file(tmp_path):
+    """A 20x30 all-zero f32 field: every block is constant, so its
+    compression ratio is far from the synthetic field's."""
+    path = tmp_path / "zeros.bin"
+    np.zeros(600, dtype="<f4").tofile(path)
+    return path
+
+
+def _zeros_ratio():
+    raw = RawArray(np.zeros(600, dtype=np.float32), (20, 30), "f32")
+    return f"{compress(raw, QuantParams(1e-3, (20, 30))).compression_ratio:.4g}"
+
+
+@pytest.fixture
+def huge_eps_hsz(tmp_path):
+    """Values far below an eps of 1e160: every bin is 0, and ``(2 eps)^2``
+    overflows a double."""
+    src = tmp_path / "v.bin"
+    np.array([0.1, -0.2, 0.3, 0.05], dtype="<f4").tofile(src)
+    out = tmp_path / "v.hsz"
+    assert main(["compress", str(src), "-o", str(out), "--dims", "4", "--eps", "1e160"]) == 0
+    return out
 
 
 class TestCompressDecompress:
@@ -91,6 +125,23 @@ class TestStats:
         rows = list(csv.DictReader(io.StringIO(csv_part)))
         assert rows[0]["op"] == "variance"
         assert float(rows[0]["max_abs_diff"]) <= 1e-15
+
+    def test_oracle_mismatch_is_verify_error(self, example_hsz, monkeypatch, capsys):
+        wrong = dataclasses.replace(ops.OPS["mean"],
+                                    apply=lambda s, x: ops.mean(s[0]) * (1 + 1e-6) + 1e-6)
+        monkeypatch.setitem(ops.OPS, "mean", wrong)
+        code, cap = _run(capsys, ["stats", "mean", str(example_hsz), "--verify"])
+        assert code == 5
+        assert "mean = " in cap.out
+        assert "kind=VerificationMismatch" in cap.err
+
+    @pytest.mark.parametrize("name", ["variance", "stddev"])
+    def test_overflowing_eps_scale_gives_oracle_zero(self, huge_eps_hsz, capsys, name):
+        code, cap = _run(capsys, ["stats", name, str(huge_eps_hsz), "--verify",
+                                  "--report", "csv"])
+        assert code == 0
+        assert f"{name} = 0.0" in cap.out
+        assert _csv_rows(cap.out)[0]["max_abs_diff"] == "0.0"
 
 
 class TestOp:
@@ -168,6 +219,81 @@ class TestExitCodes:
         assert code == 4
         assert "kind=QuantOverflow" in cap.err
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["compress", "bench", "distsim"])
+    def test_invalid_eps_is_usage_error(self, tmp_path, example_file, capsys, command, eps):
+        argv = {
+            "compress": ["compress", str(example_file), "-o", str(tmp_path / "x.hsz"),
+                         "--dims", "2x2"],
+            "bench": ["bench", "--dims", "8x8", "--ops", "neg"],
+            "distsim": ["distsim", "--dims", "8x8", "--reps", "1"],
+        }[command]
+        code, cap = _run(capsys, argv + ["--eps", eps])
+        assert code == 2
+        assert "kind=ValueError" in cap.err
+
+    @pytest.mark.parametrize("command", ["compress", "decompress", "op", "stats", "bench",
+                                         "distsim"])
+    def test_threads_flag_accepted(self, tmp_path, example_file, example_hsz, capsys, command):
+        argv = {
+            "compress": ["compress", str(example_file), "-o", str(tmp_path / "x.hsz"),
+                         "--dims", "2x2", "--eps", "0.01"],
+            "decompress": ["decompress", str(example_hsz), "-o", str(tmp_path / "x.bin")],
+            "op": ["op", "neg", str(example_hsz)],
+            "stats": ["stats", "mean", str(example_hsz)],
+            "bench": ["bench", "--dims", "8x8", "--eps", "1e-2", "--ops", "neg"],
+            "distsim": ["distsim", "--dims", "8x8", "--eps", "1e-2", "--reps", "1"],
+        }[command]
+        code, _ = _run(capsys, argv + ["--threads", "3"])
+        assert code == 0
+
+
+class TestProcess:
+    """``python -m hoszp`` as a process: the exit status README documents,
+    including argparse's own exit."""
+
+    SRC = str(Path(hoszp.__file__).resolve().parents[1])
+
+    def _hoszp(self, *argv):
+        path = os.pathsep.join(p for p in (self.SRC, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "hoszp", *map(str, argv)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+
+    def test_ok(self, tmp_path, example_file):
+        proc = self._hoszp("compress", example_file, "-o", tmp_path / "x.hsz",
+                           "--dims", "2x2", "--eps", "0.01")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("op=compress")
+
+    def test_argparse_error(self, example_hsz):
+        proc = self._hoszp("op", "transpose", example_hsz)
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
+
+    def test_value_error(self, tmp_path, example_file):
+        proc = self._hoszp("compress", example_file, "-o", tmp_path / "x.hsz",
+                           "--dims", "2x2", "--eps", "0")
+        assert proc.returncode == 2
+        assert "kind=ValueError" in proc.stderr
+
+    def test_io_error(self, tmp_path):
+        proc = self._hoszp("decompress", tmp_path / "nope.hsz", "-o", tmp_path / "x.bin")
+        assert proc.returncode == 3
+        assert "kind=IOError" in proc.stderr
+
+    def test_codec_error(self, tmp_path):
+        bad = tmp_path / "bad.hsz"
+        bad.write_bytes(b"XXXX not a stream")
+        proc = self._hoszp("stats", "mean", bad)
+        assert proc.returncode == 4
+        assert "kind=BadMagic" in proc.stderr
+
+    def test_variance_at_overflowing_eps(self, huge_eps_hsz):
+        proc = self._hoszp("stats", "variance", huge_eps_hsz, "--verify")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("variance = 0.0")
+
 
 class TestReports:
     def test_csv_columns_fixed(self, example_hsz, capsys):
@@ -184,6 +310,11 @@ class TestReports:
         rows = json.loads(cap.out)
         assert rows[0]["op"] == "neg"
         assert rows[0]["max_abs_diff"] == "0.0"
+
+    def test_row_throughput(self):
+        assert _row("compress", 2.0, 100, 10.0)["throughput_Bps"] == "50"
+        row = _row("neg", 0.0, 1, 1.0, t_oracle=1.0)
+        assert (row["throughput_Bps"], row["speedup"]) == ("0", "inf")
 
 
 class TestBench:
@@ -202,6 +333,16 @@ class TestBench:
         code, _ = _run(capsys, ["bench", "--dims", "8x8", "--eps", "1e-2",
                                 "--ops", "fft"])
         assert code == 2
+
+    def test_input_file_is_read(self, tmp_path, zeros_file, capsys):
+        # --input takes one file; the last one given wins
+        code, cap = _run(capsys, ["bench", "--dims", "20x30", "--eps", "1e-3",
+                                  "--input", str(tmp_path / "nope.bin"),
+                                  "--input", str(zeros_file), "--ops", "neg",
+                                  "--report", "csv"])
+        assert code == 0
+        compress_row = _csv_rows(cap.out)[0]
+        assert (compress_row["bytes_in"], compress_row["cr"]) == ("2400", _zeros_ratio())
 
     def test_rows_carry_eps(self, capsys):
         code, cap = _run(capsys, ["bench", "--dims", "8x8", "--eps", "0.05",
@@ -236,6 +377,15 @@ class TestDistsimCommand:
         assert rows[0]["op"] == "distsim_sum"
         assert rows[0]["node_count"] == "3"
         assert float(rows[0]["max_abs_diff"]) == 0.0
+
+    def test_input_file_is_read(self, zeros_file, capsys):
+        code, cap = _run(capsys, ["distsim", "--nodes", "3", "--dims", "20x30",
+                                  "--eps", "1e-3", "--reps", "1",
+                                  "--input", str(zeros_file), "--report", "csv"])
+        assert code == 0
+        row = _csv_rows(cap.out)[0]
+        assert (row["bytes_in"], row["cr"], row["max_abs_diff"]) == ("7200", _zeros_ratio(),
+                                                                      "0.0")
 
     def test_too_few_nodes(self, capsys):
         code, _ = _run(capsys, ["distsim", "--nodes", "1", "--dims", "8x8",

@@ -10,7 +10,6 @@ from hoszp import (
     BlockView,
     CompressedStream,
     GeometryMismatch,
-    OpReport,
     OutlierOverflow,
     QuantArray,
     QuantOverflow,
@@ -104,10 +103,10 @@ class TestBlockView:
 class TestCompressedStreamConstruction:
     def test_section_sizes_cross_checked(self, example_stream):
         p = example_stream.params
-        with pytest.raises(GeometryMismatch):
+        with pytest.raises(GeometryMismatch, match="sign section is 0 bytes, expected 1"):
             CompressedStream(p, example_stream.widths, example_stream.outliers,
                              b"", example_stream.payload)
-        with pytest.raises(GeometryMismatch):
+        with pytest.raises(GeometryMismatch, match="payload section is 2 bytes, expected 1"):
             CompressedStream(p, example_stream.widths, example_stream.outliers,
                              example_stream.sign_planes, example_stream.payload + b"\x00")
 
@@ -233,15 +232,3 @@ def test_round_trip_property(seed):
     s = random_stream(seed)
     assert deserialize(serialize(s)) == s
 
-
-class TestOpReport:
-    def test_throughput(self):
-        r = OpReport("compress", 2.0, bytes_in=100, bytes_out=10, compression_ratio=10.0)
-        assert r.throughput == 50.0
-        assert OpReport("x", 0.0, 1, 1, 1.0).throughput == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OpReport("x", -1.0, 1, 1, 1.0)
-        with pytest.raises(ValueError):
-            OpReport("x", 1.0, 1, 1, 0.0)

@@ -554,6 +554,34 @@ class TestSsim:
             ssim_global(z, z)
 
 
+class TestOverflowingScale:
+    """Past eps of about 6.7e153, ``(2 eps)^2`` overflows a double: a zero
+    integer moment still gives 0.0 and a nonzero one an infinity, as the
+    oracle does on the decompressed grid."""
+
+    EPS = 1e160
+
+    def test_zero_moments(self):
+        zero = _stream(np.zeros(8), eps=self.EPS)
+        const = _stream(np.full(8, 4), eps=self.EPS)
+        for s in (zero, const):
+            assert variance(s) == stddev(s) == 0.0
+            assert covariance(s, zero) == 0.0
+        assert oracle_reduction("variance", [zero]) == 0.0
+        with pytest.raises(ValueError, match="undefined"):
+            ssim_global(zero, zero)
+
+    def test_nonzero_moments_are_infinite(self):
+        a = _stream([0, 1, -2, 3, 0, 5, -7, 2], eps=self.EPS)
+        assert variance(a) == stddev(a) == covariance(a, a) == math.inf
+        assert covariance(a, negate(a)) == -math.inf
+        assert math.isnan(ssim_global(a, a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert oracle_reduction("variance", [a]) == math.inf
+            assert oracle_reduction("covariance", [a, negate(a)]) == -math.inf
+            assert math.isnan(oracle_reduction("ssim", [a, a]))
+
+
 class TestRangeReductions:
     """Reductions stream exact sums over the decode ranges; each range is
     bounded on its own, and wide ones are summed as Python ints."""

@@ -19,17 +19,21 @@ joined.  ``_encode_ranges`` is the one encoder: ``compress`` quantizes
 each range, ``encode_from_quant`` and the stream operations in ``ops``
 hand it a range's bins or signed residuals, and it fills the range's
 widths and packs its sign rows (one ``packbits`` over the range) and its
-payload (one chunk per width).  Decode unpacks a range's non-constant
-blocks into one int64 buffer, applies the signs with one branch-free step,
-writes each block's outlier into its first slot and prefix-sums the rows
-in place; ``decompress``, ``decode_to_quant``, the stream operations and
-the reductions consume it range by range, so no stage writes a
-full-length temporary.  Each range picks its own arithmetic, by one rule:
-int64 when its bounds allow (bins within 2^62 for the residual split,
-``max|O| + (k-1) * max mag`` for the prefix sums), else the same numpy
-steps on an object array of exact Python ints.  Both directions are
-serial; the ``threads`` argument of the public entry points is accepted
-and ignored.
+payload.  Both directions move a range's rows in chunks of one width
+(``_block_chunks``): a range of few runs of equal widths, such as noise with
+a rare narrower block, moves each run as one slice of the matrix and of the
+sections, where its rows lie back to back; a range of many runs, such as
+one where constant blocks interleave, gathers its rows by width.  Decode
+unpacks a range's non-constant blocks into one int64 buffer, applies the
+signs with one branch-free step, writes each block's outlier into its
+first slot and prefix-sums the rows in place; ``decompress``,
+``decode_to_quant``, the stream operations and the reductions consume it
+range by range, so no stage writes a full-length temporary.  Each range
+picks its own arithmetic, by one rule: int64 when its bounds allow (bins
+within 2^62 for the residual split, ``max|O| + (k-1) * max mag`` for the
+prefix sums), else the same numpy steps on an object array of exact Python
+ints.  Both directions are serial; the ``threads`` argument of the public
+entry points is accepted and ignored.
 
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
@@ -53,6 +57,11 @@ _FAST_BIN_LIMIT = 2**62 - 1
 _U64_MAX = 2**64 - 1
 # elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
+# a range's blocks of one length move as one slice per run of equal widths
+# (constant runs count) when they form at most this many runs: the rows of a
+# run lie back to back.  Past it, as in cloud-like data where constant blocks
+# interleave, the per-run calls cost more than gathering the rows by width.
+_SLICE_RUNS = 16
 # the output dtypes of decompress, by numpy dtype
 _OUT_DTYPES = {np.dtype(t): name for name, (_, t, _) in DTYPES.items()}
 
@@ -296,7 +305,9 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int,
 # fields fill exactly w bytes, so both kernels pad a row to ceil(k/8) groups
 # of 8 fields and move each group as ceil(w/8) big-endian u64 words.  Field
 # j of a group starts at bit j*w: inside word (j*w) >> 6, or straddling that
-# word and the next.
+# word and the next.  Both kernels shift whole lanes, each a contiguous
+# array holding field j of every group, and reach the (blocks, k) layout
+# through one transpose.
 
 
 def _pack_mag_rows(mat: np.ndarray, w: int) -> np.ndarray:
@@ -333,23 +344,25 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
     padded[:, : rows.shape[1]] = rows
     octets = np.zeros((g * groups, nw * 8), dtype=np.uint8)
     octets[:, :w] = padded.reshape(g * groups, w)
-    words = octets.view(">u8").astype(np.uint64)
     mask = np.uint64((1 << w) - 1)
     if w <= 8:  # a group is one word: shift all eight lanes out at once
+        words = octets.view(">u8").astype(np.uint64)  # (groups, 1)
         vals = words >> np.arange(64 - w, -1, -w, dtype=np.uint64)[:8]
         vals &= mask
         return vals.reshape(g, groups * 8)[:, :k]
-    vals = np.empty((g * groups, 8), dtype=np.uint64)
-    for j in range(8):
+    # word i of every group, contiguous; lane j holds field j of every group
+    words = octets.view(">u8").T.astype(np.uint64, order="C")
+    lanes = np.empty((8, g * groups), dtype=np.uint64)
+    tmp = np.empty(g * groups, dtype=np.uint64)
+    for j, lane in enumerate(lanes):
         i, o = divmod(j * w, 64)
-        lane = vals[:, j]
         if o + w <= 64:
-            np.right_shift(words[:, i], np.uint64(64 - o - w), out=lane)
-        else:
-            np.left_shift(words[:, i], np.uint64(o + w - 64), out=lane)
-            lane |= words[:, i + 1] >> np.uint64(128 - o - w)
+            np.right_shift(words[i], np.uint64(64 - o - w), out=lane)
+        else:  # the field straddles words i and i + 1
+            np.left_shift(words[i], np.uint64(o + w - 64), out=lane)
+            lane |= np.right_shift(words[i + 1], np.uint64(128 - o - w), out=tmp)
         lane &= mask
-    return vals.reshape(g, groups * 8)[:, :k]
+    return lanes.T.reshape(g, groups * 8)[:, :k]
 
 
 def _section_offsets(sizes: np.ndarray) -> np.ndarray:
@@ -364,28 +377,42 @@ def _block_chunks(params: QuantParams, widths: np.ndarray, b0: int, b1: int):
 
     Yields ``(span, length, w, ids, rows)``, all relative to the range: the
     elements ``span`` reshaped to ``(-1, length)`` hold block ``ids[i]`` in
-    row ``rows[i]`` (a slice when the rows are consecutive).  The full
-    blocks of the range share one matrix; a ragged tail block forms its own.
+    row ``rows[i]``.  The full blocks of the range share one matrix; a
+    ragged tail block forms its own.  A matrix whose blocks form at most
+    ``_SLICE_RUNS`` runs of one width yields each non-constant run, with
+    ``ids`` and ``rows`` as slices: the run's sign and payload rows lie back
+    to back.  Otherwise its rows group by width, ``ids`` an index array and
+    ``rows`` a slice only when the group's rows are consecutive.
     """
     k, n = params.block_len, params.element_count
     nfull = min(b1, n // k) - b0
-    segments = [(slice(0, nfull * k), k, 0, np.arange(nfull))]
+    segments = [(slice(0, nfull * k), k, 0, widths[:nfull])] if nfull else []
     if n % k and b1 == params.block_count:
-        segments.append((slice(nfull * k, n - b0 * k), n % k, nfull, np.array([nfull])))
-    for span, length, first, ids in segments:
-        ids = ids[widths[ids] > 0]
-        ws = widths[ids]
-        for w in np.unique(ws):
-            chunk = ids[ws == w]
-            rows = chunk - first
+        segments.append((slice(nfull * k, n - b0 * k), n % k, nfull, widths[nfull:]))
+    for span, length, first, ws in segments:
+        starts = np.flatnonzero(ws[1:] != ws[:-1]) + 1  # where a run of one width starts
+        if len(starts) < _SLICE_RUNS:
+            bounds = [0, *starts.tolist(), len(ws)]
+            for r0, r1 in zip(bounds, bounds[1:]):
+                if ws[r0]:
+                    yield span, length, int(ws[r0]), slice(first + r0, first + r1), slice(r0, r1)
+            continue
+        ids = np.flatnonzero(ws)
+        wids = ws[ids]
+        for w in np.unique(wids):
+            rows = ids[wids == w]
+            chunk = rows + first
             if rows[-1] - rows[0] + 1 == len(rows):
                 rows = slice(rows[0], rows[-1] + 1)
             yield span, length, int(w), chunk, rows
 
 
-def _row_slots(offs: np.ndarray, ids: np.ndarray, width: int):
+def _row_slots(offs: np.ndarray, ids, width: int):
     """Where the ``width``-byte rows of blocks ``ids`` lie in a section: a
     slice when they lie back to back, else a flat index array."""
+    if isinstance(ids, slice):
+        start = int(offs[ids.start])
+        return slice(start, start + (ids.stop - ids.start) * width)
     start = int(offs[ids[0]])
     if int(offs[ids[-1]]) - start == (len(ids) - 1) * width:
         return slice(start, start + len(ids) * width)
@@ -438,12 +465,13 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
     sign_bytes = np.frombuffer(stream.sign_planes, dtype=np.uint8)
     payload_bytes = np.frombuffer(stream.payload, dtype=np.uint8)
     for span, length, w, ids, rows in _block_chunks(params, stream.widths[b0:b1], b0, b1):
-        signs = sign_bytes[_row_slots(offs[0], ids, (length + 7) // 8)]
+        signbytes, rowbytes = (length + 7) // 8, (length * w + 7) // 8
+        signs = sign_bytes[_row_slots(offs[0], ids, signbytes)]
         s[span].reshape(-1, length)[rows] = np.unpackbits(
-            signs.reshape(len(ids), -1), axis=1)[:, :length]
-        payload = payload_bytes[_row_slots(offs[1], ids, (length * w + 7) // 8)]
+            signs.reshape(-1, signbytes), axis=1)[:, :length]
+        payload = payload_bytes[_row_slots(offs[1], ids, rowbytes)]
         mags[span].reshape(-1, length)[rows] = _unpack_mag_rows(
-            payload.reshape(len(ids), -1), length, w)
+            payload.reshape(-1, rowbytes), length, w)
     return _resolve_range(r, s, stream.outliers[b0:b1].astype(np.int64), k, bins)
 
 
@@ -568,7 +596,8 @@ def decompress(stream: CompressedStream, threads: int = 1,
     ``out_dtype`` is None (the stream dtype), float32 or float64 (anything
     ``np.dtype`` maps to them).  Float64 returns the exact reconstruction
     grid ``2 * eps * bin`` regardless of the stream dtype (used by the
-    traditional-workflow reference path).
+    traditional-workflow reference path).  A reconstructed value past the
+    output dtype's range raises :class:`QuantOverflow`.
     """
     params = stream.params
     try:
@@ -576,13 +605,23 @@ def decompress(stream: CompressedStream, threads: int = 1,
     except (TypeError, KeyError):
         raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
     values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
+    # no bin is larger than max|O| + (k-1) * (2^max width - 1); only when
+    # that bound's reconstruction passes the output dtype's range (or is NaN:
+    # 0 * inf) can a value overflow, and only then is the output checked
+    o, w = stream.outliers, int(stream.widths.max(initial=0))
+    bound = (max(-int(o.min(initial=0)), int(o.max(initial=0)))
+             + (params.block_len - 1) * ((1 << w) - 1))
+    check = not float(bound) * (2.0 * params.eps) <= float(np.finfo(values.dtype).max)
     buf = None
     for b0, b1, offs in _stream_ranges(stream):
         bins = _decode_range(stream, b0, b1, offs, out=buf)
         buf = bins if buf is None else buf
         e0 = b0 * params.block_len
         # the f64 grid value, rounded once to the output dtype
-        np.multiply(bins, 2.0 * params.eps, out=values[e0 : e0 + bins.size])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            np.multiply(bins, 2.0 * params.eps, out=values[e0 : e0 + bins.size])
+    if check and not np.isfinite(values).all():
+        raise QuantOverflow(f"reconstruction 2 * eps * bin passes the {dtype} range")
     return RawArray(values, params.dims, dtype)
 
 

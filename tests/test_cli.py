@@ -289,6 +289,22 @@ class TestProcess:
         assert proc.returncode == 4
         assert "kind=BadMagic" in proc.stderr
 
+    def test_overflowing_reconstruction_is_a_codec_error(self, tmp_path):
+        # both streams are valid, but 2 eps bin passes the dtype's maximum
+        raw = tmp_path / "big.bin"
+        np.array([3e38, 1e38, 0, -3e38], dtype="<f4").tofile(raw)
+        proc = self._hoszp("compress", raw, "-o", tmp_path / "big.hsz", "--dims", "4",
+                           "--eps", "1e38")
+        assert proc.returncode == 0, proc.stderr
+        huge_eps = tmp_path / "huge_eps.hsz"
+        huge_eps.write_bytes(serialize(encode_from_quant(
+            QuantArray(np.arange(4), QuantParams(1e308, (4,), 32, "f64")))))
+        for stream in (tmp_path / "big.hsz", huge_eps):
+            proc = self._hoszp("decompress", stream, "-o", tmp_path / "out.bin")
+            assert proc.returncode == 4, proc.stderr
+            assert "kind=QuantOverflow" in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+
     def test_variance_at_overflowing_eps(self, huge_eps_hsz):
         proc = self._hoszp("stats", "variance", huge_eps_hsz, "--verify")
         assert proc.returncode == 0, proc.stderr

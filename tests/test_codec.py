@@ -1,5 +1,6 @@
 """Codec pipeline: quantization, decorrelation, packing, and their inverses."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hoszp import (
     CompressedStream,
     GeometryMismatch,
+    HoszpError,
     QuantArray,
     QuantOverflow,
     QuantParams,
@@ -28,7 +30,8 @@ from hoszp import (
     serialize,
     write_raw,
 )
-from hoszp import codec
+from hoszp import codec, ops
+from hoszp.synth import random_field
 
 from conftest import (
     EXAMPLE_BINS,
@@ -277,6 +280,19 @@ class TestCompressDecompress:
                 with pytest.raises(ValueError, match="out_dtype"):
                     decompress(s, out_dtype=bad)
 
+    def test_reconstruction_past_the_dtype_range_raises(self):
+        # valid streams whose bins decode, but whose 2 eps bin passes the
+        # output dtype's maximum: a codec error, not a usage error
+        p = QuantParams(1e38, (4,), 32, "f32")
+        s = compress(RawArray(np.array([3e38, 1e38, 0, -3e38], np.float32), (4,), "f32"), p)
+        with pytest.raises(QuantOverflow, match="f32 range"):
+            decompress(s)
+        assert decompress(s, out_dtype=np.float64).values.tolist() == [4e38, 0, 0, -4e38]
+        for bins in (np.arange(4), np.zeros(4, np.int64)):  # 2 eps is inf; 0 * inf is NaN
+            huge_eps = encode_from_quant(QuantArray(bins, QuantParams(1e308, (4,), 32, "f64")))
+            with pytest.raises(QuantOverflow, match="f64 range"):
+                decompress(huge_eps)
+
 
 class TestPartialDecode:
     def test_decode_to_quant_worked_example(self, example_stream):
@@ -414,6 +430,61 @@ class TestRangeEncode:
                 call(raw, p)
 
 
+def width_bins(rng, widths, k, n):
+    """Bins of ``n`` elements in blocks of ``k`` whose blocks have exactly
+    the given residual widths (0: a constant block)."""
+    bins = np.empty(n, dtype=np.int64)
+    for b, w in enumerate(widths):
+        blk = bins[b * k : b * k + k]
+        resid = rng.integers(-(2**w) + 1, 2**w, blk.size) if w else np.zeros(blk.size, np.int64)
+        resid[0] = rng.integers(-1000, 1000)  # the outlier
+        if w and blk.size > 1:
+            resid[1] = 2 ** (w - 1)
+        np.cumsum(resid, out=blk)
+    return bins
+
+
+class TestBlockChunks:
+    """A range whose blocks form few runs of one width moves each run as one
+    slice; otherwise its rows are gathered by width.  Both paths must give
+    the reference bytes, and decode back."""
+
+    @pytest.mark.parametrize("k", [32, 33])
+    @pytest.mark.parametrize("case", ["one width", "few runs", "interleaved"])
+    def test_matches_reference(self, k, case):
+        rng = np.random.default_rng(k)
+        n = range_sizes(k)[-1]  # three ranges and a ragged tail block
+        p = QuantParams(0.5, (n,), k, "f64")
+        if case == "interleaved":
+            widths = rng.integers(0, 12, p.block_count)
+        else:
+            widths = np.full(p.block_count, 10)
+        if case == "few runs":  # constant and 7-bit blocks between 10-bit runs
+            widths[700::1500] = 0
+            widths[900::1500] = 7
+        q = QuantArray(width_bins(rng, widths, k, n), p)
+        s = encode_from_quant(q)
+        assert s.widths.tolist() == widths.tolist()
+        assert s == reference_stream(q)
+        assert decode_to_quant(s) == q
+        by_slice = {isinstance(ids, slice)
+                    for b0, b1 in codec._block_ranges(p)
+                    for _, _, _, ids, _ in codec._block_chunks(p, s.widths[b0:b1], b0, b1)}
+        assert by_slice == ({True, False} if case == "interleaved" else {True})
+
+    def test_one_odd_block_keeps_slices(self):
+        # noise-like data: one 9-bit block among the 10-bit blocks of a range
+        k, n = 32, codec._RANGE_ELEMS
+        p = QuantParams(0.5, (n,), k, "f64")
+        widths = np.full(n // k, 10)
+        widths[n // k // 2] = 9
+        s = encode_from_quant(QuantArray(width_bins(np.random.default_rng(5), widths, k, n), p))
+        chunks = list(codec._block_chunks(p, s.widths, 0, p.block_count))
+        assert [w for _, _, w, _, _ in chunks] == [10, 9, 10]
+        assert all(isinstance(ids, slice) and isinstance(rows, slice)
+                   for _, _, _, ids, rows in chunks)
+
+
 class TestLossinessLocalization:
     """Quantization is the only lossy stage; everything after it is exact."""
 
@@ -440,6 +511,18 @@ class TestBitPacking:
                            dtype=np.uint8)
             assert np.array_equal(codec._pack_mag_rows(mat, w), ref), w
             assert np.array_equal(codec._unpack_mag_rows(ref, k, w), mat), w
+
+    @pytest.mark.parametrize("k", [13, 32])
+    def test_unpack_reads_row_views(self, k):
+        # the rows as decode passes them: a read-only view into a larger
+        # byte buffer, starting at an odd byte offset
+        rng = np.random.default_rng(70 + k)
+        for w in range(1, 65):
+            mat = rng.integers(0, 2**64, (5, k), dtype=np.uint64) >> np.uint64(64 - w)
+            packed = b"".join(ref_pack_row(row.tolist(), w) for row in mat)
+            buf = np.frombuffer(b"\xff" * 3 + packed + b"\xff" * 5, dtype=np.uint8)
+            rows = buf[3 : 3 + len(packed)].reshape(5, -1)
+            assert np.array_equal(codec._unpack_mag_rows(rows, k, w), mat), w
 
     def test_stream_matches_reference_packer(self):
         # 8 full blocks of 12 and a ragged tail of 4; widths 0 (constant) to 64
@@ -538,3 +621,67 @@ def test_quant_domain_round_trip_property(seed):
     q = decode_to_quant(s)
     assert encode_from_quant(q) == s
     assert lorenzo_decode(lorenzo_encode(q), q.params) == q
+
+
+def _corpus_digest():
+    """sha256 over the serialized bytes of ``compress`` and of every stream
+    operation, the ``repr`` of every reduction, the decoded bins and values
+    and the exception types, over a small seeded corpus: noise (with
+    mixed-width ranges), cloud (most blocks constant) and smooth fields,
+    at block_len 32 and 13, on a ragged length."""
+    h = hashlib.sha256()
+
+    def put(label, data):
+        h.update(label.encode() + b"\0" + data)
+
+    def result(op, streams, scalar=None):
+        try:
+            out = ops.apply(op, streams, scalar)
+        except (HoszpError, ValueError) as e:
+            return type(e).__name__.encode()
+        return repr(out).encode() if ops.OPS[op].reduction else serialize(out)
+
+    dims = (250, 283)  # 70750 elements: two ranges, ragged at k = 32 and 13
+
+    def walk(seed):
+        # smooth data from adds alone, which round the same on every platform
+        # (a cosine field may not)
+        return np.cumsum(np.random.default_rng(seed).uniform(-1, 1, dims[0] * dims[1])) * 0.01
+
+    noise = [random_field(dims, seed) for seed in (3, 4)]
+    cloud = [RawArray(np.maximum(walk(seed), 0), dims, "f32") for seed in (5, 6)]
+    smooth = [RawArray(walk(seed), dims, "f64") for seed in (7, 8)]
+    mixed = 0
+    for name, fields, eps in (("noise", noise, 1e-3), ("cloud", cloud, 1e-4),
+                              ("smooth", smooth, 1e-3)):
+        for k in (32, 13):
+            p = QuantParams(eps, dims, k, fields[0].dtype)
+            streams = [compress(f, p) for f in fields]
+            tag = f"{name}/{k}"
+            for i, s in enumerate(streams):
+                put(f"{tag}/compress{i}", serialize(s))
+                put(f"{tag}/bins{i}", decode_to_quant(s).bins.tobytes())
+                put(f"{tag}/values{i}", decompress(s).values.tobytes())
+                for b0, b1 in codec._block_ranges(p):
+                    ws = s.widths[b0:b1]
+                    mixed += len(np.unique(ws[ws > 0])) > 1
+            for op, spec in ops.OPS.items():
+                for scalar in (0.37, -2.5, 1e300)[: 3 if spec.takes_scalar else 1]:
+                    put(f"{tag}/{op}/{scalar}", result(op, streams[: spec.arity], scalar))
+            if k == 32:
+                first = streams[0]
+        # block_len 32 and 13 operands: ParamsMismatch
+        put(f"{name}/mismatch", result("eadd", [first, streams[0]]))
+    zero = compress(RawArray(np.zeros(1000), (1000,), "f64"), QuantParams(1e-3, (1000,), 32, "f64"))
+    for op in ("ssim", "variance", "hadamard"):  # a degenerate ssim raises
+        put(f"zero/{op}", result(op, [zero] * ops.OPS[op].arity))
+    return h.hexdigest(), mixed
+
+
+def test_corpus_digest_is_pinned():
+    # computed at the commit before the runs-as-slices decode and encode;
+    # bytes, results and exception types must not change with the codec's
+    # internals
+    digest, mixed = _corpus_digest()
+    assert mixed > 0  # the corpus reaches ranges of more than one width
+    assert digest == "e982883b8d1090f4ad242cf459a774874b23e556e3e0602354c6e61a8c3f054e"

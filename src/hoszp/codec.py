@@ -19,21 +19,27 @@ joined.  ``_encode_ranges`` is the one encoder: ``compress`` quantizes
 each range, ``encode_from_quant`` and the stream operations in ``ops``
 hand it a range's bins or signed residuals, and it fills the range's
 widths and packs its sign rows (one ``packbits`` over the range) and its
-payload.  Both directions move a range's rows in chunks of one width
-(``_block_chunks``): a range of few runs of equal widths, such as noise with
-a rare narrower block, moves each run as one slice of the matrix and of the
-sections, where its rows lie back to back; a range of many runs, such as
-one where constant blocks interleave, gathers its rows by width.  Decode
-unpacks a range's non-constant blocks into one int64 buffer, applies the
-signs with one branch-free step, writes each block's outlier into its
-first slot and prefix-sums the rows in place; ``decompress``,
-``decode_to_quant``, the stream operations and the reductions consume it
-range by range, so no stage writes a full-length temporary.  Each range
-picks its own arithmetic, by one rule: int64 when its bounds allow (bins
-within 2^62 for the residual split, ``max|O| + (k-1) * max mag`` for the
-prefix sums), else the same numpy steps on an object array of exact Python
-ints.  Both directions are serial; the ``threads`` argument of the public
-entry points is accepted and ignored.
+payload.  Both directions move a range's full non-constant blocks in
+chunks of one width (``_block_chunks``), counting runs of equal widths
+over the non-constant blocks alone: a range of few runs, such as noise
+with a rare narrower block, moves each run as one slice of the sections,
+where its rows lie back to back; a range of many runs, such as cloud-like
+data with widths interleaved, gathers its rows by width.  A ragged tail
+block moves on its own.  Decode works on a compact matrix of the range's
+non-constant blocks alone, in block order, as their rows lie in the
+sections: one ``unpackbits`` over the range's sign bytes, the magnitudes
+unpacked by width, one branch-free sign step, each block's outlier in its
+first slot and the row prefix sums.  The constant blocks of the range
+buffer are then filled from their outliers (zeros for residuals) with one
+broadcast and the compact rows scattered in once; a range with no
+constant block decodes in place.  ``decompress``, ``decode_to_quant``, the
+stream operations and the reductions consume the buffer range by range,
+so no stage writes a full-length temporary.  Each range picks its own
+arithmetic, by one rule: int64 when its bounds allow (bins within 2^62 for
+the residual split, ``_bin_bound`` = ``max|O| + (k-1) * (2^max width - 1)``
+for the prefix sums), else the same numpy steps on an object array of
+exact Python ints.  Both directions are serial; the ``threads`` argument
+of the public entry points is accepted and ignored.
 
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
@@ -57,10 +63,10 @@ _FAST_BIN_LIMIT = 2**62 - 1
 _U64_MAX = 2**64 - 1
 # elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
-# a range's blocks of one length move as one slice per run of equal widths
-# (constant runs count) when they form at most this many runs: the rows of a
-# run lie back to back.  Past it, as in cloud-like data where constant blocks
-# interleave, the per-run calls cost more than gathering the rows by width.
+# a range's non-constant full blocks move as one slice per run of equal
+# widths when they form at most this many runs: the rows of a run lie back to
+# back.  Past it, as in cloud-like data where widths interleave, the per-run
+# calls cost more than gathering the rows by width.
 _SLICE_RUNS = 16
 # the output dtypes of decompress, by numpy dtype
 _OUT_DTYPES = {np.dtype(t): name for name, (_, t, _) in DTYPES.items()}
@@ -205,9 +211,26 @@ def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
     return QuantArray(bins, params)
 
 
+def _checked_raw(values: np.ndarray, params: QuantParams, bound: int) -> RawArray:
+    """``values``, reconstructions ``2 * eps * bin`` of bins at most
+    ``bound`` in magnitude, as a RawArray; a value past the dtype's range
+    raises :class:`QuantOverflow`.  Only when the bound's reconstruction
+    passes that range (or is NaN: 0 * inf) can a value overflow, and only
+    then are the values checked."""
+    dtype = _OUT_DTYPES[values.dtype]
+    top = float(np.finfo(values.dtype).max)
+    if not float(bound) * (2.0 * params.eps) <= top and not np.isfinite(values).all():
+        raise QuantOverflow(f"reconstruction 2 * eps * bin passes the {dtype} range")
+    return RawArray(values, params.dims, dtype)
+
+
 def dequantize(q: QuantArray) -> RawArray:
-    """Reverse quantization: ``2 * eps * bin`` in the stream's dtype."""
-    return RawArray(_dequant_values(q.bins, q.params), q.params.dims, q.params.dtype)
+    """Reverse quantization: ``2 * eps * bin`` in the stream's dtype.  A
+    value past the dtype's range raises :class:`QuantOverflow`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = _dequant_values(q.bins, q.params)
+    # a QuantArray's bins are within 63 bits
+    return _checked_raw(values, q.params, _I64_MAX)
 
 
 def _nearest_bins(t: np.ndarray) -> np.ndarray:
@@ -261,21 +284,28 @@ def _block_widths(mags: np.ndarray, k: int) -> np.ndarray:
     return np.searchsorted(_POW2, maxes, side="right").astype(np.uint8)
 
 
-def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int,
-                   bins: bool = True) -> np.ndarray:
-    """Finish decoding a block-aligned range in place.
+def _bin_bound(outliers: np.ndarray, k: int, w: int) -> int:
+    """``max|O| + (k-1) * (2^w - 1)``: no bin of blocks of ``k`` with these
+    outliers and widths of at most ``w`` bits is larger in magnitude."""
+    return (max(-int(outliers.min(initial=0)), int(outliers.max(initial=0)))
+            + (k - 1) * ((1 << w) - 1))
 
-    ``r`` (int64) holds the raw bits of the residual magnitudes, ``s``
-    (int8, clobbered) their 0/1 signs and ``outliers`` the range's block
-    outliers.  Returns ``r`` as signed residuals (0 at block starts) or, with
-    ``bins``, as per-block prefix sums seeded by the outliers.  Every prefix
-    sum is bounded by ``max|O| + (k-1) * max mag``; a range past int64 takes
-    the same steps on Python ints in an object array (np.int64 scalars would
-    wrap), and residuals past 63 bits come back as that array.
+
+def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w: int,
+                   bins: bool = True) -> np.ndarray:
+    """Finish decoding a run of blocks of ``k`` (the last may be shorter)
+    in place.
+
+    ``r`` (int64) holds the raw bits of the residual magnitudes, at most
+    ``w`` bits wide, ``s`` (int8, clobbered) their 0/1 signs and
+    ``outliers`` the blocks' outliers.  :func:`_decode_range` passes the
+    compact rows of a range's non-constant blocks.  Returns ``r`` as signed
+    residuals (0 at block starts) or, with ``bins``, as per-block prefix
+    sums seeded by the outliers.  A run whose :func:`_bin_bound` passes
+    int64 takes the same steps on Python ints in an object array (np.int64
+    scalars would wrap), and residuals past 63 bits come back as that array.
     """
-    maxmag = int(r.view(np.uint64).max()) if r.size else 0
-    maxout = int(np.abs(outliers).max()) if outliers.size else 0
-    if maxmag > _I64_MAX or (bins and maxout + (k - 1) * maxmag > _I64_MAX):
+    if w > 63 or (bins and _bin_bound(outliers, k, w) > _I64_MAX):
         x = r.view(np.uint64).astype(object)
         np.negative(x, out=x, where=s.view(np.bool_))
     else:
@@ -340,8 +370,11 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
     """Inverse of :func:`_pack_mag_rows`: a (blocks, k) uint64 matrix."""
     g = rows.shape[0]
     groups, nw = (k + 7) // 8, (w + 7) // 8
-    padded = np.zeros((g, groups * w), dtype=np.uint8)
-    padded[:, : rows.shape[1]] = rows
+    if rows.shape[1] == groups * w:  # k % 8 == 0: the rows need no padding
+        padded = rows
+    else:
+        padded = np.zeros((g, groups * w), dtype=np.uint8)
+        padded[:, : rows.shape[1]] = rows
     octets = np.zeros((g * groups, nw * 8), dtype=np.uint8)
     octets[:, :w] = padded.reshape(g * groups, w)
     mask = np.uint64((1 << w) - 1)
@@ -371,52 +404,59 @@ def _section_offsets(sizes: np.ndarray) -> np.ndarray:
     return offs
 
 
-def _block_chunks(params: QuantParams, widths: np.ndarray, b0: int, b1: int):
-    """The non-constant blocks of range [b0, b1), whose widths are
-    ``widths``, in chunks of one length and width.
+def _as_slice(idx: np.ndarray):
+    """``idx`` (ascending) as a slice when its entries are consecutive."""
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
-    Yields ``(span, length, w, ids, rows)``, all relative to the range: the
-    elements ``span`` reshaped to ``(-1, length)`` hold block ``ids[i]`` in
-    row ``rows[i]``.  The full blocks of the range share one matrix; a
-    ragged tail block forms its own.  A matrix whose blocks form at most
-    ``_SLICE_RUNS`` runs of one width yields each non-constant run, with
-    ``ids`` and ``rows`` as slices: the run's sign and payload rows lie back
-    to back.  Otherwise its rows group by width, ``ids`` an index array and
-    ``rows`` a slice only when the group's rows are consecutive.
+
+def _block_chunks(ws: np.ndarray):
+    """The non-constant blocks among full blocks of widths ``ws``, in chunks
+    of one width.
+
+    Yields ``(w, ids, rows)``: block ``ids[i]`` (its row in the matrix of
+    all the blocks) is row ``rows[i]`` of the compact matrix that holds the
+    non-constant blocks alone, in block order, as their sign and payload
+    rows lie in the sections.  Runs of equal width are counted over the
+    non-constant blocks, so a constant block does not break a run.  When
+    they form at most ``_SLICE_RUNS`` runs, each run is one chunk and
+    ``rows`` a slice; otherwise the rows group by width.  ``ids`` and
+    ``rows`` are slices where their entries are consecutive, else index
+    arrays.
     """
-    k, n = params.block_len, params.element_count
-    nfull = min(b1, n // k) - b0
-    segments = [(slice(0, nfull * k), k, 0, widths[:nfull])] if nfull else []
-    if n % k and b1 == params.block_count:
-        segments.append((slice(nfull * k, n - b0 * k), n % k, nfull, widths[nfull:]))
-    for span, length, first, ws in segments:
-        starts = np.flatnonzero(ws[1:] != ws[:-1]) + 1  # where a run of one width starts
-        if len(starts) < _SLICE_RUNS:
-            bounds = [0, *starts.tolist(), len(ws)]
-            for r0, r1 in zip(bounds, bounds[1:]):
-                if ws[r0]:
-                    yield span, length, int(ws[r0]), slice(first + r0, first + r1), slice(r0, r1)
-            continue
-        ids = np.flatnonzero(ws)
-        wids = ws[ids]
-        for w in np.unique(wids):
-            rows = ids[wids == w]
-            chunk = rows + first
-            if rows[-1] - rows[0] + 1 == len(rows):
-                rows = slice(rows[0], rows[-1] + 1)
-            yield span, length, int(w), chunk, rows
+    ids = np.flatnonzero(ws)
+    if not ids.size:
+        return
+    wids = ws[ids]
+    starts = np.flatnonzero(wids[1:] != wids[:-1]) + 1  # where a run of one width starts
+    if len(starts) < _SLICE_RUNS:
+        bounds = [0, *starts.tolist(), len(ids)]
+        for r0, r1 in zip(bounds, bounds[1:]):
+            yield int(wids[r0]), _as_slice(ids[r0:r1]), slice(r0, r1)
+        return
+    order = np.argsort(wids, kind="stable")  # the rows of each width, ascending
+    end = 0
+    for w, count in enumerate(np.bincount(wids).tolist()):
+        if count:
+            rows = order[end : end + count]
+            end += count
+            yield w, _as_slice(ids[rows]), _as_slice(rows)
 
 
-def _row_slots(offs: np.ndarray, ids, width: int):
-    """Where the ``width``-byte rows of blocks ``ids`` lie in a section: a
-    slice when they lie back to back, else a flat index array."""
+def _row_slots(section: np.ndarray, offs: np.ndarray, ids, width: int):
+    """The ``width``-byte rows of blocks ``ids`` in ``section`` (uint8) as
+    ``(view, at)``: ``view[at]`` reads or writes them as a ``(len(ids),
+    width)`` matrix.  ``view`` is a slice of the section when the rows lie
+    back to back, else a strided view whose row ``i`` starts at byte ``i``."""
     if isinstance(ids, slice):
-        start = int(offs[ids.start])
-        return slice(start, start + (ids.stop - ids.start) * width)
-    start = int(offs[ids[0]])
-    if int(offs[ids[-1]]) - start == (len(ids) - 1) * width:
-        return slice(start, start + len(ids) * width)
-    return (offs[ids][:, None] + np.arange(width)).ravel()
+        start, count = int(offs[ids.start]), ids.stop - ids.start
+    else:
+        start, count = int(offs[ids[0]]), len(ids)
+        if int(offs[ids[-1]]) - start != (count - 1) * width:
+            return np.ndarray((section.size - width + 1, width), np.uint8, section, 0,
+                              (1, 1)), offs[ids]
+    return section[start : start + count * width].reshape(count, width), slice(None)
 
 
 def _block_ranges(params: QuantParams):
@@ -449,30 +489,63 @@ def _stream_ranges(stream: CompressedStream):
 def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
                   bins: bool = True) -> np.ndarray:
     """Decode blocks [b0, b1) in one range-sized int64 buffer (a prefix of
-    ``out`` when that is large enough): unpack the sign planes and
-    magnitudes of the non-constant blocks, then :func:`_resolve_range`
-    applies the signs and, with ``bins``, the prefix sums.  ``offs`` come
-    from :func:`_stream_ranges`."""
+    ``out`` when that is large enough); ``offs`` come from
+    :func:`_stream_ranges`.
+
+    The non-constant blocks form a compact ``(blocks, k)`` matrix (the
+    ragged tail block, when non-constant, its last, shorter row): their
+    sign rows, back to back in the section, take one ``unpackbits``, their
+    magnitudes unpack by width into it, and :func:`_resolve_range` applies
+    the signs and, with ``bins``, the prefix sums to it alone.  Then the
+    constant blocks of the buffer take their outlier in every slot (with
+    ``bins``; zero residuals without) and the compact rows scatter in.  A
+    range with no constant block is its own compact matrix, decoded in
+    place.  Residuals past 63 bits come back as an object array."""
     params = stream.params
     k = params.block_len
     m = min(b1 * k, params.element_count) - b0 * k
     r = out[:m] if out is not None and out.size >= m else np.empty(m, dtype=np.int64)
-    s = np.empty(m, dtype=np.int8)
-    if not stream.widths[b0:b1].all():  # constant blocks hold zero residuals
-        r[:] = 0
-        s[:] = 0
-    mags = r.view(np.uint64)
-    sign_bytes = np.frombuffer(stream.sign_planes, dtype=np.uint8)
-    payload_bytes = np.frombuffer(stream.payload, dtype=np.uint8)
-    for span, length, w, ids, rows in _block_chunks(params, stream.widths[b0:b1], b0, b1):
-        signbytes, rowbytes = (length + 7) // 8, (length * w + 7) // 8
-        signs = sign_bytes[_row_slots(offs[0], ids, signbytes)]
-        s[span].reshape(-1, length)[rows] = np.unpackbits(
-            signs.reshape(-1, signbytes), axis=1)[:, :length]
-        payload = payload_bytes[_row_slots(offs[1], ids, rowbytes)]
-        mags[span].reshape(-1, length)[rows] = _unpack_mag_rows(
-            payload.reshape(-1, rowbytes), length, w)
-    return _resolve_range(r, s, stream.outliers[b0:b1].astype(np.int64), k, bins)
+    ws = stream.widths[b0:b1]
+    outliers = stream.outliers[b0:b1].astype(np.int64)
+    nfull, tail = divmod(m, k)
+    tail_w = int(ws[-1]) if tail else 0
+    nz = np.flatnonzero(ws)  # the non-constant blocks: the compact rows
+    nf = nz.size - (tail_w > 0)  # of which full blocks
+    nc = nf * k + (tail if tail_w else 0)
+    x = c = r if nc == m else np.empty(nc, dtype=np.int64)
+    if nc:
+        # the range's sign rows lie back to back, one row per compact row
+        bits = np.unpackbits(np.frombuffer(stream.sign_planes, dtype=np.uint8,
+                                           count=int(offs[0][-1] - offs[0][0]),
+                                           offset=int(offs[0][0])))
+        if k % 8:  # each row is padded to a byte
+            s = np.empty(nc, dtype=np.uint8)
+            k8 = (k + 7) // 8 * 8
+            s[: nf * k].reshape(nf, k)[:] = bits[: nf * k8].reshape(nf, k8)[:, :k]
+            s[nf * k :] = bits[nf * k8 : nf * k8 + nc - nf * k]
+        else:
+            s = bits[:nc]
+        mags = c.view(np.uint64)
+        payload = np.frombuffer(stream.payload, dtype=np.uint8)
+        cmat = mags[: nf * k].reshape(nf, k)
+        for w, ids, rows in _block_chunks(ws[:nfull]):
+            view, at = _row_slots(payload, offs[1], ids, (k * w + 7) // 8)
+            cmat[rows] = _unpack_mag_rows(view[at], k, w)
+        if tail_w:
+            mags[nf * k :] = _unpack_mag_rows(
+                payload[offs[1][-2] : offs[1][-1]][None], tail, tail_w)[0]
+        x = _resolve_range(c, s.view(np.int8), outliers[nz], k, int(ws.max()), bins)
+    if c is r:
+        return x
+    # every block takes its outlier (zero residuals) in every slot, then the
+    # compact rows overwrite the non-constant ones
+    dst = r if x.dtype == np.int64 else np.empty(m, dtype=object)
+    mat = dst[: nfull * k].reshape(nfull, k)
+    mat[:] = outliers[:nfull, None] if bins else 0
+    mat[nz[:nf]] = x[: nf * k].reshape(nf, k)
+    if tail:
+        dst[nfull * k :] = x[nf * k :] if tail_w else (outliers[-1] if bins else 0)
+    return dst
 
 
 def _range_buffer(params: QuantParams) -> np.ndarray:
@@ -502,10 +575,12 @@ def _encode_range(params: QuantParams, b0: int, b1: int, resid: np.ndarray,
         sign_bytes += np.packbits(signs[full:]).tobytes()
     offs = _section_offsets((params.block_lengths(b0, b1) * w + 7) // 8)
     payload = np.empty(int(offs[-1]), dtype=np.uint8)
-    for span, length, width, ids, rows in _block_chunks(params, w, b0, b1):
-        rowbytes = (length * width + 7) // 8
-        payload[_row_slots(offs, ids, rowbytes)] = _pack_mag_rows(
-            mags[span].reshape(-1, length)[rows], width).ravel()
+    mat = mags[:full].reshape(-1, k)
+    for width, ids, _ in _block_chunks(w[: full // k]):
+        view, at = _row_slots(payload, offs, ids, (k * width + 7) // 8)
+        view[at] = _pack_mag_rows(mat[ids], width)
+    if full < mags.size and w[-1]:
+        payload[offs[-2] :] = _pack_mag_rows(mags[full:][None], int(w[-1])).ravel()
     return sign_bytes, payload.tobytes()
 
 
@@ -574,7 +649,7 @@ def lorenzo_decode(blocks, params: QuantParams) -> QuantArray:
         outliers[b] = view.outlier
         pos += int(lengths[b])
     bins = _resolve_range(mags.view(np.int64), signs.view(np.int8), outliers,
-                          params.block_len)
+                          params.block_len, int(mags.max(initial=0)).bit_length())
     return QuantArray(bins, params)
 
 
@@ -605,13 +680,6 @@ def decompress(stream: CompressedStream, threads: int = 1,
     except (TypeError, KeyError):
         raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
     values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
-    # no bin is larger than max|O| + (k-1) * (2^max width - 1); only when
-    # that bound's reconstruction passes the output dtype's range (or is NaN:
-    # 0 * inf) can a value overflow, and only then is the output checked
-    o, w = stream.outliers, int(stream.widths.max(initial=0))
-    bound = (max(-int(o.min(initial=0)), int(o.max(initial=0)))
-             + (params.block_len - 1) * ((1 << w) - 1))
-    check = not float(bound) * (2.0 * params.eps) <= float(np.finfo(values.dtype).max)
     buf = None
     for b0, b1, offs in _stream_ranges(stream):
         bins = _decode_range(stream, b0, b1, offs, out=buf)
@@ -620,9 +688,8 @@ def decompress(stream: CompressedStream, threads: int = 1,
         # the f64 grid value, rounded once to the output dtype
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             np.multiply(bins, 2.0 * params.eps, out=values[e0 : e0 + bins.size])
-    if check and not np.isfinite(values).all():
-        raise QuantOverflow(f"reconstruction 2 * eps * bin passes the {dtype} range")
-    return RawArray(values, params.dims, dtype)
+    bound = _bin_bound(stream.outliers, params.block_len, int(stream.widths.max(initial=0)))
+    return _checked_raw(values, params, bound)
 
 
 def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:

@@ -267,38 +267,47 @@ def _range_dot(x: np.ndarray, y: np.ndarray | None, bound: int, weights=None) ->
 
 @dataclass
 class _Sums:
-    """Exact running sums over one operand's bins: S, sum of squares, min
-    and max."""
+    """Exact running sums over one operand's bins: S, sum of squares, and
+    the min and max of the ranges whose bins were measured (every range's
+    with ``_sums(minmax=True)``)."""
 
     s: int = 0
     sqq: int = 0
     lo: int | None = None
     hi: int | None = None
 
-    def add(self, x: np.ndarray, weights, sq: bool) -> int:
-        """Add one range; returns its ``max |bin|``."""
-        lo, hi = int(x.min()), int(x.max())
-        self.lo = lo if self.lo is None else min(self.lo, lo)
-        self.hi = hi if self.hi is None else max(self.hi, hi)
-        m = max(hi, -lo)
-        self.s += _range_dot(x, None, m, weights)
+    def add(self, x: np.ndarray, weights, sq: bool, bound: int | None) -> int:
+        """Add one range whose bins are at most ``bound`` in magnitude; with
+        no ``bound``, measure the range's min and max and bound by them.
+        Returns the bound."""
+        if bound is None:
+            lo, hi = int(x.min()), int(x.max())
+            self.lo = lo if self.lo is None else min(self.lo, lo)
+            self.hi = hi if self.hi is None else max(self.hi, hi)
+            bound = max(hi, -lo)
+        self.s += _range_dot(x, None, bound, weights)
         if sq:
-            self.sqq += _range_dot(x, x, m * m, weights)
-        return m
+            self.sqq += _range_dot(x, x, bound * bound, weights)
+        return bound
 
 
-def _sums(streams, *, sq: bool = False):
+def _sums(streams, *, sq: bool = False, minmax: bool = False):
     """Exact integer sums over the bins of one operand or a pair, walking
     the operands' decode ranges in lockstep so that each is decoded once.
 
     Returns one :class:`_Sums` per operand and ``sum(a * b)`` of a pair.
     A range that is constant in every operand contributes from metadata
     alone; every other range is decoded into one reused int64 buffer per
-    operand.  Each range is bounded by its own ``max |bin|``, so only a
-    range whose sums may pass int64 is promoted.
+    operand.  Each range's sums are bounded by its blocks'
+    ``codec._bin_bound``; a range's min and max are measured only with
+    ``minmax`` (then every range's are) or where that bound would split
+    the int64 sums, and only a range whose measured sums may pass int64 is
+    promoted.
     """
     acc = [_Sums() for _ in streams]
     sab = 0
+    k = streams[0].params.block_len
+    quad = sq or len(streams) == 2  # the sums hold products of two bins
     for b0, b1, decode in _lockstep(streams):
         if not any(c.widths[b0:b1].any() for c in streams):
             weights = streams[0].params.block_lengths(b0, b1)
@@ -306,7 +315,12 @@ def _sums(streams, *, sq: bool = False):
         else:
             weights = None
             xs = [decode(i) for i in range(len(streams))]
-        bounds = [a.add(x, weights, sq) for a, x in zip(acc, xs)]
+        bounds = []
+        for a, x, c in zip(acc, xs, streams):
+            m = codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
+            if minmax or (b1 - b0) * k * (m * m if quad else m) > _I64_MAX:
+                m = None
+            bounds.append(a.add(x, weights, sq, m))
         if len(xs) == 2:
             sab += _range_dot(xs[0], xs[1], bounds[0] * bounds[1], weights)
     return acc, sab
@@ -365,7 +379,7 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
     params = a.params
     n = params.element_count
     eps2 = 2.0 * params.eps
-    (ma, mb), sab = _sums([a, b], sq=True)
+    (ma, mb), sab = _sums([a, b], sq=True, minmax=True)
     sa, sb = ma.s, mb.s
     mu_a = eps2 * sa / n
     mu_b = eps2 * sb / n

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from hoszp import (
     serialize,
     write_raw,
 )
-from hoszp import codec, ops
+from hoszp import codec, model, ops
 from hoszp.synth import random_field
 
 from conftest import (
@@ -293,6 +294,17 @@ class TestCompressDecompress:
             with pytest.raises(QuantOverflow, match="f64 range"):
                 decompress(huge_eps)
 
+    def test_dequantize_past_the_dtype_range_raises(self):
+        p = QuantParams(1e38, (4,), 32, "f32")
+        s = compress(RawArray(np.array([3e38, 1e38, 0, -3e38], np.float32), (4,), "f32"), p)
+        q = decode_to_quant(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "overflow encountered in cast"
+            with pytest.raises(QuantOverflow, match="f32 range"):
+                dequantize(q)
+        assert dequantize(QuantArray(q.bins, QuantParams(1e38, (4,), 32, "f64"))).values.tolist() \
+            == [4e38, 0, 0, -4e38]
+
 
 class TestPartialDecode:
     def test_decode_to_quant_worked_example(self, example_stream):
@@ -445,9 +457,10 @@ def width_bins(rng, widths, k, n):
 
 
 class TestBlockChunks:
-    """A range whose blocks form few runs of one width moves each run as one
-    slice; otherwise its rows are gathered by width.  Both paths must give
-    the reference bytes, and decode back."""
+    """Runs of equal width are counted over a range's non-constant blocks;
+    a range of few runs moves each run as one slice of the compact rows and
+    of the payload, otherwise its rows are gathered by width.  Both paths
+    must give the reference bytes, and decode back."""
 
     @pytest.mark.parametrize("k", [32, 33])
     @pytest.mark.parametrize("case", ["one width", "few runs", "interleaved"])
@@ -467,22 +480,96 @@ class TestBlockChunks:
         assert s.widths.tolist() == widths.tolist()
         assert s == reference_stream(q)
         assert decode_to_quant(s) == q
-        by_slice = {isinstance(ids, slice)
+        by_slice = {isinstance(rows, slice)
                     for b0, b1 in codec._block_ranges(p)
-                    for _, _, _, ids, _ in codec._block_chunks(p, s.widths[b0:b1], b0, b1)}
-        assert by_slice == ({True, False} if case == "interleaved" else {True})
+                    for _, _, rows in codec._block_chunks(s.widths[b0 : min(b1, n // k)])}
+        assert by_slice == ({False} if case == "interleaved" else {True})
 
     def test_one_odd_block_keeps_slices(self):
-        # noise-like data: one 9-bit block among the 10-bit blocks of a range
+        # noise-like data: one 9-bit block among the 10-bit blocks of a
+        # range, and a constant block that no longer splits a run
         k, n = 32, codec._RANGE_ELEMS
         p = QuantParams(0.5, (n,), k, "f64")
         widths = np.full(n // k, 10)
         widths[n // k // 2] = 9
+        widths[n // k // 4] = 0
         s = encode_from_quant(QuantArray(width_bins(np.random.default_rng(5), widths, k, n), p))
-        chunks = list(codec._block_chunks(p, s.widths, 0, p.block_count))
-        assert [w for _, _, w, _, _ in chunks] == [10, 9, 10]
-        assert all(isinstance(ids, slice) and isinstance(rows, slice)
-                   for _, _, _, ids, rows in chunks)
+        assert s.widths.tolist() == widths.tolist()
+        chunks = list(codec._block_chunks(s.widths))
+        assert [w for w, _, _ in chunks] == [10, 9, 10]
+        assert all(isinstance(rows, slice) for _, _, rows in chunks)
+        assert [isinstance(ids, slice) for _, ids, _ in chunks] == [False, True, True]
+        offs = codec._section_offsets(model.section_sizes(p, s.widths)[1])
+        payload = np.frombuffer(s.payload, np.uint8)
+        assert all(codec._row_slots(payload, offs, ids, 4 * w)[1] == slice(None)
+                   for w, ids, _ in chunks)  # each run's payload is one slice
+
+
+class TestCompactDecode:
+    """Decode unpacks, signs and prefix-sums only a range's non-constant
+    blocks, as compact rows, and fills the constant blocks from their
+    outliers (zeros for residuals); every mix must decode to its bins."""
+
+    @staticmethod
+    def _widths(case, rng, nb):
+        if case == "all constant":
+            return np.zeros(nb, np.int64)
+        widths = rng.integers(1, 12, nb)
+        if case != "no constant":
+            widths[rng.random(nb) < 0.5] = 0
+        if case == "constant tail":
+            widths[-1] = 0
+        if case == "non-constant tail":
+            widths[-1] = 5
+        return widths
+
+    @pytest.mark.parametrize("k", [32, 13])
+    @pytest.mark.parametrize("case", ["all constant", "no constant", "interleaved",
+                                      "constant tail", "non-constant tail"])
+    def test_round_trip(self, k, case):
+        rng = np.random.default_rng(k)
+        n = range_sizes(k)[-1]  # three ranges, the last one a ragged block
+        if case == "no constant":
+            n = range_sizes(k)[1]  # full blocks only
+        p = QuantParams(0.5, (n,), k, "f64")
+        q, other = (QuantArray(width_bins(rng, self._widths(case, rng, p.block_count), k, n), p)
+                    for _ in range(2))
+        a, b = encode_from_quant(q), encode_from_quant(other)
+        assert a == reference_stream(q)
+        if case == "interleaved":  # many runs: rows gathered by width
+            chunks = codec._block_chunks(a.widths[: n // k])
+            assert any(isinstance(rows, np.ndarray) for _, _, rows in chunks)
+        assert decode_to_quant(a) == q
+        assert np.array_equal(decompress(a, out_dtype=np.float64).values,
+                              q.bins.astype(np.float64))
+        for op, call in (("eadd", ops.elementwise_add), ("esub", ops.elementwise_sub)):
+            assert np.array_equal(decompress(call(a, b), out_dtype=np.float64).values,
+                                  ops.oracle_apply(op, [a, b]).values)
+
+    def test_wide_blocks_between_constant_ones(self):
+        # 64-bit residuals take the object path; the constant blocks around
+        # them hold outliers at the int32 limits
+        k, n = 32, 3 * codec._RANGE_ELEMS
+        p = QuantParams(0.5, (n,), k, "f64")
+        rng = np.random.default_rng(23)
+        widths = rng.integers(1, 12, p.block_count)
+        widths[rng.random(p.block_count) < 0.5] = 0
+        bins = width_bins(rng, widths, k, n)
+        blocks = bins.reshape(-1, k)
+        for b in np.flatnonzero(widths == 0)[::7]:
+            blocks[b] = rng.choice([-(2**31), 2**31 - 1])
+        wide = np.flatnonzero(widths)[1::300]
+        blocks[wide, :3] = [-(2**31), 2**63 - 1, 5]
+        blocks[wide, 3:] = 5
+        q = QuantArray(bins, p)
+        s = encode_from_quant(q)
+        assert set(s.widths[wide].tolist()) == {64}
+        assert s == reference_stream(q)
+        assert decode_to_quant(s) == q
+        assert lorenzo_decode(lorenzo_encode(q), p) == q
+        zeros = encode_from_quant(QuantArray(np.zeros(n, np.int64), p))
+        assert decode_to_quant(ops.elementwise_add(s, zeros)) == q
+        assert not decode_to_quant(ops.elementwise_sub(s, s)).bins.any()
 
 
 class TestLossinessLocalization:

@@ -750,6 +750,31 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
 
+    def test_covariance_peak_memory_half_constant(self):
+        # half the blocks constant, the others 1 to 10 bits wide and
+        # interleaved: the compact rows of the non-constant blocks stay
+        # range-sized
+        n, k = 1 << 22, 32
+        p = QuantParams(1e-3, (n,), k, "f32")
+        rng = np.random.default_rng(331)
+        streams = []
+        for _ in range(2):
+            widths = rng.integers(1, 11, n // k) * (rng.random(n // k) < 0.5)
+            resid = rng.integers(0, 1 << 10, (n // k, k)) >> (10 - widths)[:, None]
+            resid[rng.random((n // k, k)) < 0.5] *= -1
+            resid[:, 0] = rng.integers(-1000, 1000, n // k)
+            streams.append(encode_from_quant(QuantArray(np.cumsum(resid, axis=1).ravel(), p)))
+            del resid
+        for s in streams:
+            assert 0.4 < np.mean(s.widths == 0) < 0.6
+            assert len(np.unique(s.widths)) == 11
+        tracemalloc.start()
+        try:
+            covariance(*streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_encode_peak_memory(self):
         # the input is 16 MiB, a full-length int64 array 32 MiB and each

@@ -15,7 +15,10 @@ fields at a time as big-endian 64-bit words, never bit by bit.
 Encode and decode run over block-aligned ranges of about ``_RANGE_ELEMS``
 (64 Ki) elements, one at a time, in range-sized buffers that stay in
 cache; blocks never span ranges, so a stream is its ranges' sections
-joined.  ``_encode_ranges`` is the one encoder: ``compress`` quantizes
+joined.  A range's sign and payload offsets are slices of the stream's
+section layout (``CompressedStream.offsets``, computed once per stream),
+so walking the ranges (``_stream_ranges``) derives no sizes.
+``_encode_ranges`` is the one encoder: ``compress`` quantizes
 each range, ``encode_from_quant`` and the stream operations in ``ops``
 hand it a range's bins or signed residuals, and it fills the range's
 widths and packs its sign rows (one ``packbits`` over the range) and its
@@ -54,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, QuantOverflow
-from .model import BlockView, CompressedStream, DTYPES, QuantArray, QuantParams, section_sizes
+from .model import (BlockView, CompressedStream, DTYPES, QuantArray, QuantParams,
+                    _section_offsets)
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
@@ -398,12 +402,6 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
     return lanes.T.reshape(g, groups * 8)[:, :k]
 
 
-def _section_offsets(sizes: np.ndarray) -> np.ndarray:
-    offs = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offs[1:])
-    return offs
-
-
 def _as_slice(idx: np.ndarray):
     """``idx`` (ascending) as a slice when its entries are consecutive."""
     if idx[-1] - idx[0] + 1 == len(idx):
@@ -476,14 +474,11 @@ def _element_ranges(params: QuantParams):
 
 def _stream_ranges(stream: CompressedStream):
     """:func:`_block_ranges` of a stream as ``(b0, b1, offs)``; ``offs``
-    are the sign and payload section offsets of blocks b0..b1, computed one
-    range at a time."""
-    sign_base = payload_base = 0
+    are the sign and payload section offsets of blocks b0..b1, views of the
+    stream's cached ``offsets``."""
+    sign, payload = stream.offsets
     for b0, b1 in _block_ranges(stream.params):
-        sign, payload = section_sizes(stream.params, stream.widths, b0, b1)
-        offs = (sign_base + _section_offsets(sign), payload_base + _section_offsets(payload))
-        yield b0, b1, offs
-        sign_base, payload_base = int(offs[0][-1]), int(offs[1][-1])
+        yield b0, b1, (sign[b0 : b1 + 1], payload[b0 : b1 + 1])
 
 
 def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,

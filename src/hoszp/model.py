@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -178,15 +179,30 @@ class BlockView:
         ]
 
 
-def section_sizes(params: QuantParams, widths: np.ndarray, b0: int = 0,
-                  b1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-plane and payload sizes in bytes of each block of [b0, b1); a
-    constant block (width 0) stores neither."""
-    lengths = params.block_lengths(b0, b1)
-    w = widths[b0:b1]
+def section_sizes(params: QuantParams, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-plane and payload sizes in bytes of each block; a constant block
+    (width 0) stores neither."""
+    lengths = params.block_lengths()
     sign = (lengths + 7) >> 3
-    sign[w == 0] = 0
-    return sign, (lengths * w + 7) >> 3
+    sign[widths == 0] = 0
+    return sign, (lengths * widths + 7) >> 3
+
+
+def _section_offsets(sizes: np.ndarray) -> np.ndarray:
+    """The start of each block's bytes in its section, then the section's
+    length: ``len(sizes) + 1`` int64 entries."""
+    offs = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offs[1:])
+    return offs
+
+
+def _layout(params: QuantParams, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sign and payload section offsets of a whole stream, read-only:
+    the one place a stream's :func:`section_sizes` are computed."""
+    offsets = tuple(_section_offsets(sizes) for sizes in section_sizes(params, widths))
+    for offs in offsets:
+        offs.flags.writeable = False
+    return offsets
 
 
 def _as_int32_outliers(outliers) -> np.ndarray:
@@ -205,9 +221,17 @@ def _as_int32_outliers(outliers) -> np.ndarray:
 class CompressedStream:
     """The serialized artifact: header parameters plus the four sections.
 
-    Instances are immutable by contract and safe to share between concurrent callers.
-    Construction normalizes and cross-checks section sizes, so any stream
-    object in circulation is structurally valid.
+    Instances are immutable by contract and safe to share between concurrent
+    callers.  Construction normalizes the widths (uint8) and outliers
+    (int32, or :class:`OutlierOverflow`), checks their counts and the 64-bit
+    width limit, and checks both sections' lengths against the widths, so
+    any stream object in circulation is structurally valid.
+
+    ``offsets`` holds the stream's section layout: the sign and payload
+    offsets of every block (two read-only int64 arrays of ``block_count +
+    1`` entries, each ending in its section's length).  It is computed once
+    per geometry, by the length check; :func:`deserialize` passes in the
+    layout it parsed with, and :meth:`_derive` shares its source's.
     """
 
     params: QuantParams
@@ -230,13 +254,36 @@ class CompressedStream:
         self.outliers = outliers
         self.sign_planes = bytes(self.sign_planes)
         self.payload = bytes(self.payload)
-        sign, payload = section_sizes(self.params, widths)
-        for name, section, want in (("sign", self.sign_planes, int(sign.sum())),
-                                    ("payload", self.payload, int(payload.sum()))):
-            if len(section) != want:
+        for name, section, offs in (("sign", self.sign_planes, self.offsets[0]),
+                                    ("payload", self.payload, self.offsets[1])):
+            if len(section) != offs[-1]:
                 raise GeometryMismatch(
-                    f"{name} section is {len(section)} bytes, expected {want}"
+                    f"{name} section is {len(section)} bytes, expected {int(offs[-1])}"
                 )
+
+    @cached_property
+    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        return _layout(self.params, self.widths)
+
+    @classmethod
+    def _with_layout(cls, offsets, params, widths, outliers, sign_planes,
+                     payload) -> "CompressedStream":
+        """Construct and check a stream whose ``offsets`` are already known
+        to match ``params`` and ``widths``."""
+        stream = cls.__new__(cls)
+        stream.__dict__.update(params=params, widths=widths, outliers=outliers,
+                               sign_planes=sign_planes, payload=payload, offsets=offsets)
+        stream.__post_init__()
+        return stream
+
+    def _derive(self, outliers, sign_planes: bytes | None = None) -> "CompressedStream":
+        """A stream of this one's params, widths, payload and layout with new
+        ``outliers`` and, when given, new ``sign_planes`` (checked to be as
+        long as this stream's).  The one place a stream is built from
+        another's geometry."""
+        return self._with_layout(
+            self.offsets, self.params, self.widths, outliers,
+            self.sign_planes if sign_planes is None else sign_planes, self.payload)
 
     @property
     def serialized_size(self) -> int:
@@ -326,7 +373,8 @@ def deserialize(data: bytes) -> CompressedStream:
     outliers = np.frombuffer(data[pos : pos + 4 * b], dtype="<i4").astype(np.int32)
     pos += 4 * b
 
-    sign_total, payload_total = (int(sizes.sum()) for sizes in section_sizes(params, widths))
+    offsets = _layout(params, widths)
+    sign_total, payload_total = (int(offs[-1]) for offs in offsets)
     if len(data) < pos + sign_total:
         raise TruncatedStream("byte sequence ends inside the sign-plane section")
     sign_planes = data[pos : pos + sign_total]
@@ -339,4 +387,5 @@ def deserialize(data: bytes) -> CompressedStream:
         raise GeometryMismatch(
             f"{len(data) - pos} trailing bytes beyond the declared sections"
         )
-    return CompressedStream(params, widths.copy(), outliers, sign_planes, payload)
+    return CompressedStream._with_layout(offsets, params, widths.copy(), outliers,
+                                         sign_planes, payload)

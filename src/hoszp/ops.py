@@ -3,7 +3,8 @@
 Each operation runs in the shallowest decode domain that supports it:
 
 * fully compressed space - negation (sign-plane flip), scalar add/sub
-  (outlier shift);
+  (outlier shift): the result shares the input's widths, payload and
+  cached section layout, and costs only the outliers and sign planes;
 * unpacked residual space - element-wise add/sub (signed residuals and
   outliers combine linearly);
 * quantized-bin space - scalar multiplication, Hadamard product, and all
@@ -37,7 +38,7 @@ import numpy as np
 from . import codec
 from .codec import RawArray
 from .errors import ParamsMismatch, QuantOverflow
-from .model import CompressedStream, QuantArray, QuantParams, section_sizes
+from .model import CompressedStream, QuantArray, QuantParams
 
 _I64_MAX = 2**63 - 1
 
@@ -79,37 +80,38 @@ def _check_params(a: CompressedStream, b: CompressedStream):
 # fully-compressed-space operations
 
 
-def _sign_flip_mask(stream: CompressedStream) -> np.ndarray:
-    """0xFF over every stored sign bit, 0 over byte-padding bits."""
-    sizes, _ = section_sizes(stream.params, stream.widths)
-    mask = np.full(int(sizes.sum()), 0xFF, dtype=np.uint8)
-    lengths = stream.params.block_lengths()
-    rem = (lengths % 8).astype(np.int64)
-    partial = (sizes > 0) & (rem > 0)
-    if partial.any():
-        offs = codec._section_offsets(sizes)[:-1]
-        last = (offs + sizes - 1)[partial]
-        mask[last] = ((0xFF << (8 - rem[partial])) & 0xFF).astype(np.uint8)
-    return mask
+def _keep_bits(n: int) -> int:
+    """The byte mask of the first ``n % 8`` bits, MSB first (all 8 when
+    ``n % 8`` is 0)."""
+    return (0xFF << (8 - n % 8)) & 0xFF if n % 8 else 0xFF
 
 
 def negate(c: CompressedStream) -> CompressedStream:
-    """Flip every stored sign bit and negate every outlier; widths and
-    payload are untouched."""
-    planes = np.frombuffer(c.sign_planes, dtype=np.uint8)
-    flipped = (planes ^ _sign_flip_mask(c)).tobytes()
-    return CompressedStream(
-        c.params, c.widths, -c.outliers.astype(np.int64), flipped, c.payload
-    )
+    """Flip every stored sign bit and negate every outlier; widths, payload
+    and section layout are shared with the input.
+
+    The sign section is inverted whole, then the padding bits that end a
+    plane are cleared again: the last byte of every non-constant full
+    block's plane when ``block_len % 8`` is not 0 (found from the cached
+    sign offsets), and the last byte of the section when it ends in a
+    ragged non-constant block."""
+    p = c.params
+    k, n = p.block_len, p.element_count
+    flipped = np.invert(np.frombuffer(c.sign_planes, dtype=np.uint8))
+    if k % 8:
+        nfull = n // k
+        ends = c.offsets[0][1 : nfull + 1][c.widths[:nfull] > 0] - 1
+        flipped[ends] &= _keep_bits(k)
+    if n % k and c.widths[-1]:
+        flipped[-1] &= _keep_bits(n % k)
+    return c._derive(-c.outliers.astype(np.int64), flipped.tobytes())
 
 
 def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
     """Shift every block outlier by the scalar's bin; the result
     decompresses to the input plus the quantized scalar, exactly."""
     rs = ScalarBin.of(s, c.params.eps).bin
-    return CompressedStream(
-        c.params, c.widths, c.outliers.astype(np.int64) + rs, c.sign_planes, c.payload
-    )
+    return c._derive(c.outliers.astype(np.int64) + rs)
 
 
 def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:

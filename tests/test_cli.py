@@ -54,6 +54,11 @@ def zeros_file(tmp_path):
     return path
 
 
+def _quantum(stream):
+    """``2 eps / N``: the smallest step of an exact mean."""
+    return 2 * stream.params.eps / stream.params.element_count
+
+
 def _zeros_ratio():
     raw = RawArray(np.zeros(600, dtype=np.float32), (20, 30), "f32")
     return f"{compress(raw, QuantParams(1e-3, (20, 30))).compression_ratio:.4g}"
@@ -128,7 +133,7 @@ class TestStats:
 
     def test_oracle_mismatch_is_verify_error(self, example_hsz, monkeypatch, capsys):
         wrong = dataclasses.replace(ops.OPS["mean"],
-                                    apply=lambda s, x: ops.mean(s[0]) * (1 + 1e-6) + 1e-6)
+                                    apply=lambda s, x: ops.mean(s[0]) + _quantum(s[0]))
         monkeypatch.setitem(ops.OPS, "mean", wrong)
         code, cap = _run(capsys, ["stats", "mean", str(example_hsz), "--verify"])
         assert code == 5
@@ -142,6 +147,56 @@ class TestStats:
         assert code == 0
         assert f"{name} = 0.0" in cap.out
         assert _csv_rows(cap.out)[0]["max_abs_diff"] == "0.0"
+
+
+class TestVerifyQuantumFloor:
+    """--verify accepts an oracle within half a quantum of the exact integer
+    result (``2 eps / N`` for mean and stddev, its square for variance and
+    covariance), and nothing a quantum off."""
+
+    ARGS = {"mean": 1, "stddev": 1, "variance": 1, "covariance": 2}
+
+    @pytest.fixture
+    def constant_field(self, tmp_path):
+        """1000 x 0.3 f32 at eps 1e-3: the exact variance is 0.0, where
+        ``np.var`` of the decompressed values gives about 1.2e-32."""
+        src = tmp_path / "c.bin"
+        np.full(1000, 0.3, dtype="<f4").tofile(src)
+        out = tmp_path / "c.hsz"
+        assert main(["compress", str(src), "-o", str(out), "--dims", "1000",
+                     "--eps", "1e-3"]) == 0
+        return src, out
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    def test_exact_zero_passes(self, constant_field, capsys, name):
+        _, hsz = constant_field
+        code, cap = _run(capsys, ["stats", name, *[str(hsz)] * self.ARGS[name], "--verify"])
+        assert code == 0, cap.err
+        if name != "mean":
+            assert f"{name} = 0.0" in cap.out
+
+    def test_bench_on_a_constant_field_passes(self, constant_field, capsys):
+        src, _ = constant_field
+        code, cap = _run(capsys, ["bench", "--input", str(src), "--dims", "1000",
+                                  "--eps", "1e-3", "--ops", "variance,mean,stddev,covariance",
+                                  "--report", "csv"])
+        assert code == 0, cap.err
+        rows = {r["op"]: r for r in csv.DictReader(io.StringIO(cap.out))}
+        assert float(rows["variance"]["max_abs_diff"]) > 0.0  # the oracle's rounding noise
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    def test_one_quantum_off_fails(self, constant_field, monkeypatch, capsys, name):
+        _, hsz = constant_field
+        spec = ops.OPS[name]
+
+        def off(s, x):
+            q = _quantum(s[0])
+            return spec.apply(s, x) + (q * q if name in ("variance", "covariance") else q)
+
+        monkeypatch.setitem(ops.OPS, name, dataclasses.replace(spec, apply=off))
+        code, cap = _run(capsys, ["stats", name, *[str(hsz)] * self.ARGS[name], "--verify"])
+        assert code == 5
+        assert "kind=VerificationMismatch" in cap.err
 
 
 class TestOp:
@@ -370,7 +425,7 @@ class TestBench:
 
     @pytest.mark.parametrize("name, wrong", [
         ("neg", lambda s, x: ops.scalar_add(s[0], 1.0)),
-        ("mean", lambda s, x: ops.mean(s[0]) * (1 + 1e-6) + 1e-6),
+        ("mean", lambda s, x: ops.mean(s[0]) + _quantum(s[0])),
     ])
     def test_oracle_mismatch_is_verify_error(self, monkeypatch, capsys, name, wrong):
         monkeypatch.setitem(ops.OPS, name, dataclasses.replace(ops.OPS[name], apply=wrong))

@@ -383,6 +383,62 @@ class TestRangeDecode:
                 call(shifted)
 
 
+class TestSectionLayout:
+    """A stream's cached ``offsets`` follow the one section-size rule, and
+    :func:`codec._stream_ranges` slices them into what the per-range
+    computation it replaced gave."""
+
+    @staticmethod
+    def _streams(k):
+        rng = np.random.default_rng(k)
+        r = max(1, codec._RANGE_ELEMS // k)
+        for n in range_sizes(k):
+            p = QuantParams(0.5, (n,), k, "f64")
+            bins = rng.integers(-40, 40, n)
+            for b in range(p.block_count):
+                # the first range and every third block after it are constant
+                if b < r or b % 3 == 0:
+                    bins[b * k : (b + 1) * k] = bins[b * k]
+            yield encode_from_quant(QuantArray(bins, p))
+            yield encode_from_quant(QuantArray(np.full(n, 7), p))  # all constant
+
+    @staticmethod
+    def _per_range_offsets(s):
+        """Each range's offsets from its own block sizes, shifted by the
+        bytes of the ranges before it."""
+        sizes = model.section_sizes(s.params, s.widths)
+        sign_base = payload_base = 0
+        for b0, b1 in codec._block_ranges(s.params):
+            offs = (sign_base + codec._section_offsets(sizes[0][b0:b1]),
+                    payload_base + codec._section_offsets(sizes[1][b0:b1]))
+            yield b0, b1, offs
+            sign_base, payload_base = int(offs[0][-1]), int(offs[1][-1])
+
+    @pytest.mark.parametrize("k", [1, 13, 32, 33])
+    def test_offsets_are_cumulative_section_sizes(self, k):
+        for s in self._streams(k):
+            for offs, sizes, section in zip(s.offsets, model.section_sizes(s.params, s.widths),
+                                            (s.sign_planes, s.payload)):
+                assert offs.dtype == np.int64 and not offs.flags.writeable
+                assert offs.tolist() == [0, *np.cumsum(sizes).tolist()]
+                assert offs[-1] == len(section)
+
+    @pytest.mark.parametrize("k", [1, 13, 32, 33])
+    def test_stream_ranges_match_the_per_range_rule(self, k):
+        for s in self._streams(k):
+            got = list(codec._stream_ranges(s))
+            want = list(self._per_range_offsets(s))
+            assert [(b0, b1) for b0, b1, _ in got] == [(b0, b1) for b0, b1, _ in want]
+            for (_, _, g), (_, _, w) in zip(got, want):
+                assert all(a.tolist() == b.tolist() for a, b in zip(g, w))
+
+    def test_deserialized_stream_keeps_the_parsed_layout(self):
+        for s in self._streams(13):
+            back = deserialize(serialize(s))
+            assert back == s
+            assert all(a.tolist() == b.tolist() for a, b in zip(back.offsets, s.offsets))
+
+
 class TestRangeEncode:
     """Encode runs over the same block-aligned ranges as decode; every
     encode must equal the stream that lorenzo_encode and the reference

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoszp import (
+    CompressedStream,
+    GeometryMismatch,
     OutlierOverflow,
     ParamsMismatch,
     QuantArray,
@@ -25,6 +27,7 @@ from hoszp import (
     covariance,
     decode_to_quant,
     decompress,
+    deserialize,
     elementwise_add,
     elementwise_sub,
     encode_from_quant,
@@ -38,11 +41,12 @@ from hoszp import (
     scalar_add,
     scalar_mul,
     scalar_sub,
+    serialize,
     ssim_global,
     stddev,
     variance,
 )
-from hoszp import codec, ops
+from hoszp import codec, model, ops
 from hoszp.cli import build_parser
 
 from conftest import (
@@ -133,6 +137,14 @@ class TestNegate:
         z = negate(s)
         assert (z.sign_planes[0] & 0b00000111) == 0
 
+    def test_padding_bits_stay_zero_after_whole_bytes(self):
+        # block_len 32 planes fill their bytes; the ragged, non-constant last
+        # block (5 elements) leaves 3 padding bits in the section's last byte
+        z = negate(_stream(np.arange(3 * 32 + 5), block_len=32))  # residuals +1: signs 0
+        assert len(z.sign_planes) == 3 * 4 + 1
+        assert z.sign_planes[-1] == 0b11111000  # every stored bit flipped from 0
+        assert z.sign_planes[:-1] == b"\xff" * 12
+
     def test_oracle_bit_exact(self):
         rng = np.random.default_rng(103)
         for _ in range(25):
@@ -210,6 +222,82 @@ class TestScalarSub:
             x = float(rng.uniform(-50, 50))
             assert np.array_equal(_values(scalar_sub(s, x)),
                                   oracle_apply("ssub", [s], scalar=x).values)
+
+
+def _mixed_stream(rng, k, n, constant=0.4):
+    """Stream of ``n`` elements at block length ``k`` whose blocks are
+    constant with probability ``constant``; the last block never is, unless
+    every block is."""
+    bins = rng.integers(-60, 60, n)
+    p = QuantParams(0.01, (n,), k, "f64")
+    for b in range(p.block_count):
+        if rng.random() < constant and (b < p.block_count - 1 or constant == 1):
+            bins[b * k : (b + 1) * k] = bins[b * k]
+    return encode_from_quant(QuantArray(bins, p))
+
+
+def _flipped_planes(s):
+    """The sign section with every stored bit flipped, block by block; the
+    padding bits stay 0."""
+    out, pos = bytearray(), 0
+    for length, w in zip(s.params.block_lengths().tolist(), s.widths.tolist()):
+        if w:
+            size = (length + 7) // 8
+            bits = np.unpackbits(np.frombuffer(s.sign_planes, np.uint8, size, pos))
+            bits[:length] ^= 1
+            out += np.packbits(bits).tobytes()
+            pos += size
+    return bytes(out)
+
+
+class TestDerivedStreams:
+    """negate, scalar_add and scalar_sub build their result from the input's
+    geometry; it must be the stream the full constructor builds from the
+    same sections, byte for byte."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(131)
+        for k in (8, 13, 32, 33, 64):
+            for n in (5 * k, 5 * k + k // 2 + 1, 3 * codec._RANGE_ELEMS // 2):
+                yield _mixed_stream(rng, k, n)
+        yield _mixed_stream(rng, 32, 1000, constant=1)
+
+    @staticmethod
+    def _assert_built_in_full(z, params, widths, outliers, sign_planes, payload):
+        full = CompressedStream(params, widths, outliers, sign_planes, payload)
+        assert z == full
+        assert serialize(z) == serialize(full)
+        assert all(np.array_equal(a, b) for a, b in zip(z.offsets, full.offsets))
+
+    def test_negate(self):
+        for s in self._cases():
+            z = negate(s)
+            self._assert_built_in_full(z, s.params, s.widths, -s.outliers.astype(np.int64),
+                                       _flipped_planes(s), s.payload)
+            assert z.offsets is s.offsets
+
+    def test_negate_is_an_involution_on_streams(self):
+        for s in self._cases():
+            z = negate(negate(s))
+            assert z == s
+            assert serialize(z) == serialize(s)
+
+    @pytest.mark.parametrize("op, sign", [(scalar_add, 1), (scalar_sub, -1)])
+    def test_scalar_shift(self, op, sign):
+        for s in self._cases():
+            z = op(s, 0.37)
+            shift = sign * ScalarBin.of(0.37, s.params.eps).bin
+            self._assert_built_in_full(z, s.params, s.widths, s.outliers.astype(np.int64) + shift,
+                                       s.sign_planes, s.payload)
+            assert z.offsets is s.offsets
+
+    def test_derive_checks_sign_length_and_outliers(self):
+        s = _mixed_stream(np.random.default_rng(137), 32, 200)
+        with pytest.raises(GeometryMismatch, match="sign section"):
+            s._derive(s.outliers, s.sign_planes + b"\x00")
+        with pytest.raises(OutlierOverflow):
+            s._derive(s.outliers.astype(np.int64) + 2**31)
 
 
 class TestScalarMul:
@@ -818,6 +906,50 @@ class TestStructuralNoDequantize:
         stddev(s)
         covariance(s, s)
         ssim_global(s, s)
+
+
+class TestLayoutComputedOnce:
+    """``model.section_sizes`` runs once per stream geometry: a derived
+    stream shares its source's layout, ``deserialize`` parses with the
+    layout it hands the stream, and range walks slice it."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = model.section_sizes
+
+        def section_sizes(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "section_sizes", section_sizes)
+        return calls
+
+    @pytest.fixture
+    def stream(self):
+        return _mixed_stream(np.random.default_rng(139), 32, 3 * codec._RANGE_ELEMS // 2 + 5)
+
+    def test_meta_ops_reuse_the_layout(self, monkeypatch, stream):
+        calls = self._counted(monkeypatch)
+        negate(stream)
+        scalar_add(stream, 0.5)
+        scalar_sub(stream, 0.25)
+        negate(scalar_add(negate(stream), 1.0))
+        assert calls == []
+
+    def test_deserialize_then_decompress_computes_it_once(self, monkeypatch, stream):
+        data = serialize(stream)
+        calls = self._counted(monkeypatch)
+        decompress(deserialize(data))
+        assert len(calls) == 1
+
+    def test_range_walks_slice_it(self, monkeypatch, stream):
+        calls = self._counted(monkeypatch)
+        assert len(list(codec._stream_ranges(stream))) == 2
+        decode_to_quant(stream)
+        mean(stream)
+        covariance(stream, stream)
+        assert calls == []
 
 
 class TestOracleApply:

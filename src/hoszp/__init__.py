@@ -7,10 +7,7 @@ from .codec import (
     decompress,
     dequantize,
     encode_from_quant,
-    lorenzo_decode,
-    lorenzo_encode,
     quantize,
-    quantize_nearest,
     read_raw,
     resolve_eps,
     write_raw,
@@ -29,7 +26,6 @@ from .errors import (
     VersionMismatch,
 )
 from .model import (
-    BlockView,
     CompressedStream,
     QuantArray,
     QuantParams,

@@ -44,6 +44,9 @@ for the prefix sums), else the same numpy steps on an object array of
 exact Python ints.  Both directions are serial; the ``threads`` argument
 of the public entry points is accepted and ignored.
 
+Each stage has this one, range-wise implementation and no per-block
+twin; the tests check it against an independent pure-Python block model.
+
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /
 ``encode_from_quant`` stop at the quantized-bin domain and never touch the
@@ -57,8 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, QuantOverflow
-from .model import (BlockView, CompressedStream, DTYPES, QuantArray, QuantParams,
-                    _section_offsets)
+from .model import CompressedStream, DTYPES, QuantArray, QuantParams, _section_offsets
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
@@ -238,7 +240,8 @@ def dequantize(q: QuantArray) -> RawArray:
 
 
 def _nearest_bins(t: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer bin, ties away from zero."""
+    """Round to the nearest integer bin, ties away from zero: the rescale
+    rule of the multiplicative operations (the quantizer floors instead)."""
     mag = np.abs(t)
     mag += 0.5
     np.floor(mag, out=mag)
@@ -246,13 +249,6 @@ def _nearest_bins(t: np.ndarray) -> np.ndarray:
         raise QuantOverflow("rounded bin exceeds 63-bit range")
     np.copysign(mag, t, out=mag)
     return mag.astype(np.int64)
-
-
-def quantize_nearest(values: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Requantize real values to bins with round-to-nearest, ties away from
-    zero.  This is the multiplicative-operation rescale rule; the standard
-    pipeline uses the floor form above."""
-    return _nearest_bins(np.asarray(values, dtype=np.float64) / (2.0 * params.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +293,17 @@ def _bin_bound(outliers: np.ndarray, k: int, w: int) -> int:
 
 def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w: int,
                    bins: bool = True) -> np.ndarray:
-    """Finish decoding a run of blocks of ``k`` (the last may be shorter)
-    in place.
+    """Finish decoding, in place, the compact rows of a range's
+    non-constant blocks: rows of ``k``, the last one shorter when it is the
+    ragged tail block.  :func:`_decode_range` is the one caller.
 
     ``r`` (int64) holds the raw bits of the residual magnitudes, at most
     ``w`` bits wide, ``s`` (int8, clobbered) their 0/1 signs and
-    ``outliers`` the blocks' outliers.  :func:`_decode_range` passes the
-    compact rows of a range's non-constant blocks.  Returns ``r`` as signed
-    residuals (0 at block starts) or, with ``bins``, as per-block prefix
-    sums seeded by the outliers.  A run whose :func:`_bin_bound` passes
-    int64 takes the same steps on Python ints in an object array (np.int64
-    scalars would wrap), and residuals past 63 bits come back as that array.
+    ``outliers`` the rows' outliers.  Returns ``r`` as signed residuals (0
+    at block starts) or, with ``bins``, as per-block prefix sums seeded by
+    the outliers.  Rows whose :func:`_bin_bound` passes int64 take the same
+    steps on Python ints in an object array (np.int64 scalars would wrap),
+    and residuals past 63 bits come back as that array.
     """
     if w > 63 or (bins and _bin_bound(outliers, k, w) > _I64_MAX):
         x = r.view(np.uint64).astype(object)
@@ -606,46 +602,6 @@ def _encode_bin_ranges(params: QuantParams, bins_per_range) -> CompressedStream:
 
 # ---------------------------------------------------------------------------
 # public pipeline
-
-
-def lorenzo_encode(q: QuantArray) -> list[BlockView]:
-    """Decorrelate a quantized array into per-block views (outlier, residual
-    magnitudes, signs, width, constancy)."""
-    params = q.params
-    n, k = params.element_count, params.block_len
-    resid = _split_residuals(q.bins, k)
-    signs = (resid < 0).astype(np.uint8)
-    mags = np.abs(resid).astype(np.uint64)
-    widths = _block_widths(mags, k)
-    views = []
-    for b in range(params.block_count):
-        s, e = b * k, min(b * k + k, n)
-        w = int(widths[b])
-        views.append(BlockView(int(q.bins[s]), mags[s:e], signs[s:e], w, w == 0))
-    return views
-
-
-def lorenzo_decode(blocks, params: QuantParams) -> QuantArray:
-    """Exact inverse of :func:`lorenzo_encode` (per-block prefix sums)."""
-    lengths = params.block_lengths()
-    if len(blocks) != params.block_count:
-        raise ValueError(f"expected {params.block_count} blocks, got {len(blocks)}")
-    n = params.element_count
-    mags = np.empty(n, dtype=np.uint64)
-    signs = np.empty(n, dtype=np.uint8)
-    outliers = np.empty(params.block_count, dtype=np.int64)
-    pos = 0
-    for b, view in enumerate(blocks):
-        if view.residual_mags.size != lengths[b]:
-            raise ValueError(f"block {b} has {view.residual_mags.size} residuals, "
-                             f"expected {int(lengths[b])}")
-        mags[pos : pos + lengths[b]] = view.residual_mags
-        signs[pos : pos + lengths[b]] = view.signs
-        outliers[b] = view.outlier
-        pos += int(lengths[b])
-    bins = _resolve_range(mags.view(np.int64), signs.view(np.int8), outliers,
-                          params.block_len, int(mags.max(initial=0)).bit_length())
-    return QuantArray(bins, params)
 
 
 def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> CompressedStream:

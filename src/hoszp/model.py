@@ -17,6 +17,7 @@ FORMAT.md at the repository root.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from .errors import (
     BadMagic,
     GeometryMismatch,
     OutlierOverflow,
+    QuantOverflow,
     TruncatedStream,
     VersionMismatch,
 )
@@ -43,6 +45,9 @@ _I32_MAX = 2**31 - 1
 
 # little-endian: magic, version, dtype code, ndim, eps, block_len
 _HEADER = struct.Struct("<4sBBHdI")
+# the largest ndim and block_len the header holds; each dim is a u64
+_MAX_NDIM = 2**16 - 1
+_MAX_BLOCK_LEN = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,16 @@ class QuantParams:
         object.__setattr__(self, "eps", eps)
         if not (eps > 0.0 and np.isfinite(eps)):
             raise ValueError(f"eps must be positive and finite, got {eps}")
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValueError(f"dims must be non-empty positive integers, got {self.dims}")
-        if self.block_len < 1:
-            raise ValueError(f"block_len must be >= 1, got {self.block_len}")
+        if not 1 <= len(self.dims) <= _MAX_NDIM:
+            raise ValueError(f"dims must hold 1 to {_MAX_NDIM} entries, got {len(self.dims)}")
+        if any(not 1 <= d < 2**64 for d in self.dims):
+            raise ValueError(f"dims must be integers in [1, 2^64), got {self.dims}")
+        try:
+            object.__setattr__(self, "block_len", operator.index(self.block_len))
+        except TypeError:
+            raise ValueError(f"block_len must be an integer, got {self.block_len!r}") from None
+        if not 1 <= self.block_len <= _MAX_BLOCK_LEN:
+            raise ValueError(f"block_len must be in [1, 2^32 - 1], got {self.block_len}")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
 
@@ -123,8 +134,6 @@ class QuantArray:
             )
         # int64 min has a 64-bit magnitude and is the one int64 value we reject
         if bins.size and np.any(bins == np.iinfo(np.int64).min):
-            from .errors import QuantOverflow
-
             raise QuantOverflow("bin magnitude does not fit in 63 bits")
         self.bins = bins
 
@@ -132,51 +141,6 @@ class QuantArray:
         if not isinstance(other, QuantArray):
             return NotImplemented
         return self.params == other.params and np.array_equal(self.bins, other.bins)
-
-
-@dataclass(eq=False)
-class BlockView:
-    """Decoded per-block working set.
-
-    ``residual_mags[0]`` is always 0: the block's first bin is carried by
-    ``outlier`` instead of a residual.  A sign bit attached to a zero
-    magnitude is meaningless and decodes to 0 either way.
-    """
-
-    outlier: int
-    residual_mags: np.ndarray  # uint64
-    signs: np.ndarray  # uint8, 0 = non-negative, 1 = negative
-    width: int
-    is_constant: bool
-
-    def __post_init__(self):
-        mags = np.ascontiguousarray(self.residual_mags, dtype=np.uint64)
-        signs = np.ascontiguousarray(self.signs, dtype=np.uint8)
-        if mags.shape != signs.shape or mags.ndim != 1 or mags.size == 0:
-            raise ValueError("residual_mags and signs must be 1-D and equally sized")
-        if mags[0] != 0:
-            raise ValueError("first residual of a block must be 0 (held by the outlier)")
-        expected = int(mags.max()).bit_length()
-        if self.width != expected:
-            raise ValueError(f"width {self.width} != required bit length {expected}")
-        if self.is_constant != (self.width == 0):
-            raise ValueError("is_constant must hold exactly when width == 0")
-        self.residual_mags = mags
-        self.signs = signs
-
-    @classmethod
-    def from_signed(cls, outlier: int, signed_residuals) -> "BlockView":
-        """Build a canonical view from signed residuals (index 0 must be 0)."""
-        res = [int(r) for r in signed_residuals]
-        mags = np.asarray([abs(r) for r in res], dtype=np.uint64)
-        signs = np.asarray([1 if r < 0 else 0 for r in res], dtype=np.uint8)
-        width = int(mags.max()).bit_length()
-        return cls(int(outlier), mags, signs, width, width == 0)
-
-    def signed_residuals(self) -> list[int]:
-        return [
-            -int(m) if s else int(m) for m, s in zip(self.residual_mags, self.signs)
-        ]
 
 
 def section_sizes(params: QuantParams, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -69,11 +69,14 @@ class ScalarBin:
         return 2.0 * self.eps * self.bin
 
 
-def _check_params(a: CompressedStream, b: CompressedStream):
-    if a.params != b.params:
-        raise ParamsMismatch(
-            f"operand params differ: {a.params} vs {b.params}"
-        )
+def _check_params(streams):
+    """Raise :class:`ParamsMismatch` unless every operand has the first
+    one's params."""
+    for other in streams[1:]:
+        if other.params != streams[0].params:
+            raise ParamsMismatch(
+                f"operand params differ: {streams[0].params} vs {other.params}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,10 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 def _lockstep(streams):
     """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1,
     decode)``: ``decode(i, bins=True)`` decodes operand ``i``'s range into
-    that operand's reused int64 buffer (see ``codec._decode_range``)."""
+    that operand's reused int64 buffer (see ``codec._decode_range``).
+    Operands whose params differ raise :class:`ParamsMismatch` before any
+    range is decoded."""
+    _check_params(streams)
     bufs = [None] * len(streams)
     for ranges in zip(*map(codec._stream_ranges, streams)):
         b0, b1, _ = ranges[0]
@@ -152,8 +158,6 @@ def sum_streams(streams, signs) -> CompressedStream:
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
-    for other in streams[1:]:
-        _check_params(streams[0], other)
 
     def parts():
         for b0, b1, decode in _lockstep(streams):
@@ -231,7 +235,6 @@ def hadamard(a: CompressedStream, b: CompressedStream,
              threads: int = 1) -> CompressedStream:
     """Element-wise product via the quantized domain; same rescale rule as
     scalar multiplication with the second stream's bins as the scalars."""
-    _check_params(a, b)
     return _rescaled_products([a, b])
 
 
@@ -367,7 +370,6 @@ def covariance(a: CompressedStream, b: CompressedStream, *,
                threads: int = 1) -> float:
     """Population covariance via exact integer sums:
     ``(2 eps)^2 * (sum(a*b)/N - mean_a * mean_b)``."""
-    _check_params(a, b)
     n = a.params.element_count
     (ma, mb), sab = _sums([a, b])
     return _moment(a.params.eps, n * sab - ma.s * mb.s, n)
@@ -377,7 +379,6 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
                 threads: int = 1) -> float:
     """Single global SSIM over the whole arrays, from the quantized-domain
     mean/variance/covariance reductions."""
-    _check_params(a, b)
     params = a.params
     n = params.element_count
     eps2 = 2.0 * params.eps
@@ -405,8 +406,7 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
 def _decompressed(streams):
     """Check the operands share params; return them fully decompressed to
     the double-precision reconstruction grid."""
-    for other in streams[1:]:
-        _check_params(streams[0], other)
+    _check_params(streams)
     return [codec.decompress(s, out_dtype=np.float64).values for s in streams]
 
 
@@ -441,7 +441,7 @@ def _product_oracle(streams, scalar):
     """
     p64 = _f64(streams[0].params)
     vals = _decompressed(streams)
-    rho = [codec.quantize_nearest(v, p64) for v in vals]
+    rho = [codec._nearest_bins(v / (2.0 * p64.eps)) for v in vals]
     other = rho[1] if len(rho) == 2 else ScalarBin.of(scalar, p64.eps).bin
     bins = _rescale_bins(_exact_products(rho[0], other), p64.eps)
     return codec.encode_from_quant(QuantArray(bins, p64))

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from hoszp import (
     codec,
     compress,
     encode_from_quant,
-    lorenzo_encode,
 )
 
 #: the worked single-block example: eps=0.01 reproduces the documented bins,
@@ -137,14 +139,63 @@ def py_reductions(eps, qa, qb=None):
     return out
 
 
+@dataclass
+class RefBlock:
+    """One block of the reference model, in Python ints: the first bin as
+    the ``outlier``, then the signed ``residuals`` ``bins[i] - bins[i-1]``
+    with 0 in the first slot, which the outlier carries.  Independent of
+    the codec, it is what the codec's range stages are checked against."""
+
+    outlier: int
+    residuals: list[int]
+
+    @property
+    def residual_mags(self) -> list[int]:
+        return [abs(r) for r in self.residuals]
+
+    @property
+    def signs(self) -> list[int]:
+        """1 for a negative residual, else 0."""
+        return [int(r < 0) for r in self.residuals]
+
+    @property
+    def width(self) -> int:
+        return max(self.residual_mags).bit_length()
+
+    @property
+    def is_constant(self) -> bool:
+        return self.width == 0
+
+    def signed_residuals(self) -> list[int]:
+        return list(self.residuals)
+
+
+def ref_blocks(q):
+    """The blocks of quantized array ``q`` in the reference model."""
+    bins, k = q.bins.tolist(), q.params.block_len
+    return [RefBlock(block[0], [0] + [b - a for a, b in zip(block, block[1:])])
+            for block in (bins[s : s + k] for s in range(0, len(bins), k))]
+
+
+def ref_bins(blocks, params):
+    """Inverse of :func:`ref_blocks`: each block's running sums of its
+    residuals, seeded by its outlier.  Blocks of the wrong count or length
+    raise ``ValueError``."""
+    k, n = params.block_len, params.element_count
+    if [len(b.residuals) for b in blocks] != [min(k, n - s) for s in range(0, n, k)]:
+        raise ValueError(f"blocks do not form {params.block_count} blocks of {k}")
+    bins = [b.outlier + x for b in blocks for x in accumulate(b.residuals)]
+    return QuantArray(np.array(bins, dtype=np.int64), params)
+
+
 def reference_stream(q):
     """The stream of quantized array ``q`` assembled block by block from
-    :func:`lorenzo_encode` and the reference packer."""
+    :func:`ref_blocks` and the reference packer."""
     widths, outliers, signs, payload = [], [], [], []
-    for v in lorenzo_encode(q):
+    for v in ref_blocks(q):
         widths.append(v.width)
         outliers.append(v.outlier)
         if v.width:
-            signs.append(ref_pack_row(v.signs.tolist(), 1))
-            payload.append(ref_pack_row(v.residual_mags.tolist(), v.width))
+            signs.append(ref_pack_row(v.signs, 1))
+            payload.append(ref_pack_row(v.residual_mags, v.width))
     return CompressedStream(q.params, widths, outliers, b"".join(signs), b"".join(payload))

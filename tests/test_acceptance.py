@@ -21,8 +21,6 @@ from hoszp import (
     decompress,
     deserialize,
     encode_from_quant,
-    lorenzo_decode,
-    lorenzo_encode,
     mean,
     negate,
     quantize,
@@ -40,6 +38,9 @@ from conftest import (
     py_reductions,
     random_params,
     random_stream,
+    ref_bins,
+    ref_blocks,
+    reference_stream,
 )
 
 THREADS = os.cpu_count() or 1
@@ -74,12 +75,13 @@ def test_criterion_2_worked_example_goldens():
     raw = RawArray(np.array(EXAMPLE_VALUES, dtype=np.float32), (2, 2), "f32")
     q = quantize(raw, params)
     assert list(q.bins) == EXAMPLE_BINS
-    (view,) = lorenzo_encode(q)
+    (view,) = ref_blocks(q)
     assert view.outlier == -1
     assert list(view.residual_mags) == [0, 0, 2, 0]
     assert list(view.signs) == [0, 0, 1, 0]
     stream = compress(raw, params)
     assert stream.payload == b"\x08"
+    assert stream == reference_stream(q)
     assert mean(stream) == -0.04
 
     assert ScalarBin.of(0.67, EXAMPLE_EPS).bin == 33
@@ -88,10 +90,11 @@ def test_criterion_2_worked_example_goldens():
     assert ScalarBin.of(3.14, EXAMPLE_EPS).bin == 157
     scaled = ops.scalar_mul(stream, 3.14)
     assert list(decode_to_quant(scaled).bins) == [-3, -3, -9, -9]
-    (view,) = lorenzo_encode(decode_to_quant(scaled))
+    (view,) = ref_blocks(decode_to_quant(scaled))
     assert view.outlier == -3
     assert list(view.residual_mags) == [0, 0, 6, 0]
     assert list(view.signs) == [0, 0, 1, 0]
+    assert scaled == reference_stream(decode_to_quant(scaled))
     _passed(2, "bins/outlier/residuals/signs/payload/mean/scalar goldens exact")
 
 
@@ -152,7 +155,7 @@ def test_criterion_4_canonical_and_inverse_properties():
         p = random_params(rng, max_dim=24)
         bins = rng.integers(-(2**31), 2**31, p.element_count)
         q = QuantArray(bins, p)
-        assert lorenzo_decode(lorenzo_encode(q), p) == q
+        assert ref_bins(ref_blocks(q), p) == q
 
     for _ in range(500):
         s = random_stream(rng, max_dim=24)

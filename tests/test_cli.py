@@ -287,6 +287,15 @@ class TestExitCodes:
         assert code == 2
         assert "kind=ValueError" in cap.err
 
+    def test_block_len_past_the_header_is_usage_error(self, tmp_path, capsys):
+        src, out = tmp_path / "one.bin", tmp_path / "x.hsz"
+        np.zeros(1, dtype="<f4").tofile(src)
+        code, cap = _run(capsys, ["compress", str(src), "-o", str(out), "--dims", "1",
+                                  "--eps", "1e-3", "--block-len", str(2**32)])
+        assert code == 2
+        assert "kind=ValueError" in cap.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compress", "decompress", "op", "stats", "bench",
                                          "distsim"])
     def test_threads_flag_accepted(self, tmp_path, example_file, example_hsz, capsys, command):

@@ -23,8 +23,6 @@ from hoszp import (
     dequantize,
     deserialize,
     encode_from_quant,
-    lorenzo_decode,
-    lorenzo_encode,
     quantize,
     read_raw,
     resolve_eps,
@@ -38,9 +36,12 @@ from conftest import (
     EXAMPLE_BINS,
     EXAMPLE_EPS,
     EXAMPLE_VALUES,
+    RefBlock,
     random_params,
     random_stream,
     range_sizes,
+    ref_bins,
+    ref_blocks,
     ref_pack_row,
     reference_stream,
     wide_block_bins,
@@ -149,9 +150,11 @@ class TestDequantize:
 
 
 class TestLorenzo:
+    """The reference block model that the codec is checked against."""
+
     def test_example_block(self, example_params):
         q = QuantArray(np.array(EXAMPLE_BINS), example_params)
-        (v,) = lorenzo_encode(q)
+        (v,) = ref_blocks(q)
         assert v.outlier == -1
         assert list(v.residual_mags) == [0, 0, 2, 0]
         assert list(v.signs) == [0, 0, 1, 0]
@@ -159,29 +162,25 @@ class TestLorenzo:
 
     def test_constant_block(self):
         p = QuantParams(eps=0.1, dims=(4,), block_len=4, dtype="f64")
-        (v,) = lorenzo_encode(QuantArray(np.array([5, 5, 5, 5]), p))
+        (v,) = ref_blocks(QuantArray(np.array([5, 5, 5, 5]), p))
         assert v.outlier == 5 and v.is_constant and v.width == 0
 
     def test_alternating(self):
         p = QuantParams(eps=0.1, dims=(4,), block_len=4, dtype="f64")
-        (v,) = lorenzo_encode(QuantArray(np.array([0, 1, 0, 1]), p))
+        (v,) = ref_blocks(QuantArray(np.array([0, 1, 0, 1]), p))
         assert v.outlier == 0
         assert list(v.residual_mags) == [0, 1, 1, 1]
         assert list(v.signs) == [0, 0, 1, 0]
         assert v.width == 1
 
     def test_decode_inverts_example_block(self, example_params):
-        from hoszp import BlockView
-
-        v = BlockView.from_signed(-1, [0, 0, -2, 0])
-        assert list(lorenzo_decode([v], example_params).bins) == EXAMPLE_BINS
+        v = RefBlock(-1, [0, 0, -2, 0])
+        assert list(ref_bins([v], example_params).bins) == EXAMPLE_BINS
 
     def test_decode_constant(self):
-        from hoszp import BlockView
-
         p = QuantParams(eps=0.1, dims=(4,), block_len=4, dtype="f64")
-        v = BlockView.from_signed(7, [0, 0, 0, 0])
-        assert list(lorenzo_decode([v], p).bins) == [7, 7, 7, 7]
+        v = RefBlock(7, [0, 0, 0, 0])
+        assert list(ref_bins([v], p).bins) == [7, 7, 7, 7]
 
     def test_identity_property(self):
         rng = np.random.default_rng(17)
@@ -189,20 +188,20 @@ class TestLorenzo:
             p = random_params(rng)
             bins = rng.integers(-(2**31), 2**31, p.element_count)
             q = QuantArray(bins, p)
-            assert lorenzo_decode(lorenzo_encode(q), p) == q
+            assert ref_bins(ref_blocks(q), p) == q
 
     def test_identity_near_63_bit_bins(self):
         # interior bins near the cap force the exact slow integer path
         p = QuantParams(eps=0.1, dims=(9,), block_len=4, dtype="f64")
         bins = np.array([3, 2**63 - 1, -(2**63 - 1), 2**62, -7, 0, 5, -(2**62), 11])
         q = QuantArray(bins, p)
-        assert lorenzo_decode(lorenzo_encode(q), p) == q
+        assert ref_bins(ref_blocks(q), p) == q
 
     def test_width_64_round_trip(self):
         # residual magnitude 2^63 + 1 needs all 64 payload bits
         p = QuantParams(eps=0.1, dims=(2,), block_len=2, dtype="f64")
         q = QuantArray(np.array([-2, 2**63 - 1]), p)
-        (v,) = lorenzo_encode(q)
+        (v,) = ref_blocks(q)
         assert v.width == 64
         s = encode_from_quant(q)
         assert decode_to_quant(s) == q
@@ -210,7 +209,7 @@ class TestLorenzo:
 
     def test_decode_rejects_wrong_block_count(self, example_params):
         with pytest.raises(ValueError):
-            lorenzo_decode([], example_params)
+            ref_bins([], example_params)
 
 
 class TestCompressDecompress:
@@ -331,7 +330,8 @@ class TestPartialDecode:
     def test_rescaled_example_block(self):
         p = QuantParams(eps=0.01, dims=(2, 2), block_len=32, dtype="f32")
         s = encode_from_quant(QuantArray(np.array([-3, -3, -9, -9]), p))
-        (v,) = lorenzo_encode(decode_to_quant(s))
+        assert s == reference_stream(decode_to_quant(s))
+        (v,) = ref_blocks(decode_to_quant(s))
         assert v.outlier == -3
         assert list(v.residual_mags) == [0, 0, 6, 0]
         assert list(v.signs) == [0, 0, 1, 0]
@@ -353,7 +353,7 @@ class TestRangeDecode:
             assert {b: int(s.widths[b]) for b in wide} == wide
             got = decode_to_quant(s)
             assert got == q
-            assert got == lorenzo_decode(lorenzo_encode(q), p)
+            assert got == ref_bins(ref_blocks(q), p)
             assert np.array_equal(decompress(s, out_dtype=np.float64).values,
                                   bins.astype(np.float64))
 
@@ -441,8 +441,8 @@ class TestSectionLayout:
 
 class TestRangeEncode:
     """Encode runs over the same block-aligned ranges as decode; every
-    encode must equal the stream that lorenzo_encode and the reference
-    packer assemble."""
+    encode must equal the stream that the reference block model and the
+    reference packer assemble."""
 
     @pytest.mark.parametrize("k", [32, 33])
     def test_sizes_at_range_edges(self, k):
@@ -622,7 +622,7 @@ class TestCompactDecode:
         assert set(s.widths[wide].tolist()) == {64}
         assert s == reference_stream(q)
         assert decode_to_quant(s) == q
-        assert lorenzo_decode(lorenzo_encode(q), p) == q
+        assert ref_bins(ref_blocks(q), p) == q
         zeros = encode_from_quant(QuantArray(np.zeros(n, np.int64), p))
         assert decode_to_quant(ops.elementwise_add(s, zeros)) == q
         assert not decode_to_quant(ops.elementwise_sub(s, s)).bins.any()
@@ -763,7 +763,7 @@ def test_quant_domain_round_trip_property(seed):
     s = random_stream(seed)
     q = decode_to_quant(s)
     assert encode_from_quant(q) == s
-    assert lorenzo_decode(lorenzo_encode(q), q.params) == q
+    assert ref_bins(ref_blocks(q), q.params) == q
 
 
 def _corpus_digest():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hoszp import (
     BadMagic,
-    BlockView,
     CompressedStream,
     GeometryMismatch,
     OutlierOverflow,
@@ -38,7 +37,8 @@ class TestQuantParams:
         with pytest.raises(ValueError):
             QuantParams(eps=eps, dims=(4,))
 
-    @pytest.mark.parametrize("dims", [(), (0,), (3, -1)])
+    # the header holds 1 to 65,535 dims of 64 bits each
+    @pytest.mark.parametrize("dims", [(), (0,), (3, -1), (1,) * 2**16, (2**64,)])
     def test_bad_dims(self, dims):
         with pytest.raises(ValueError):
             QuantParams(eps=0.1, dims=dims)
@@ -48,6 +48,21 @@ class TestQuantParams:
             QuantParams(eps=0.1, dims=(4,), block_len=0)
         with pytest.raises(ValueError):
             QuantParams(eps=0.1, dims=(4,), dtype="f16")
+
+    @pytest.mark.parametrize("block_len", [2**32, 32.5, 32.0, "32", None])
+    def test_block_len_is_a_u32_integer(self, block_len):
+        with pytest.raises(ValueError, match="block_len"):
+            QuantParams(eps=0.1, dims=(4,), block_len=block_len)
+
+    def test_block_len_integers_normalized(self):
+        p = QuantParams(eps=0.1, dims=(4,), block_len=np.int64(8))
+        assert type(p.block_len) is int and p == QuantParams(eps=0.1, dims=(4,), block_len=8)
+
+    def test_largest_header_geometry_round_trips(self):
+        QuantParams(eps=0.1, dims=(2**64 - 1,))
+        p = QuantParams(eps=0.1, dims=(1,) * (2**16 - 1), block_len=2**32 - 1)
+        s = CompressedStream(p, [0], [3], b"", b"")
+        assert deserialize(serialize(s)) == s
 
     def test_partial_block_geometry(self):
         p = QuantParams(eps=0.1, dims=(7,), block_len=3)
@@ -71,33 +86,6 @@ class TestQuantArray:
         QuantArray(np.array([2**63 - 1, -(2**63 - 1)]), p)  # fits
         with pytest.raises(QuantOverflow):
             QuantArray(np.array([0, np.iinfo(np.int64).min]), p)
-
-
-class TestBlockView:
-    def test_from_signed(self):
-        v = BlockView.from_signed(-1, [0, 0, -2, 0])
-        assert v.outlier == -1
-        assert list(v.residual_mags) == [0, 0, 2, 0]
-        assert list(v.signs) == [0, 0, 1, 0]
-        assert v.width == 2
-        assert not v.is_constant
-        assert v.signed_residuals() == [0, 0, -2, 0]
-
-    def test_constant(self):
-        v = BlockView.from_signed(7, [0, 0, 0])
-        assert v.is_constant and v.width == 0
-
-    def test_first_residual_must_be_zero(self):
-        with pytest.raises(ValueError):
-            BlockView.from_signed(0, [1, 0])
-
-    def test_width_consistency_checked(self):
-        with pytest.raises(ValueError):
-            BlockView(0, np.array([0, 3], dtype=np.uint64),
-                      np.array([0, 0], dtype=np.uint8), width=1, is_constant=False)
-        with pytest.raises(ValueError):
-            BlockView(0, np.array([0, 0], dtype=np.uint64),
-                      np.array([0, 0], dtype=np.uint8), width=0, is_constant=False)
 
 
 class TestCompressedStreamConstruction:

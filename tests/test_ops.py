@@ -1,6 +1,7 @@
 """Homomorphic operations: worked-example goldens, oracle equivalence, invariants."""
 
 import argparse
+import dataclasses
 import math
 import os
 import subprocess
@@ -32,7 +33,6 @@ from hoszp import (
     elementwise_sub,
     encode_from_quant,
     hadamard,
-    lorenzo_encode,
     mean,
     negate,
     oracle_apply,
@@ -55,6 +55,7 @@ from conftest import (
     random_params,
     random_stream,
     range_sizes,
+    ref_blocks,
     reference_stream,
     wide_block_bins,
 )
@@ -305,7 +306,8 @@ class TestScalarMul:
         z = scalar_mul(example_stream, 3.14)
         q = decode_to_quant(z)
         assert list(q.bins) == [-3, -3, -9, -9]
-        (v,) = lorenzo_encode(q)
+        assert z == reference_stream(q)
+        (v,) = ref_blocks(q)
         assert v.outlier == -3
         assert list(v.residual_mags) == [0, 0, 6, 0]
         assert list(v.signs) == [0, 0, 1, 0]
@@ -439,7 +441,7 @@ class TestStddev:
 class TestElementwiseAdd:
     def test_self_addition_golden(self, example_stream):
         z = elementwise_add(example_stream, example_stream)
-        (v,) = lorenzo_encode(decode_to_quant(z))
+        (v,) = ref_blocks(decode_to_quant(z))
         assert v.outlier == -2
         assert v.signed_residuals() == [0, 0, -4, 0]
         got = _values(z)
@@ -739,8 +741,8 @@ def _edge_operands(rng, n, k):
 
 class TestRangeEncodeOps:
     """Every stream operation decodes, combines and re-encodes range by
-    range; its result must equal the stream that lorenzo_encode and the
-    reference packer assemble from the expected bins."""
+    range; its result must equal the stream that the reference block model
+    and the reference packer assemble from the expected bins."""
 
     @pytest.mark.parametrize("k", [32, 33])
     def test_sizes_at_range_edges(self, k):
@@ -982,6 +984,18 @@ class TestOracleApply:
             call("sadd", [example_stream])
 
 
+#: one changed field each; (2, 2) has as many elements as (4,)
+PARAMS_MISMATCHES = [{"eps": 0.02}, {"dims": (5,)}, {"dims": (2, 2)}, {"block_len": 4},
+                     {"dtype": "f64"}]
+
+
+def _mismatched(delta):
+    """Two streams whose params differ in ``delta``."""
+    base = QuantParams(0.01, (4,), 32, "f32")
+    return [encode_from_quant(QuantArray(np.arange(p.element_count) - 2, p))
+            for p in (base, dataclasses.replace(base, **delta))]
+
+
 class TestOpTable:
     def test_covers_the_cli_choices(self):
         parser = build_parser()
@@ -1007,6 +1021,19 @@ class TestOpTable:
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
             else:
                 assert np.array_equal(_values(got), _values(want))
+
+    @pytest.mark.parametrize("delta", PARAMS_MISMATCHES)
+    @pytest.mark.parametrize("name", [n for n, spec in ops.OPS.items() if spec.arity == 2])
+    @pytest.mark.parametrize("run", [ops.apply, ops.oracle_apply])
+    def test_params_mismatch(self, run, name, delta):
+        with pytest.raises(ParamsMismatch):
+            run(name, _mismatched(delta))
+
+    @pytest.mark.parametrize("delta", PARAMS_MISMATCHES)
+    def test_sum_streams_third_operand_mismatch(self, delta):
+        a, b = _mismatched(delta)
+        with pytest.raises(ParamsMismatch):
+            ops.sum_streams([a, a, b], [1, -1, 1])
 
 
 @settings(max_examples=60, deadline=None)

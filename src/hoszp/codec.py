@@ -44,8 +44,8 @@ for the prefix sums), else the same numpy steps on an object array of
 exact Python ints.  Both directions are serial; the ``threads`` argument
 of the public entry points is accepted and ignored.
 
-Each stage has this one, range-wise implementation and no per-block
-twin; the tests check it against an independent pure-Python block model.
+The tests check each stage against an independent pure-Python block
+model.
 
 Besides full ``compress``/``decompress``, the module exposes the partial
 entry points the homomorphic operations build on: ``decode_to_quant`` /

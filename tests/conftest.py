@@ -166,9 +166,6 @@ class RefBlock:
     def is_constant(self) -> bool:
         return self.width == 0
 
-    def signed_residuals(self) -> list[int]:
-        return list(self.residuals)
-
 
 def ref_blocks(q):
     """The blocks of quantized array ``q`` in the reference model."""

@@ -38,7 +38,6 @@ from conftest import (
     py_reductions,
     random_params,
     random_stream,
-    ref_bins,
     ref_blocks,
     reference_stream,
 )
@@ -155,7 +154,9 @@ def test_criterion_4_canonical_and_inverse_properties():
         p = random_params(rng, max_dim=24)
         bins = rng.integers(-(2**31), 2**31, p.element_count)
         q = QuantArray(bins, p)
-        assert ref_bins(ref_blocks(q), p) == q
+        s = encode_from_quant(q)
+        assert s == reference_stream(q)
+        assert decode_to_quant(s) == q
 
     for _ in range(500):
         s = random_stream(rng, max_dim=24)
@@ -172,7 +173,7 @@ def test_criterion_4_canonical_and_inverse_properties():
         assert int(z.widths.max(initial=0)) == 0
         assert not np.any(z.outliers)
         assert not np.any(decompress(z).values)
-    _passed(4, "serialize/lorenzo/recompress/negate/self-subtract x 500 instances")
+    _passed(4, "serialize/encode-decode/recompress/negate/self-subtract x 500 instances")
 
 
 def test_criterion_5_speedup_over_traditional_workflow():

@@ -441,9 +441,10 @@ class TestStddev:
 class TestElementwiseAdd:
     def test_self_addition_golden(self, example_stream):
         z = elementwise_add(example_stream, example_stream)
+        assert z == reference_stream(decode_to_quant(z))
         (v,) = ref_blocks(decode_to_quant(z))
         assert v.outlier == -2
-        assert v.signed_residuals() == [0, 0, -4, 0]
+        assert v.residuals == [0, 0, -4, 0]
         got = _values(z)
         assert np.array_equal(got, np.array([-0.04, -0.04, -0.12, -0.12]))
 

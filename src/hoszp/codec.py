@@ -55,17 +55,16 @@ floating-point reconstruction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryMismatch, QuantOverflow
-from .model import CompressedStream, DTYPES, QuantArray, QuantParams, _section_offsets
+from .model import CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, _section_offsets
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
-# beyond this bin magnitude, int64 differences of two bins may overflow
-_FAST_BIN_LIMIT = 2**62 - 1
 _U64_MAX = 2**64 - 1
 # elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
@@ -87,11 +86,9 @@ class RawArray:
     dtype: str = "f32"
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _as_dims(self.dims)
         values = np.ascontiguousarray(self.values, dtype=DTYPES[self.dtype][1]).ravel()
-        n = 1
-        for d in self.dims:
-            n *= d
+        n = math.prod(self.dims)
         if values.shape[0] != n:
             raise ValueError(f"got {values.shape[0]} values for dims {self.dims}")
         if not np.isfinite(values).all():
@@ -116,8 +113,8 @@ def read_raw(path, dims, dtype: str = "f32") -> RawArray:
     """Read a headerless flat little-endian IEEE-754 binary file."""
     code = "<f4" if dtype == "f32" else "<f8"
     values = np.fromfile(path, dtype=code)
-    dims = tuple(int(d) for d in dims)
-    n = int(np.prod(np.asarray(dims, dtype=np.int64)))
+    dims = _as_dims(dims)
+    n = math.prod(dims)
     if values.size != n:
         raise GeometryMismatch(
             f"file holds {values.size} {dtype} values but dims {dims} imply {n}"
@@ -260,10 +257,10 @@ def _split_residuals(bins: np.ndarray, k: int, out: np.ndarray | None = None) ->
 
     Residual ``i`` is ``bins[i] - bins[i-1]`` inside a block; the slot at
     each block start stays 0 because the outlier carries the first bin.
-    They come back as int64 (in ``out`` when given) while every bin of the
-    run is within 2^62, else as Python ints in an object array.
+    They come back as int64 (in ``out`` when given) while twice every bin
+    of the run is within int64, else as Python ints in an object array.
     """
-    if max(int(bins.max()), -int(bins.min())) > _FAST_BIN_LIMIT:
+    if 2 * max(int(bins.max()), -int(bins.min())) > _I64_MAX:
         bins = bins.astype(object)  # differences may pass 63 bits
         resid = np.empty(bins.size, dtype=object)
     else:
@@ -305,7 +302,7 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w
     steps on Python ints in an object array (np.int64 scalars would wrap),
     and residuals past 63 bits come back as that array.
     """
-    if w > 63 or (bins and _bin_bound(outliers, k, w) > _I64_MAX):
+    if (_bin_bound(outliers, k, w) if bins else (1 << w) - 1) > _I64_MAX:
         x = r.view(np.uint64).astype(object)
         np.negative(x, out=x, where=s.view(np.bool_))
     else:

@@ -17,6 +17,7 @@ equally to both paths (the payload sent is the same).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -83,13 +84,9 @@ def _aggregate_homomorphic(streams) -> CompressedStream:
 
 
 def _aggregate_traditional(streams) -> CompressedStream:
-    """Fully decompress every stream, sum values, recompress once."""
-    params = streams[0].params
-    total = codec.decompress(streams[0], out_dtype=np.float64).values.copy()
-    for s in streams[1:]:
-        total += codec.decompress(s, out_dtype=np.float64).values
-    p64 = QuantParams(params.eps, params.dims, params.block_len, "f64")
-    return codec.compress(RawArray(total, params.dims, "f64"), p64)
+    """Fully decompress every stream, sum the values in stream order,
+    recompress once: the element-wise-add oracle over n operands."""
+    return ops._linear_oracle(lambda v, x, eps: functools.reduce(np.add, v))(streams, None)
 
 
 def simulate(scn: SimScenario) -> SimReport:

@@ -17,6 +17,7 @@ FORMAT.md at the repository root.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -50,6 +51,20 @@ _MAX_NDIM = 2**16 - 1
 _MAX_BLOCK_LEN = 2**32 - 1
 
 
+def _as_dims(dims) -> tuple[int, ...]:
+    """The one dims rule: each dim is an integer that ``operator.index``
+    accepts (a bool is not a dim) and is at least 1.  Returns the dims as
+    Python ints; any other dim raises ``ValueError``."""
+    dims = tuple(dims)
+    try:
+        ints = tuple(operator.index(d) for d in dims if not isinstance(d, bool))
+    except TypeError:
+        ints = ()
+    if len(ints) != len(dims) or any(d < 1 for d in ints):
+        raise ValueError(f"dims must be integers of at least 1, got {dims!r}")
+    return ints
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Compression parameters governing every lossy step.
@@ -65,15 +80,15 @@ class QuantParams:
     dtype: str = "f32"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _as_dims(self.dims))
         eps = float(self.eps)
         object.__setattr__(self, "eps", eps)
         if not (eps > 0.0 and np.isfinite(eps)):
             raise ValueError(f"eps must be positive and finite, got {eps}")
         if not 1 <= len(self.dims) <= _MAX_NDIM:
             raise ValueError(f"dims must hold 1 to {_MAX_NDIM} entries, got {len(self.dims)}")
-        if any(not 1 <= d < 2**64 for d in self.dims):
-            raise ValueError(f"dims must be integers in [1, 2^64), got {self.dims}")
+        if any(d >= 2**64 for d in self.dims):
+            raise ValueError(f"dims must be below 2^64, got {self.dims}")
         try:
             object.__setattr__(self, "block_len", operator.index(self.block_len))
         except TypeError:
@@ -85,10 +100,7 @@ class QuantParams:
 
     @property
     def element_count(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     @property
     def block_count(self) -> int:
@@ -308,21 +320,16 @@ def deserialize(data: bytes) -> CompressedStream:
         raise VersionMismatch(f"unsupported stream version {version}")
     if dtype_code not in _DTYPE_BY_CODE:
         raise GeometryMismatch(f"unknown dtype code {dtype_code}")
-    if ndim < 1:
-        raise GeometryMismatch("header declares zero dimensions")
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise GeometryMismatch(f"invalid error bound {eps}")
 
     pos = _HEADER.size
     dims_end = pos + 8 * ndim
     if len(data) < dims_end:
         raise TruncatedStream("byte sequence ends inside the dims table")
     dims = tuple(int(d) for d in np.frombuffer(data[pos:dims_end], dtype="<u8"))
-    if any(d < 1 for d in dims):
-        raise GeometryMismatch(f"non-positive dim in {dims}")
-    if block_len < 1:
-        raise GeometryMismatch(f"invalid block_len {block_len}")
-    params = QuantParams(eps=eps, dims=dims, block_len=block_len, dtype=_DTYPE_BY_CODE[dtype_code])
+    try:
+        params = QuantParams(eps, dims, block_len, _DTYPE_BY_CODE[dtype_code])
+    except ValueError as exc:
+        raise GeometryMismatch(f"invalid header: {exc}") from None
 
     pos = dims_end
     b = params.block_count

@@ -12,9 +12,9 @@ Each operation runs in the shallowest decode domain that supports it:
 
 No operation ever inverts quantization on its inputs; the reductions sum
 bins in exact integer arithmetic and apply the real-valued scaling once at
-the end.  They walk the codec's decode ranges, decoding each operand once
-(a range that is constant in every operand contributes through its
-outliers alone).
+the end.  One accumulator, ``_sums``, walks the codec's decode ranges and
+decodes each operand once (a range constant in every operand adds its
+outliers alone); each choice of int64 or Python ints tests one bound.
 
 ``OPS`` is the one table of operations: each ``OpSpec`` pairs the
 homomorphic call with its oracle, the traditional reference workflow - full
@@ -36,11 +36,9 @@ from typing import Callable
 import numpy as np
 
 from . import codec
-from .codec import RawArray
+from .codec import _I64_MAX, RawArray
 from .errors import ParamsMismatch, QuantOverflow
 from .model import CompressedStream, QuantArray, QuantParams
-
-_I64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,7 @@ def _exact_products(x: np.ndarray, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     mx = max(int(x.max()), -int(x.min())) if x.size else 0
     my = max(int(y.max()), -int(y.min())) if y.size else 0
-    if mx == 0 or my == 0 or mx <= _I64_MAX // my:
+    if mx * my <= _I64_MAX:
         return x * y
     return x.astype(object) * y.astype(object)
 
@@ -261,74 +259,49 @@ def _exact_dot(x: np.ndarray, y: np.ndarray | None, bound: int) -> int:
     return (xs if y is None else xs * y.astype(object)).sum()
 
 
-def _range_dot(x: np.ndarray, y: np.ndarray | None, bound: int, weights=None) -> int:
-    """:func:`_exact_dot` over one range; a constant range passes its block
-    lengths as ``weights``, so that each outlier stands for its block."""
-    if weights is None:
-        return _exact_dot(x, y, bound)
-    # outliers are int32, so the product of two fits in int64
-    return _exact_dot(x if y is None else x * y, weights, bound * int(weights.max()))
-
-
-@dataclass
-class _Sums:
-    """Exact running sums over one operand's bins: S, sum of squares, and
-    the min and max of the ranges whose bins were measured (every range's
-    with ``_sums(minmax=True)``)."""
-
-    s: int = 0
-    sqq: int = 0
-    lo: int | None = None
-    hi: int | None = None
-
-    def add(self, x: np.ndarray, weights, sq: bool, bound: int | None) -> int:
-        """Add one range whose bins are at most ``bound`` in magnitude; with
-        no ``bound``, measure the range's min and max and bound by them.
-        Returns the bound."""
-        if bound is None:
-            lo, hi = int(x.min()), int(x.max())
-            self.lo = lo if self.lo is None else min(self.lo, lo)
-            self.hi = hi if self.hi is None else max(self.hi, hi)
-            bound = max(hi, -lo)
-        self.s += _range_dot(x, None, bound, weights)
-        if sq:
-            self.sqq += _range_dot(x, x, bound * bound, weights)
-        return bound
-
-
 def _sums(streams, *, sq: bool = False, minmax: bool = False):
     """Exact integer sums over the bins of one operand or a pair, walking
     the operands' decode ranges in lockstep so that each is decoded once.
 
-    Returns one :class:`_Sums` per operand and ``sum(a * b)`` of a pair.
-    A range that is constant in every operand contributes from metadata
-    alone; every other range is decoded into one reused int64 buffer per
-    operand.  Each range's sums are bounded by its blocks'
-    ``codec._bin_bound``; a range's min and max are measured only with
-    ``minmax`` (then every range's are) or where that bound would split
-    the int64 sums, and only a range whose measured sums may pass int64 is
-    promoted.
+    Returns Python ints ``(s, sqq, sab, lo, hi)``: per operand, in lists,
+    the sum of its bins, with ``sq`` of their squares and with ``minmax``
+    its lowest and highest bin; ``sab`` is ``sum(a * b)`` of a pair.  A
+    range that is constant in every operand contributes from metadata
+    alone, each outlier weighted by its block length; every other range is
+    decoded into one reused int64 buffer per operand.  Each range's sums
+    are bounded by its blocks' ``codec._bin_bound``; a range's min and max
+    are measured only with ``minmax`` (then every range's are) or where
+    that bound would split the int64 sums, and only a range whose measured
+    sums may pass int64 is promoted.
     """
-    acc = [_Sums() for _ in streams]
-    sab = 0
+    n = len(streams)
     k = streams[0].params.block_len
-    quad = sq or len(streams) == 2  # the sums hold products of two bins
+    quad = sq or n == 2  # the sums hold products of two bins
+    s, sqq, lo, hi = [0] * n, [0] * n, [math.inf] * n, [-math.inf] * n
+    sab = 0
     for b0, b1, decode in _lockstep(streams):
-        if not any(c.widths[b0:b1].any() for c in streams):
-            weights = streams[0].params.block_lengths(b0, b1)
-            xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
+        if any(c.widths[b0:b1].any() for c in streams):
+            xs = [decode(i) for i in range(n)]
+            wxs, scale = xs, 1
         else:
-            weights = None
-            xs = [decode(i) for i in range(len(streams))]
+            lengths = streams[0].params.block_lengths(b0, b1)
+            xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
+            # int32 outliers times lengths below 2^32 fit in int64
+            wxs, scale = [x * lengths for x in xs], int(lengths.max())
         bounds = []
-        for a, x, c in zip(acc, xs, streams):
+        for i, (x, c) in enumerate(zip(xs, streams)):
             m = codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
             if minmax or (b1 - b0) * k * (m * m if quad else m) > _I64_MAX:
-                m = None
-            bounds.append(a.add(x, weights, sq, m))
-        if len(xs) == 2:
-            sab += _range_dot(xs[0], xs[1], bounds[0] * bounds[1], weights)
-    return acc, sab
+                xlo, xhi = int(x.min()), int(x.max())
+                lo[i], hi[i] = min(lo[i], xlo), max(hi[i], xhi)
+                m = max(xhi, -xlo)
+            bounds.append(m)
+            s[i] += _exact_dot(wxs[i], None, m * scale)
+            if sq:
+                sqq[i] += _exact_dot(x, wxs[i], m * m * scale)
+        if n == 2:
+            sab += _exact_dot(xs[0], wxs[1], bounds[0] * bounds[1] * scale)
+    return s, sqq, sab, lo, hi
 
 
 def _square(x: float) -> float:
@@ -347,18 +320,18 @@ def _moment(eps: float, num: int, n: int) -> float:
 
 def mean(c: CompressedStream, *, threads: int = 1) -> float:
     """Population mean: ``2 * eps * sum(bins) / N`` in double precision."""
-    (m,), _ = _sums([c])
-    return (2.0 * c.params.eps * m.s) / c.params.element_count
+    (s,), *_ = _sums([c])
+    return (2.0 * c.params.eps * s) / c.params.element_count
 
 
 def variance(c: CompressedStream, *, threads: int = 1) -> float:
     """Population variance via exact integer moments:
     ``(2 eps)^2 * (sum(bins^2)/N - (sum(bins)/N)^2)``."""
     n = c.params.element_count
-    (m,), _ = _sums([c], sq=True)
+    (s,), (sqq,), *_ = _sums([c], sq=True)
     # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers);
     # this rounds in another order than _moment
-    num = n * m.sqq - m.s * m.s
+    num = n * sqq - s * s
     return _square(2.0 * c.params.eps) * (float(num) / (n * n)) if num else 0.0
 
 
@@ -371,8 +344,8 @@ def covariance(a: CompressedStream, b: CompressedStream, *,
     """Population covariance via exact integer sums:
     ``(2 eps)^2 * (sum(a*b)/N - mean_a * mean_b)``."""
     n = a.params.element_count
-    (ma, mb), sab = _sums([a, b])
-    return _moment(a.params.eps, n * sab - ma.s * mb.s, n)
+    (sa, sb), _, sab, *_ = _sums([a, b])
+    return _moment(a.params.eps, n * sab - sa * sb, n)
 
 
 def ssim_global(a: CompressedStream, b: CompressedStream, *,
@@ -382,14 +355,13 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
     params = a.params
     n = params.element_count
     eps2 = 2.0 * params.eps
-    (ma, mb), sab = _sums([a, b], sq=True, minmax=True)
-    sa, sb = ma.s, mb.s
+    (sa, sb), (sqa, sqb), sab, lo, hi = _sums([a, b], sq=True, minmax=True)
     mu_a = eps2 * sa / n
     mu_b = eps2 * sb / n
-    var_a = _moment(params.eps, n * ma.sqq - sa * sa, n)
-    var_b = _moment(params.eps, n * mb.sqq - sb * sb, n)
+    var_a = _moment(params.eps, n * sqa - sa * sa, n)
+    var_b = _moment(params.eps, n * sqb - sb * sb, n)
     cov = _moment(params.eps, n * sab - sa * sb, n)
-    value_range = eps2 * max(ma.hi - ma.lo, mb.hi - mb.lo)
+    value_range = eps2 * max(hi[0] - lo[0], hi[1] - lo[1])
     c1 = _square(0.01 * value_range)
     c2 = _square(0.03 * value_range)
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)

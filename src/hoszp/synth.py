@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .codec import RawArray
+from .model import _as_dims
 
 
 def smooth_field(dims, seed: int = 0, dtype: str = "f32") -> RawArray:
     """Smooth multi-scale field: a few low-frequency cosine waves per axis
     with deterministic random amplitudes and phases.  Values are O(1)."""
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in dims)
+    dims = _as_dims(dims)
     field = np.zeros(dims, dtype=np.float64)
     for axis, d in enumerate(dims):
         x = np.linspace(0.0, 1.0, d, dtype=np.float64)
@@ -30,6 +33,5 @@ def random_field(dims, seed: int = 0, dtype: str = "f32",
                  lo: float = -1.0, hi: float = 1.0) -> RawArray:
     """Uniform white noise in [lo, hi)."""
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in dims)
-    n = int(np.prod(np.asarray(dims, dtype=np.int64)))
-    return RawArray(rng.uniform(lo, hi, n), dims, dtype)
+    dims = _as_dims(dims)
+    return RawArray(rng.uniform(lo, hi, math.prod(dims)), dims, dtype)

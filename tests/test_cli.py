@@ -265,6 +265,15 @@ class TestExitCodes:
         assert code == 4
         assert "kind=GeometryMismatch" in cap.err
 
+    def test_dims_past_int64_is_codec_error(self, tmp_path, capsys):
+        # the element count 2^64 wraps to 0 in int64, the size of the file
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        code, cap = _run(capsys, ["compress", str(empty), "-o", str(tmp_path / "x.hsz"),
+                                  "--dims", "4294967296x4294967296", "--eps", "0.01"])
+        assert code == 4
+        assert "kind=GeometryMismatch" in cap.err
+
     def test_eadd_residual_overflow_is_codec_error(self, tmp_path, capsys):
         p = QuantParams(eps=0.5, dims=(2,), block_len=2, dtype="f64")
         wide = tmp_path / "wide.hsz"

@@ -717,6 +717,24 @@ class TestRawIO:
         with pytest.raises(GeometryMismatch):
             read_raw(path, (4,), "f32")
 
+    def test_dims_past_int64_are_counted_exactly(self, tmp_path):
+        # 2^32 * 2^32 elements wrap to 0 in int64, the size of an empty file
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(GeometryMismatch, match="imply 18446744073709551616"):
+            read_raw(path, (2**32, 2**32), "f32")
+
+    @pytest.mark.parametrize("dims", [(-1, -1), (2.7,), (True, 2), (0, 2)])
+    def test_one_dims_rule(self, tmp_path, dims):
+        path = tmp_path / "two.bin"
+        np.zeros(2, dtype="<f4").tofile(path)
+        for call in (lambda: RawArray(np.zeros(2), dims, "f64"),
+                     lambda: QuantParams(0.1, dims),
+                     lambda: read_raw(path, dims, "f32"),
+                     lambda: random_field(dims)):
+            with pytest.raises(ValueError, match="dims"):
+                call()
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             RawArray(np.array([1.0, np.nan]), (2,), "f64")

@@ -1,5 +1,7 @@
 """Data-model construction rules and the serialized byte layout."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,11 +39,16 @@ class TestQuantParams:
         with pytest.raises(ValueError):
             QuantParams(eps=eps, dims=(4,))
 
-    # the header holds 1 to 65,535 dims of 64 bits each
-    @pytest.mark.parametrize("dims", [(), (0,), (3, -1), (1,) * 2**16, (2**64,)])
+    # the header holds 1 to 65,535 dims of 64 bits each; a dim is an integer
+    @pytest.mark.parametrize("dims", [(), (0,), (3, -1), (1,) * 2**16, (2**64,),
+                                      (2.5,), (True,), (4, 2.0), ("4",)])
     def test_bad_dims(self, dims):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dims"):
             QuantParams(eps=0.1, dims=dims)
+
+    def test_dims_integers_normalized(self):
+        p = QuantParams(eps=0.1, dims=(np.int64(4), np.uint64(3)))
+        assert p.dims == (4, 3) and all(type(d) is int for d in p.dims)
 
     def test_bad_block_len_and_dtype(self):
         with pytest.raises(ValueError):
@@ -184,6 +191,19 @@ class TestDeserializeErrors:
         data = bytearray(serialize(example_stream))
         data[5] = 7
         with pytest.raises(GeometryMismatch):
+            deserialize(bytes(data))
+
+    # the header's ndim, eps, first dim and block_len, each set out of range
+    @pytest.mark.parametrize("fmt, at, value", [
+        ("<H", 6, 0),
+        ("<d", 8, 0.0), ("<d", 8, -1.0), ("<d", 8, float("nan")), ("<d", 8, float("inf")),
+        ("<Q", 20, 0),
+        ("<I", 16, 0),
+    ])
+    def test_invalid_header_field_is_geometry_mismatch(self, example_stream, fmt, at, value):
+        data = bytearray(serialize(example_stream))
+        struct.pack_into(fmt, data, at, value)
+        with pytest.raises(GeometryMismatch, match="invalid header"):
             deserialize(bytes(data))
 
     @pytest.mark.parametrize("keep", [2, 10, 21, 28, 37, 41, 42])

@@ -708,6 +708,22 @@ class TestRangeReductions:
         assert covariance(a, b) == want["covariance"]
         assert ssim_global(a, b) == want["ssim"]
 
+    def test_int64_runs_match_python_ints(self):
+        # bins near 2^26: a range's squares pass int64, runs of about 2^11
+        # of them do not
+        rng = np.random.default_rng(317)
+        n = range_sizes(32)[-1]
+        p = QuantParams(0.5, (n,), 32, "f64")
+        qa = rng.integers(2**26, 2**26 + 2**20, n)
+        qb = -rng.integers(2**26, 2**26 + 2**20, n)
+        a = encode_from_quant(QuantArray(qa, p))
+        b = encode_from_quant(QuantArray(qb, p))
+        want = py_reductions(p.eps, qa, qb)
+        assert mean(a) == want["mean"]
+        assert variance(a) == want["variance"]
+        assert covariance(a, b) == want["covariance"]
+        assert ssim_global(a, b) == want["ssim"]
+
     def test_prefix_sum_past_63_bits_raises(self):
         k = 32
         n = range_sizes(k)[-1]

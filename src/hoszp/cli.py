@@ -25,7 +25,7 @@ import numpy as np
 from . import codec, ops
 from .distsim import SimScenario, simulate
 from .errors import HoszpError, VerificationMismatch
-from .model import QuantParams, deserialize, serialize
+from .model import QuantParams, _as_dims, deserialize, serialize
 from .synth import smooth_field
 
 CSV_COLUMNS = ["op", "bytes_in", "cr", "t_homo_s", "t_oracle_s", "speedup", "max_abs_diff"]
@@ -55,13 +55,14 @@ def _half_quantum(name: str, params: QuantParams) -> float:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part) for part in text.lower().split("x"))
-    except ValueError:
+    """``AxBxC`` in ASCII decimal digits, checked by ``model._as_dims``."""
+    parts = text.lower().split("x")
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise argparse.ArgumentTypeError(f"bad dims {text!r}, expected e.g. 500x500x100")
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dims must be positive, got {text!r}")
-    return dims
+    try:
+        return _as_dims(int(part) for part in parts)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _add_common(p):

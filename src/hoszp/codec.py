@@ -193,7 +193,8 @@ def _quantize_values(x: np.ndarray, params: QuantParams, out: np.ndarray) -> np.
         final = np.abs(x[bad] - _reconstruct_f64(bins[bad], params))
         if np.any(final > eps * (1.0 + 1e-9)):
             raise QuantOverflow(
-                "error bound unattainable at this precision (eps below resolution)"
+                "error bound unattainable: the f64 grid value 2*eps*bin rounds more "
+                "than eps*(1 + 1e-9) away from the input"
             )
     return bins
 
@@ -311,6 +312,7 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w
         r -= s
         x = r
     if not bins:
+        x[::k] = 0  # the outlier carries the block start; ignore what is stored
         return x
     x[::k] = outliers
     full = x.size - x.size % k

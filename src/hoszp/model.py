@@ -90,6 +90,8 @@ class QuantParams:
         if any(d >= 2**64 for d in self.dims):
             raise ValueError(f"dims must be below 2^64, got {self.dims}")
         try:
+            if isinstance(self.block_len, bool):
+                raise TypeError
             object.__setattr__(self, "block_len", operator.index(self.block_len))
         except TypeError:
             raise ValueError(f"block_len must be an integer, got {self.block_len!r}") from None

@@ -14,7 +14,8 @@ No operation ever inverts quantization on its inputs; the reductions sum
 bins in exact integer arithmetic and apply the real-valued scaling once at
 the end.  One accumulator, ``_sums``, walks the codec's decode ranges and
 decodes each operand once (a range constant in every operand adds its
-outliers alone); each choice of int64 or Python ints tests one bound.
+outliers alone); every sum is taken in int64, splitting a factor into
+halves where the sum could pass int64 (``_exact_dot``).
 
 ``OPS`` is the one table of operations: each ``OpSpec`` pairs the
 homomorphic call with its oracle, the traditional reference workflow - full
@@ -240,23 +241,20 @@ def hadamard(a: CompressedStream, b: CompressedStream,
 # reductions (exact integer sums, scaled once at the end)
 
 
-# int64 runs shorter than this are summed as Python ints instead
-_MIN_RUN = 64
-
-
-def _exact_dot(x: np.ndarray, y: np.ndarray | None, bound: int) -> int:
+def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1) -> int:
     """Exact ``sum(x * y)`` of int64 vectors (``sum(x)`` when ``y`` is None)
-    whose terms are at most ``bound`` in magnitude: one int64 sum when the
-    total fits, int64 sums over runs that fit, else an object array of
-    Python ints."""
-    if x.size * bound <= _I64_MAX:
+    with ``|x| <= mx`` and ``|y| <= my``: one int64 sum when the total fits,
+    else the factor with the larger bound splits into high and low halves,
+    each bounded near that bound's square root, whose sums (by this rule
+    again) add up as Python ints."""
+    if x.size * mx * my <= _I64_MAX:
         return int(x.sum() if y is None else np.dot(x, y))
-    run = _I64_MAX // bound
-    if run >= _MIN_RUN:
-        return sum(_exact_dot(x[i : i + run], None if y is None else y[i : i + run], bound)
-                   for i in range(0, x.size, run))
-    xs = x.astype(object)
-    return (xs if y is None else xs * y.astype(object)).sum()
+    if my > mx:
+        x, mx, y, my = y, my, x, mx
+    s = mx.bit_length() // 2
+    # the shift floors, so a negative high half reaches (mx >> s) + 1
+    return ((_exact_dot(x >> s, (mx >> s) + 1, y, my) << s)
+            + _exact_dot(x & ((1 << s) - 1), (1 << s) - 1, y, my))
 
 
 def _sums(streams, *, sq: bool = False, minmax: bool = False):
@@ -269,10 +267,10 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
     range that is constant in every operand contributes from metadata
     alone, each outlier weighted by its block length; every other range is
     decoded into one reused int64 buffer per operand.  Each range's sums
-    are bounded by its blocks' ``codec._bin_bound``; a range's min and max
-    are measured only with ``minmax`` (then every range's are) or where
-    that bound would split the int64 sums, and only a range whose measured
-    sums may pass int64 is promoted.
+    take ``_exact_dot`` with one bound per factor: its blocks'
+    ``codec._bin_bound``, tightened to the measured min and max with
+    ``minmax`` (then every range's are measured) or where that bound would
+    split the int64 sums.
     """
     n = len(streams)
     k = streams[0].params.block_len
@@ -296,11 +294,11 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
                 lo[i], hi[i] = min(lo[i], xlo), max(hi[i], xhi)
                 m = max(xhi, -xlo)
             bounds.append(m)
-            s[i] += _exact_dot(wxs[i], None, m * scale)
+            s[i] += _exact_dot(wxs[i], m * scale)
             if sq:
-                sqq[i] += _exact_dot(x, wxs[i], m * m * scale)
+                sqq[i] += _exact_dot(x, m, wxs[i], m * scale)
         if n == 2:
-            sab += _exact_dot(xs[0], wxs[1], bounds[0] * bounds[1] * scale)
+            sab += _exact_dot(xs[0], bounds[0], wxs[1], bounds[1] * scale)
     return s, sqq, sab, lo, hi
 
 

@@ -274,6 +274,22 @@ class TestExitCodes:
         assert code == 4
         assert "kind=GeometryMismatch" in cap.err
 
+    @pytest.mark.parametrize("dims", ["1_0x2", " 2x2", "+2x2", "0x2", "2x"])
+    def test_bad_dims_is_argparse_error(self, tmp_path, example_file, dims):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", str(example_file), "-o", str(tmp_path / "x.hsz"),
+                  "--dims", dims, "--eps", "0.01"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.hsz").exists()
+
+    def test_bin_edge_past_the_slack_is_codec_error(self, tmp_path, capsys):
+        src = tmp_path / "edge.bin"
+        np.array([-0.5264728821], dtype="<f8").tofile(src)
+        code, cap = _run(capsys, ["compress", str(src), "-o", str(tmp_path / "x.hsz"),
+                                  "--dims", "1", "--dtype", "f64", "--eps", "1e-10"])
+        assert code == 4
+        assert "kind=QuantOverflow" in cap.err and "grid value" in cap.err
+
     def test_eadd_residual_overflow_is_codec_error(self, tmp_path, capsys):
         p = QuantParams(eps=0.5, dims=(2,), block_len=2, dtype="f64")
         wide = tmp_path / "wide.hsz"

@@ -93,6 +93,13 @@ class TestQuantize:
         with pytest.raises(QuantOverflow):
             quantize(_raw([1.0e12 + 0.5]), p)
 
+    def test_bin_edge_past_the_slack_names_the_grid_rounding(self):
+        # f64 resolves eps=1e-10 at 0.5, but this input lies on a bin edge
+        # where both grid values round about 8e-8 eps past the bound
+        p = QuantParams(eps=1e-10, dims=(1,), dtype="f64")
+        with pytest.raises(QuantOverflow, match="grid value 2\\*eps\\*bin rounds"):
+            quantize(_raw([-0.5264728821]), p)
+
     def test_boundary_exact_input_takes_nearest(self):
         # 1.25 sits exactly on a bin edge at eps=0.01; the float-evaluated
         # error is one ulp beyond eps on both sides, nearest wins

@@ -56,7 +56,7 @@ class TestQuantParams:
         with pytest.raises(ValueError):
             QuantParams(eps=0.1, dims=(4,), dtype="f16")
 
-    @pytest.mark.parametrize("block_len", [2**32, 32.5, 32.0, "32", None])
+    @pytest.mark.parametrize("block_len", [2**32, 32.5, 32.0, "32", None, True])
     def test_block_len_is_a_u32_integer(self, block_len):
         with pytest.raises(ValueError, match="block_len"):
             QuantParams(eps=0.1, dims=(4,), block_len=block_len)

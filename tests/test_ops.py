@@ -56,6 +56,7 @@ from conftest import (
     random_stream,
     range_sizes,
     ref_blocks,
+    ref_pack_row,
     reference_stream,
     wide_block_bins,
 )
@@ -490,6 +491,18 @@ class TestElementwiseAdd:
         with pytest.raises(QuantOverflow, match="64-bit width"):
             elementwise_add(a, a)
 
+    @pytest.mark.parametrize("op", ["eadd", "esub"])
+    @pytest.mark.parametrize("w, first", [(2, 3), (64, 2**64 - 1)])
+    def test_stored_first_slot_is_ignored(self, op, w, first):
+        # bins 0,1,2,3,3,2,1,0 at width w, with a magnitude stored in the
+        # block-start slot, which the outlier carries and decode ignores
+        p = QuantParams(0.5, (8,), 8, "f64")
+        s = CompressedStream(p, [w], [0], ref_pack_row([0, 0, 0, 0, 0, 1, 1, 1], 1),
+                             ref_pack_row([first, 1, 1, 1, 0, 1, 1, 1], w))
+        assert decode_to_quant(s).bins.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+        for pair in ([s, s], [s, encode_from_quant(decode_to_quant(s))]):
+            assert serialize(ops.apply(op, pair)) == serialize(oracle_stream(op, pair))
+
 
 class TestElementwiseSub:
     def test_self_subtraction_is_zero_stream(self):
@@ -675,7 +688,8 @@ class TestOverflowingScale:
 
 class TestRangeReductions:
     """Reductions stream exact sums over the decode ranges; each range is
-    bounded on its own, and wide ones are summed as Python ints."""
+    bounded on its own, and a factor whose sums could pass int64 is split
+    into high and low halves."""
 
     @pytest.mark.parametrize("k", [32, 33])
     def test_sizes_at_range_edges(self, k):
@@ -694,7 +708,8 @@ class TestRangeReductions:
             assert ssim_global(a, b) == want["ssim"]
 
     def test_narrow_ranges_match_python_ints(self):
-        # bins near 2^40: the squares need runs shorter than a range
+        # bins near 2^40: a square splits both of its factors before its
+        # dot products fit in int64
         rng = np.random.default_rng(307)
         n = range_sizes(32)[-1]
         p = QuantParams(0.5, (n,), 32, "f64")
@@ -709,8 +724,8 @@ class TestRangeReductions:
         assert ssim_global(a, b) == want["ssim"]
 
     def test_int64_runs_match_python_ints(self):
-        # bins near 2^26: a range's squares pass int64, runs of about 2^11
-        # of them do not
+        # bins near 2^26: a range's squares pass int64, so one factor
+        # splits once
         rng = np.random.default_rng(317)
         n = range_sizes(32)[-1]
         p = QuantParams(0.5, (n,), 32, "f64")
@@ -723,6 +738,17 @@ class TestRangeReductions:
         assert variance(a) == want["variance"]
         assert covariance(a, b) == want["covariance"]
         assert ssim_global(a, b) == want["ssim"]
+
+    def test_negative_high_half_bound(self):
+        # one block per range, bins m = 3037024373 in magnitude: the high
+        # halves x >> 16 floor to -(m >> 16) - 1, and a bound of m >> 16
+        # would admit an int64 dot product that overflows
+        k = 65535
+        p = QuantParams(0.5, (k,), k, "f64")
+        q = np.resize(np.array([-3037024373, -3037024372]), k)
+        q[0] = 7
+        s = encode_from_quant(QuantArray(q, p))
+        assert variance(s) == py_reductions(p.eps, q)["variance"]
 
     def test_prefix_sum_past_63_bits_raises(self):
         k = 32

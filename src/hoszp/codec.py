@@ -15,24 +15,26 @@ fields at a time as big-endian 64-bit words, never bit by bit.
 Encode and decode run over block-aligned ranges of about ``_RANGE_ELEMS``
 (64 Ki) elements, one at a time, in range-sized buffers that stay in
 cache; blocks never span ranges, so a stream is its ranges' sections
-joined.  A range's sign and payload offsets are slices of the stream's
+joined.  A ragged last block is a range of its own (``_block_ranges``),
+so every range is a ``(blocks, k)`` matrix of one block length ``k``.
+A range's sign and payload offsets are slices of the stream's
 section layout (``CompressedStream.offsets``, computed once per stream),
 so walking the ranges (``_stream_ranges``) derives no sizes.
 ``_encode_ranges`` is the one encoder: ``compress`` quantizes
 each range, ``encode_from_quant`` and the stream operations in ``ops``
 hand it a range's bins or signed residuals, and it fills the range's
 widths and packs its sign rows (one ``packbits`` over the range) and its
-payload.  Both directions move a range's full non-constant blocks in
+payload.  Both directions move a range's non-constant blocks in
 chunks of one width (``_block_chunks``), counting runs of equal widths
 over the non-constant blocks alone: a range of few runs, such as noise
 with a rare narrower block, moves each run as one slice of the sections,
 where its rows lie back to back; a range of many runs, such as cloud-like
-data with widths interleaved, gathers its rows by width.  A ragged tail
-block moves on its own.  Decode works on a compact matrix of the range's
-non-constant blocks alone, in block order, as their rows lie in the
-sections: one ``unpackbits`` over the range's sign bytes, the magnitudes
-unpacked by width, one branch-free sign step, each block's outlier in its
-first slot and the row prefix sums.  The constant blocks of the range
+data with widths interleaved, gathers its rows by width.  Decode works
+on a compact matrix of the range's non-constant blocks alone, in block
+order, as their rows lie in the sections: one ``unpackbits`` over the
+range's sign bytes, the magnitudes unpacked by width, one branch-free
+sign step, each block's outlier in its first slot and the row prefix
+sums.  The constant blocks of the range
 buffer are then filled from their outliers (zeros for residuals) with one
 broadcast and the compact rows scattered in once; a range with no
 constant block decodes in place.  ``decompress``, ``decode_to_quant``, the
@@ -68,8 +70,8 @@ _I64_MAX = 2**63 - 1
 _U64_MAX = 2**64 - 1
 # elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
-# a range's non-constant full blocks move as one slice per run of equal
-# widths when they form at most this many runs: the rows of a run lie back to
+# a range's non-constant blocks move as one slice per run of equal widths
+# when they form at most this many runs: the rows of a run lie back to
 # back.  Past it, as in cloud-like data where widths interleave, the per-run
 # calls cost more than gathering the rows by width.
 _SLICE_RUNS = 16
@@ -215,17 +217,15 @@ def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
     return QuantArray(bins, params)
 
 
-def _checked_raw(values: np.ndarray, params: QuantParams, bound: int) -> RawArray:
-    """``values``, reconstructions ``2 * eps * bin`` of bins at most
-    ``bound`` in magnitude, as a RawArray; a value past the dtype's range
-    raises :class:`QuantOverflow`.  Only when the bound's reconstruction
-    passes that range (or is NaN: 0 * inf) can a value overflow, and only
-    then are the values checked."""
+def _checked_raw(values: np.ndarray, params: QuantParams) -> RawArray:
+    """``values``, reconstructions ``2 * eps * bin``, as a RawArray; a value
+    past the dtype's range (inf, or NaN from 0 * inf) fails RawArray's one
+    finiteness pass and raises :class:`QuantOverflow`."""
     dtype = _OUT_DTYPES[values.dtype]
-    top = float(np.finfo(values.dtype).max)
-    if not float(bound) * (2.0 * params.eps) <= top and not np.isfinite(values).all():
-        raise QuantOverflow(f"reconstruction 2 * eps * bin passes the {dtype} range")
-    return RawArray(values, params.dims, dtype)
+    try:
+        return RawArray(values, params.dims, dtype)
+    except ValueError:
+        raise QuantOverflow(f"reconstruction 2 * eps * bin passes the {dtype} range") from None
 
 
 def dequantize(q: QuantArray) -> RawArray:
@@ -233,8 +233,7 @@ def dequantize(q: QuantArray) -> RawArray:
     value past the dtype's range raises :class:`QuantOverflow`."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         values = _dequant_values(q.bins, q.params)
-    # a QuantArray's bins are within 63 bits
-    return _checked_raw(values, q.params, _I64_MAX)
+    return _checked_raw(values, q.params)
 
 
 def _nearest_bins(t: np.ndarray) -> np.ndarray:
@@ -274,12 +273,8 @@ def _split_residuals(bins: np.ndarray, k: int, out: np.ndarray | None = None) ->
 
 def _block_widths(mags: np.ndarray, k: int) -> np.ndarray:
     """Bits needed for the largest residual magnitude of each block of a
-    block-aligned run."""
-    full = mags.size - mags.size % k
-    maxes = mags[:full].reshape(-1, k).max(axis=1)
-    if full < mags.size:
-        maxes = np.append(maxes, mags[full:].max())
-    return np.searchsorted(_POW2, maxes, side="right").astype(np.uint8)
+    run of blocks of ``k``."""
+    return np.searchsorted(_POW2, mags.reshape(-1, k).max(axis=1), side="right").astype(np.uint8)
 
 
 def _bin_bound(outliers: np.ndarray, k: int, w: int) -> int:
@@ -292,8 +287,8 @@ def _bin_bound(outliers: np.ndarray, k: int, w: int) -> int:
 def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w: int,
                    bins: bool = True) -> np.ndarray:
     """Finish decoding, in place, the compact rows of a range's
-    non-constant blocks: rows of ``k``, the last one shorter when it is the
-    ragged tail block.  :func:`_decode_range` is the one caller.
+    non-constant blocks: rows of ``k``, the length of every block of the
+    range.  :func:`_decode_range` is the one caller.
 
     ``r`` (int64) holds the raw bits of the residual magnitudes, at most
     ``w`` bits wide, ``s`` (int8, clobbered) their 0/1 signs and
@@ -315,10 +310,8 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w
         x[::k] = 0  # the outlier carries the block start; ignore what is stored
         return x
     x[::k] = outliers
-    full = x.size - x.size % k
-    mat = x[:full].reshape(-1, k)
+    mat = x.reshape(-1, k)
     np.cumsum(mat, axis=1, out=mat)
-    np.cumsum(x[full:], out=x[full:])
     if x is not r:
         if max(x.max(), -x.min()) > _I64_MAX:
             raise QuantOverflow("prefix sum overflows 63 bits")
@@ -405,8 +398,8 @@ def _as_slice(idx: np.ndarray):
 
 
 def _block_chunks(ws: np.ndarray):
-    """The non-constant blocks among full blocks of widths ``ws``, in chunks
-    of one width.
+    """The non-constant blocks among blocks of widths ``ws``, in chunks of
+    one width.
 
     Yields ``(w, ids, rows)``: block ``ids[i]`` (its row in the matrix of
     all the blocks) is row ``rows[i]`` of the compact matrix that holds the
@@ -454,10 +447,15 @@ def _row_slots(section: np.ndarray, offs: np.ndarray, ids, width: int):
 
 def _block_ranges(params: QuantParams):
     """Block-aligned ranges ``(b0, b1)`` of about ``_RANGE_ELEMS`` elements,
-    at least one block each."""
+    at least one block each: the whole blocks, then a ragged last block as
+    a range of its own.  So every range holds blocks of one length, and no
+    range is longer than the first."""
+    nfull = params.element_count // params.block_len
     step = max(1, _RANGE_ELEMS // params.block_len)
-    for b0 in range(0, params.block_count, step):
-        yield b0, min(b0 + step, params.block_count)
+    for b0 in range(0, nfull, step):
+        yield b0, min(b0 + step, nfull)
+    if nfull < params.block_count:
+        yield nfull, params.block_count
 
 
 def _element_ranges(params: QuantParams):
@@ -482,8 +480,8 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
     ``out`` when that is large enough); ``offs`` come from
     :func:`_stream_ranges`.
 
-    The non-constant blocks form a compact ``(blocks, k)`` matrix (the
-    ragged tail block, when non-constant, its last, shorter row): their
+    The range's blocks have one length ``k`` (see :func:`_block_ranges`).
+    The non-constant ones form a compact ``(blocks, k)`` matrix: their
     sign rows, back to back in the section, take one ``unpackbits``, their
     magnitudes unpack by width into it, and :func:`_resolve_range` applies
     the signs and, with ``bins``, the prefix sums to it alone.  Then the
@@ -492,49 +490,35 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
     range with no constant block is its own compact matrix, decoded in
     place.  Residuals past 63 bits come back as an object array."""
     params = stream.params
-    k = params.block_len
-    m = min(b1 * k, params.element_count) - b0 * k
+    m = min(b1 * params.block_len, params.element_count) - b0 * params.block_len
+    k = m // (b1 - b0)
     r = out[:m] if out is not None and out.size >= m else np.empty(m, dtype=np.int64)
     ws = stream.widths[b0:b1]
     outliers = stream.outliers[b0:b1].astype(np.int64)
-    nfull, tail = divmod(m, k)
-    tail_w = int(ws[-1]) if tail else 0
     nz = np.flatnonzero(ws)  # the non-constant blocks: the compact rows
-    nf = nz.size - (tail_w > 0)  # of which full blocks
-    nc = nf * k + (tail if tail_w else 0)
+    nc = nz.size * k
     x = c = r if nc == m else np.empty(nc, dtype=np.int64)
     if nc:
-        # the range's sign rows lie back to back, one row per compact row
+        # the range's sign rows lie back to back, one row per compact row,
+        # each padded to a byte: stripping the padding copies when k % 8
         bits = np.unpackbits(np.frombuffer(stream.sign_planes, dtype=np.uint8,
                                            count=int(offs[0][-1] - offs[0][0]),
                                            offset=int(offs[0][0])))
-        if k % 8:  # each row is padded to a byte
-            s = np.empty(nc, dtype=np.uint8)
-            k8 = (k + 7) // 8 * 8
-            s[: nf * k].reshape(nf, k)[:] = bits[: nf * k8].reshape(nf, k8)[:, :k]
-            s[nf * k :] = bits[nf * k8 : nf * k8 + nc - nf * k]
-        else:
-            s = bits[:nc]
-        mags = c.view(np.uint64)
+        s = np.ascontiguousarray(bits.reshape(nz.size, -1)[:, :k]).reshape(nc)
         payload = np.frombuffer(stream.payload, dtype=np.uint8)
-        cmat = mags[: nf * k].reshape(nf, k)
-        for w, ids, rows in _block_chunks(ws[:nfull]):
+        cmat = c.view(np.uint64).reshape(nz.size, k)
+        for w, ids, rows in _block_chunks(ws):
             view, at = _row_slots(payload, offs[1], ids, (k * w + 7) // 8)
             cmat[rows] = _unpack_mag_rows(view[at], k, w)
-        if tail_w:
-            mags[nf * k :] = _unpack_mag_rows(
-                payload[offs[1][-2] : offs[1][-1]][None], tail, tail_w)[0]
         x = _resolve_range(c, s.view(np.int8), outliers[nz], k, int(ws.max()), bins)
     if c is r:
         return x
     # every block takes its outlier (zero residuals) in every slot, then the
     # compact rows overwrite the non-constant ones
     dst = r if x.dtype == np.int64 else np.empty(m, dtype=object)
-    mat = dst[: nfull * k].reshape(nfull, k)
-    mat[:] = outliers[:nfull, None] if bins else 0
-    mat[nz[:nf]] = x[: nf * k].reshape(nf, k)
-    if tail:
-        dst[nfull * k :] = x[nf * k :] if tail_w else (outliers[-1] if bins else 0)
+    mat = dst.reshape(-1, k)
+    mat[:] = outliers[:, None] if bins else 0
+    mat[nz] = x.reshape(-1, k)
     return dst
 
 
@@ -546,9 +530,10 @@ def _range_buffer(params: QuantParams) -> np.ndarray:
 def _encode_range(params: QuantParams, b0: int, b1: int, resid: np.ndarray,
                   w: np.ndarray) -> tuple[bytes, bytes]:
     """Encode blocks [b0, b1) from their signed residuals (int64, clobbered,
-    or Python ints in an object array; 0 at block starts): fill their
-    widths ``w`` and return the range's sign and payload bytes."""
-    k = params.block_len
+    or Python ints in an object array; 0 at block starts), all of one
+    length (see :func:`_block_ranges`): fill their widths ``w`` and return
+    the range's sign and payload bytes."""
+    k = resid.size // (b1 - b0)
     signs = resid < 0
     if resid.dtype == object:
         mags = np.abs(resid)
@@ -558,19 +543,14 @@ def _encode_range(params: QuantParams, b0: int, b1: int, resid: np.ndarray,
     else:
         mags = np.abs(resid, out=resid).view(np.uint64)
     w[:] = _block_widths(mags, k)
-    # one packbits over the range's full blocks; the non-constant rows stay
-    full = mags.size - mags.size % k
-    sign_bytes = np.packbits(signs[:full].reshape(-1, k), axis=1)[w[: full // k] > 0].tobytes()
-    if full < mags.size and w[-1]:
-        sign_bytes += np.packbits(signs[full:]).tobytes()
+    # one packbits over the range's blocks; the non-constant rows stay
+    sign_bytes = np.packbits(signs.reshape(-1, k), axis=1)[w > 0].tobytes()
     offs = _section_offsets((params.block_lengths(b0, b1) * w + 7) // 8)
     payload = np.empty(int(offs[-1]), dtype=np.uint8)
-    mat = mags[:full].reshape(-1, k)
-    for width, ids, _ in _block_chunks(w[: full // k]):
+    mat = mags.reshape(-1, k)
+    for width, ids, _ in _block_chunks(w):
         view, at = _row_slots(payload, offs, ids, (k * width + 7) // 8)
         view[at] = _pack_mag_rows(mat[ids], width)
-    if full < mags.size and w[-1]:
-        payload[offs[-2] :] = _pack_mag_rows(mags[full:][None], int(w[-1])).ravel()
     return sign_bytes, payload.tobytes()
 
 
@@ -638,8 +618,7 @@ def decompress(stream: CompressedStream, threads: int = 1,
         # the f64 grid value, rounded once to the output dtype
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             np.multiply(bins, 2.0 * params.eps, out=values[e0 : e0 + bins.size])
-    bound = _bin_bound(stream.outliers, params.block_len, int(stream.widths.max(initial=0)))
-    return _checked_raw(values, params, bound)
+    return _checked_raw(values, params)
 
 
 def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:

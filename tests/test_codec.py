@@ -394,6 +394,30 @@ class TestRangeDecode:
                 call(shifted)
 
 
+class TestBlockRanges:
+    """Every codec range holds whole blocks of one length: a ragged last
+    block is a range of its own."""
+
+    @pytest.mark.parametrize("k", [1, 8, 13, 32, 33, 65539])
+    def test_ranges_tile_the_blocks(self, k):
+        for n in sorted({*range_sizes(k), 1, k - 1, k + 1} - {0}):
+            p = QuantParams(0.5, (n,), k, "f64")
+            ranges = list(codec._block_ranges(p))
+            # in order, back to back, from block 0 to the last block
+            assert [b0 for b0, _ in ranges] == [0] + [b1 for _, b1 in ranges[:-1]]
+            assert ranges[-1][1] == p.block_count
+            assert all(b0 < b1 for b0, b1 in ranges)
+            whole = ranges
+            if n % k:  # the ragged last block alone
+                assert ranges[-1] == (n // k, n // k + 1)
+                whole = ranges[:-1]
+            assert all(b1 * k <= n for _, b1 in whole)
+            # _decode_range reuses the first range's buffer for the others
+            lengths = [e.stop - e.start for e in codec._element_ranges(p)]
+            assert lengths == [min(b1 * k, n) - b0 * k for b0, b1 in ranges]
+            assert max(lengths) == lengths[0]
+
+
 class TestSectionLayout:
     """A stream's cached ``offsets`` follow the one section-size rule, and
     :func:`codec._stream_ranges` slices them into what the per-range
@@ -448,6 +472,41 @@ class TestSectionLayout:
             back = deserialize(serialize(s))
             assert back == s
             assert all(a.tolist() == b.tolist() for a, b in zip(back.offsets, s.offsets))
+
+
+class TestCanonicalForm:
+    """FORMAT.md: a stream that ``deserialize`` accepts but that is not
+    canonical decodes to the same bins as its canonical form and re-encodes
+    canonically."""
+
+    @pytest.mark.parametrize("w, signs, mags", [
+        (3, [0, 0, 0, 0, 0, 1, 1, 1], [0, 1, 1, 1, 0, 1, 1, 1]),  # width 3 where 1 suffices
+        (1, [0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 1, 0, 1, 1, 1]),  # sign 1 on a zero magnitude
+        (1, [1, 0, 0, 0, 0, 1, 1, 1], [1, 1, 1, 1, 0, 1, 1, 1]),  # a stored block-start slot
+    ])
+    def test_non_canonical_stream_re_encodes_canonically(self, w, signs, mags):
+        p = QuantParams(0.5, (8,), 8, "f64")
+        stream = CompressedStream(p, [w], [0], ref_pack_row(signs, 1), ref_pack_row(mags, w))
+        data = serialize(stream)
+        q = decode_to_quant(deserialize(data))
+        assert q.bins.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+        canonical = encode_from_quant(q)
+        assert canonical == reference_stream(q) and int(canonical.widths[0]) == 1
+        assert serialize(canonical) != data
+        assert encode_from_quant(decode_to_quant(canonical)) == canonical
+
+    def test_padding_bits_are_ignored(self):
+        # bins 0,1,2,2,1,0 in one ragged block of 6: two padding bits in
+        # the sign row and in the payload row, here set to 1
+        p = QuantParams(0.5, (6,), 8, "f64")
+        canonical = encode_from_quant(QuantArray(np.array([0, 1, 2, 2, 1, 0]), p))
+        assert canonical.sign_planes == bytes([0b00001100])
+        assert canonical.payload == bytes([0b01101100])
+        padded = CompressedStream(p, canonical.widths, canonical.outliers,
+                                  bytes([0b00001111]), bytes([0b01101111]))
+        q = decode_to_quant(deserialize(serialize(padded)))
+        assert q.bins.tolist() == [0, 1, 2, 2, 1, 0]
+        assert encode_from_quant(q) == canonical
 
 
 class TestRangeEncode:

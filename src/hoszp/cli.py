@@ -249,7 +249,8 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Compress one field, then time each operation against the traditional
-    workflow; a disagreement exits with EXIT_VERIFY after the report."""
+    workflow.  After the rows of every operation that ran, the first error
+    is raised, or a disagreement exits with EXIT_VERIFY."""
     if args.input is not None:
         raw = codec.read_raw(args.input, args.dims, args.dtype)
     else:
@@ -266,15 +267,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     t_compress = time.perf_counter() - t0
     rows = [_row("compress", t_compress, raw.nbytes, raw.nbytes / stream.serialized_size)]
     operands = [stream, ops.scalar_add(stream, 16.0 * params.eps)]
-    bad = []
+    bad, errors = [], []
     for name in names:
-        _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], args.scalar, verify=True)
+        try:
+            _, row, ok = _run_op(name, operands[: ops.OPS[name].arity], args.scalar, verify=True)
+        except (HoszpError, ValueError) as exc:
+            errors.append(exc)
+            continue
         rows.append(row)
         if not ok:
             bad.append(name)
     for row in rows:
         row["eps"] = args.eps
     _emit(rows, args.report)
+    if errors:
+        raise errors[0]
     if bad:
         raise VerificationMismatch(f"differs from the traditional workflow: {', '.join(bad)}")
     return EXIT_OK

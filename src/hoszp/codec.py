@@ -15,11 +15,12 @@ fields at a time as big-endian 64-bit words, never bit by bit.
 Encode and decode run over block-aligned ranges of about ``_RANGE_ELEMS``
 (64 Ki) elements, one at a time, in range-sized buffers that stay in
 cache; blocks never span ranges, so a stream is its ranges' sections
-joined.  A ragged last block is a range of its own (``_block_ranges``),
-so every range is a ``(blocks, k)`` matrix of one block length ``k``.
-A range's sign and payload offsets are slices of the stream's
-section layout (``CompressedStream.offsets``, computed once per stream),
-so walking the ranges (``_stream_ranges``) derives no sizes.
+joined.  A ragged last block is a range of its own, so every range is a
+``(blocks, k)`` matrix of one block length ``k``, and ``_block_ranges``
+yields each range with its ``k``.  ``_decode_range`` slices a range's
+sign and payload offsets from the stream's section layout
+(``CompressedStream.offsets``, computed once per stream), so walking the
+ranges derives no sizes.
 ``_encode_ranges`` is the one encoder: ``compress`` quantizes
 each range, ``encode_from_quant`` and the stream operations in ``ops``
 hand it a range's bins or signed residuals, and it fills the range's
@@ -446,42 +447,32 @@ def _row_slots(section: np.ndarray, offs: np.ndarray, ids, width: int):
 
 
 def _block_ranges(params: QuantParams):
-    """Block-aligned ranges ``(b0, b1)`` of about ``_RANGE_ELEMS`` elements,
-    at least one block each: the whole blocks, then a ragged last block as
-    a range of its own.  So every range holds blocks of one length, and no
-    range is longer than the first."""
-    nfull = params.element_count // params.block_len
-    step = max(1, _RANGE_ELEMS // params.block_len)
+    """Block-aligned ranges ``(b0, b1, k)`` of about ``_RANGE_ELEMS``
+    elements, at least one block each, of blocks of length ``k``: the whole
+    blocks, then a ragged last block as a range of its own.  No range is
+    longer than the one before it, so a buffer for the first holds all."""
+    k, n = params.block_len, params.element_count
+    nfull = n // k
+    step = max(1, _RANGE_ELEMS // k)
     for b0 in range(0, nfull, step):
-        yield b0, min(b0 + step, nfull)
-    if nfull < params.block_count:
-        yield nfull, params.block_count
+        yield b0, min(b0 + step, nfull), k
+    if n % k:
+        yield nfull, nfull + 1, n % k
 
 
 def _element_ranges(params: QuantParams):
     """The element slices of :func:`_block_ranges`."""
-    k, n = params.block_len, params.element_count
-    for b0, b1 in _block_ranges(params):
-        yield slice(b0 * k, min(b1 * k, n))
+    for b0, b1, k in _block_ranges(params):
+        e0 = b0 * params.block_len
+        yield slice(e0, e0 + (b1 - b0) * k)
 
 
-def _stream_ranges(stream: CompressedStream):
-    """:func:`_block_ranges` of a stream as ``(b0, b1, offs)``; ``offs``
-    are the sign and payload section offsets of blocks b0..b1, views of the
-    stream's cached ``offsets``."""
-    sign, payload = stream.offsets
-    for b0, b1 in _block_ranges(stream.params):
-        yield b0, b1, (sign[b0 : b1 + 1], payload[b0 : b1 + 1])
-
-
-def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
+def _decode_range(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
                   bins: bool = True) -> np.ndarray:
-    """Decode blocks [b0, b1) in one range-sized int64 buffer (a prefix of
-    ``out`` when that is large enough); ``offs`` come from
-    :func:`_stream_ranges`.
+    """Decode blocks [b0, b1) of length ``k``, one of :func:`_block_ranges`,
+    in one range-sized int64 buffer (a prefix of ``out``, when given).
 
-    The range's blocks have one length ``k`` (see :func:`_block_ranges`).
-    The non-constant ones form a compact ``(blocks, k)`` matrix: their
+    The non-constant blocks form a compact ``(blocks, k)`` matrix: their
     sign rows, back to back in the section, take one ``unpackbits``, their
     magnitudes unpack by width into it, and :func:`_resolve_range` applies
     the signs and, with ``bins``, the prefix sums to it alone.  Then the
@@ -489,10 +480,9 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
     ``bins``; zero residuals without) and the compact rows scatter in.  A
     range with no constant block is its own compact matrix, decoded in
     place.  Residuals past 63 bits come back as an object array."""
-    params = stream.params
-    m = min(b1 * params.block_len, params.element_count) - b0 * params.block_len
-    k = m // (b1 - b0)
-    r = out[:m] if out is not None and out.size >= m else np.empty(m, dtype=np.int64)
+    m = (b1 - b0) * k
+    r = np.empty(m, dtype=np.int64) if out is None else out[:m]
+    sign_offs, payload_offs = stream.offsets
     ws = stream.widths[b0:b1]
     outliers = stream.outliers[b0:b1].astype(np.int64)
     nz = np.flatnonzero(ws)  # the non-constant blocks: the compact rows
@@ -502,13 +492,13 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, offs, out=None,
         # the range's sign rows lie back to back, one row per compact row,
         # each padded to a byte: stripping the padding copies when k % 8
         bits = np.unpackbits(np.frombuffer(stream.sign_planes, dtype=np.uint8,
-                                           count=int(offs[0][-1] - offs[0][0]),
-                                           offset=int(offs[0][0])))
+                                           count=int(sign_offs[b1] - sign_offs[b0]),
+                                           offset=int(sign_offs[b0])))
         s = np.ascontiguousarray(bits.reshape(nz.size, -1)[:, :k]).reshape(nc)
         payload = np.frombuffer(stream.payload, dtype=np.uint8)
         cmat = c.view(np.uint64).reshape(nz.size, k)
         for w, ids, rows in _block_chunks(ws):
-            view, at = _row_slots(payload, offs[1], ids, (k * w + 7) // 8)
+            view, at = _row_slots(payload, payload_offs[b0 : b1 + 1], ids, (k * w + 7) // 8)
             cmat[rows] = _unpack_mag_rows(view[at], k, w)
         x = _resolve_range(c, s.view(np.int8), outliers[nz], k, int(ws.max()), bins)
     if c is r:
@@ -527,13 +517,11 @@ def _range_buffer(params: QuantParams) -> np.ndarray:
     return np.empty(next(_element_ranges(params)).stop, dtype=np.int64)
 
 
-def _encode_range(params: QuantParams, b0: int, b1: int, resid: np.ndarray,
-                  w: np.ndarray) -> tuple[bytes, bytes]:
-    """Encode blocks [b0, b1) from their signed residuals (int64, clobbered,
-    or Python ints in an object array; 0 at block starts), all of one
-    length (see :func:`_block_ranges`): fill their widths ``w`` and return
+def _encode_range(resid: np.ndarray, w: np.ndarray, k: int) -> tuple[bytes, bytes]:
+    """Encode one range of :func:`_block_ranges` from its signed residuals
+    (int64, clobbered, or Python ints in an object array; 0 at block
+    starts) in blocks of ``k``: fill the blocks' widths ``w`` and return
     the range's sign and payload bytes."""
-    k = resid.size // (b1 - b0)
     signs = resid < 0
     if resid.dtype == object:
         mags = np.abs(resid)
@@ -545,7 +533,8 @@ def _encode_range(params: QuantParams, b0: int, b1: int, resid: np.ndarray,
     w[:] = _block_widths(mags, k)
     # one packbits over the range's blocks; the non-constant rows stay
     sign_bytes = np.packbits(signs.reshape(-1, k), axis=1)[w > 0].tobytes()
-    offs = _section_offsets((params.block_lengths(b0, b1) * w + 7) // 8)
+    # widen first: uint8 * k stays uint8 and wraps
+    offs = _section_offsets((w.astype(np.int64) * k + 7) // 8)
     payload = np.empty(int(offs[-1]), dtype=np.uint8)
     mat = mags.reshape(-1, k)
     for width, ids, _ in _block_chunks(w):
@@ -562,9 +551,9 @@ def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
     widths = np.empty(params.block_count, dtype=np.uint8)
     outliers = np.empty(params.block_count, dtype=np.int64)
     signs, payload = [], []
-    for (b0, b1), (outs, resid) in zip(_block_ranges(params), parts):
+    for (b0, b1, k), (outs, resid) in zip(_block_ranges(params), parts):
         outliers[b0:b1] = outs
-        s, p = _encode_range(params, b0, b1, resid, widths[b0:b1])
+        s, p = _encode_range(resid, widths[b0:b1], k)
         signs.append(s)
         payload.append(p)
     return CompressedStream(params, widths, outliers, b"".join(signs), b"".join(payload))
@@ -611,8 +600,8 @@ def decompress(stream: CompressedStream, threads: int = 1,
         raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
     values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
     buf = None
-    for b0, b1, offs in _stream_ranges(stream):
-        bins = _decode_range(stream, b0, b1, offs, out=buf)
+    for b0, b1, k in _block_ranges(params):
+        bins = _decode_range(stream, b0, b1, k, out=buf)
         buf = bins if buf is None else buf
         e0 = b0 * params.block_len
         # the f64 grid value, rounded once to the output dtype
@@ -627,8 +616,8 @@ def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
     accepted and ignored."""
     params = stream.params
     bins = np.empty(params.element_count, dtype=np.int64)
-    for b0, b1, offs in _stream_ranges(stream):
-        _decode_range(stream, b0, b1, offs, out=bins[b0 * params.block_len :])
+    for b0, b1, k in _block_ranges(params):
+        _decode_range(stream, b0, b1, k, out=bins[b0 * params.block_len :])
     return QuantArray(bins, params)
 
 

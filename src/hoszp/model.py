@@ -117,13 +117,11 @@ class QuantParams:
     def raw_nbytes(self) -> int:
         return self.element_count * DTYPES[self.dtype][2]
 
-    def block_lengths(self, b0: int = 0, b1: int | None = None) -> np.ndarray:
-        """Actual length of each block of [b0, b1) (the last one may be
-        partial)."""
+    def block_lengths(self) -> np.ndarray:
+        """Actual length of each block (the last one may be partial)."""
         n, k = self.element_count, self.block_len
-        b1 = self.block_count if b1 is None else b1
-        lengths = np.full(b1 - b0, k, dtype=np.int64)
-        if n % k and b1 == self.block_count and b1 > b0:
+        lengths = np.full(self.block_count, k, dtype=np.int64)
+        if n % k:
             lengths[-1] = n % k
         return lengths
 
@@ -186,7 +184,7 @@ def _layout(params: QuantParams, widths: np.ndarray) -> tuple[np.ndarray, np.nda
 def _as_int32_outliers(outliers) -> np.ndarray:
     arr = np.ascontiguousarray(outliers)
     if arr.dtype != np.int32:
-        wide = arr.astype(np.int64)
+        wide = arr.astype(np.int64, copy=False)
         if wide.size and (wide.min() < _I32_MIN or wide.max() > _I32_MAX):
             raise OutlierOverflow(
                 f"outlier out of signed 32-bit range: {int(wide[np.argmax(np.abs(wide))])}"

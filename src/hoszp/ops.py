@@ -126,23 +126,22 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 
 
 def _lockstep(streams):
-    """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1,
-    decode)``: ``decode(i, bins=True)`` decodes operand ``i``'s range into
-    that operand's reused int64 buffer (see ``codec._decode_range``).
-    Operands whose params differ raise :class:`ParamsMismatch` before any
-    range is decoded."""
+    """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1, k,
+    decode)`` for each of ``codec._block_ranges``: ``decode(i, bins=True)``
+    decodes operand ``i``'s range into that operand's reused int64 buffer
+    (see ``codec._decode_range``).  Operands whose params differ raise
+    :class:`ParamsMismatch` before any range is decoded."""
     _check_params(streams)
     bufs = [None] * len(streams)
-    for ranges in zip(*map(codec._stream_ranges, streams)):
-        b0, b1, _ = ranges[0]
+    for b0, b1, k in codec._block_ranges(streams[0].params):
 
         def decode(i, bins=True):
-            x = codec._decode_range(streams[i], b0, b1, ranges[i][2], out=bufs[i], bins=bins)
+            x = codec._decode_range(streams[i], b0, b1, k, out=bufs[i], bins=bins)
             if bufs[i] is None and x.dtype == np.int64:
                 bufs[i] = x
             return x
 
-        yield b0, b1, decode
+        yield b0, b1, k, decode
 
 
 def sum_streams(streams, signs) -> CompressedStream:
@@ -159,7 +158,7 @@ def sum_streams(streams, signs) -> CompressedStream:
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
 
     def parts():
-        for b0, b1, decode in _lockstep(streams):
+        for b0, b1, _, decode in _lockstep(streams):
             outliers = sum(g * c.outliers[b0:b1].astype(np.int64)
                            for g, c in zip(signs, streams))
             exact = sum((1 << int(c.widths[b0:b1].max())) - 1 for c in streams) > _I64_MAX
@@ -216,7 +215,7 @@ def _rescaled_products(streams, factor=None) -> CompressedStream:
     params = streams[0].params
 
     def rescaled():
-        for _, _, decode in _lockstep(streams):
+        for *_, decode in _lockstep(streams):
             x = decode(0)
             yield _rescale_bins(_exact_products(x, decode(1) if len(streams) == 2 else factor),
                                 params.eps)
@@ -265,27 +264,25 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
     the sum of its bins, with ``sq`` of their squares and with ``minmax``
     its lowest and highest bin; ``sab`` is ``sum(a * b)`` of a pair.  A
     range that is constant in every operand contributes from metadata
-    alone, each outlier weighted by its block length; every other range is
-    decoded into one reused int64 buffer per operand.  Each range's sums
-    take ``_exact_dot`` with one bound per factor: its blocks'
+    alone, each outlier weighted by the range's block length; the others
+    are decoded into one reused int64 buffer per operand.  Each range's
+    sums take ``_exact_dot`` with one bound per factor: its blocks'
     ``codec._bin_bound``, tightened to the measured min and max with
     ``minmax`` (then every range's are measured) or where that bound would
     split the int64 sums.
     """
     n = len(streams)
-    k = streams[0].params.block_len
     quad = sq or n == 2  # the sums hold products of two bins
     s, sqq, lo, hi = [0] * n, [0] * n, [math.inf] * n, [-math.inf] * n
     sab = 0
-    for b0, b1, decode in _lockstep(streams):
+    for b0, b1, k, decode in _lockstep(streams):
         if any(c.widths[b0:b1].any() for c in streams):
             xs = [decode(i) for i in range(n)]
             wxs, scale = xs, 1
         else:
-            lengths = streams[0].params.block_lengths(b0, b1)
             xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
-            # int32 outliers times lengths below 2^32 fit in int64
-            wxs, scale = [x * lengths for x in xs], int(lengths.max())
+            # int32 outliers times a block length below 2^32 fit in int64
+            wxs, scale = [x * k for x in xs], k
         bounds = []
         for i, (x, c) in enumerate(zip(xs, streams)):
             m = codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))

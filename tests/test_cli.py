@@ -472,6 +472,26 @@ class TestBench:
         assert float(rows[name]["max_abs_diff"]) > 0.0
 
 
+    @pytest.mark.parametrize("failing, exit_code", [(None, 2), ("neg", 4)])
+    def test_failing_operation_keeps_the_other_rows(self, tmp_path, monkeypatch, capsys,
+                                                     failing, exit_code):
+        # on an all-zero field ssim is undefined (a ValueError, exit 2); the
+        # first failing operation's error decides the exit code
+        path = tmp_path / "zeros.bin"
+        np.zeros(64, dtype="<f4").tofile(path)
+        if failing:
+            def fail(s, x):
+                raise hoszp.QuantOverflow("injected")
+            monkeypatch.setitem(ops.OPS, failing, dataclasses.replace(ops.OPS[failing],
+                                                                      apply=fail))
+        code, cap = _run(capsys, ["bench", "--input", str(path), "--dims", "64",
+                                  "--eps", "0.01", "--report", "csv"])
+        assert code == exit_code
+        assert ("injected" if failing else "SSIM is undefined") in cap.err
+        ran = [name for name in ops.OPS if name not in ("ssim", failing)]
+        assert [r["op"] for r in _csv_rows(cap.out)] == ["compress", *ran]
+
+
 class TestDistsimCommand:
     def test_report_row(self, capsys):
         code, cap = _run(capsys, ["distsim", "--nodes", "3", "--dims", "32x32",

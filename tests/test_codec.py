@@ -404,27 +404,29 @@ class TestBlockRanges:
             p = QuantParams(0.5, (n,), k, "f64")
             ranges = list(codec._block_ranges(p))
             # in order, back to back, from block 0 to the last block
-            assert [b0 for b0, _ in ranges] == [0] + [b1 for _, b1 in ranges[:-1]]
+            assert [b0 for b0, _, _ in ranges] == [0] + [b1 for _, b1, _ in ranges[:-1]]
             assert ranges[-1][1] == p.block_count
-            assert all(b0 < b1 for b0, b1 in ranges)
+            assert all(b0 < b1 for b0, b1, _ in ranges)
             whole = ranges
-            if n % k:  # the ragged last block alone
-                assert ranges[-1] == (n // k, n // k + 1)
+            if n % k:  # the ragged last block alone, at its own length
+                assert ranges[-1] == (n // k, n // k + 1, n % k)
                 whole = ranges[:-1]
-            assert all(b1 * k <= n for _, b1 in whole)
-            # _decode_range reuses the first range's buffer for the others
+            assert all(rk == k and b1 * k <= n for _, b1, rk in whole)
             lengths = [e.stop - e.start for e in codec._element_ranges(p)]
-            assert lengths == [min(b1 * k, n) - b0 * k for b0, b1 in ranges]
-            assert max(lengths) == lengths[0]
+            assert lengths == [min(b1 * k, n) - b0 * k for b0, b1, _ in ranges]
+            # lengths never increase: _decode_range reuses the first
+            # range's buffer for the others
+            assert lengths == sorted(lengths, reverse=True)
 
 
 class TestSectionLayout:
     """A stream's cached ``offsets`` follow the one section-size rule, and
-    :func:`codec._stream_ranges` slices them into what the per-range
-    computation it replaced gave."""
+    :func:`codec._decode_range` slices from them what each range needs to
+    decode alone."""
 
     @staticmethod
     def _streams(k):
+        """``(bins, stream)`` pairs at block length ``k``."""
         rng = np.random.default_rng(k)
         r = max(1, codec._RANGE_ELEMS // k)
         for n in range_sizes(k):
@@ -434,24 +436,12 @@ class TestSectionLayout:
                 # the first range and every third block after it are constant
                 if b < r or b % 3 == 0:
                     bins[b * k : (b + 1) * k] = bins[b * k]
-            yield encode_from_quant(QuantArray(bins, p))
-            yield encode_from_quant(QuantArray(np.full(n, 7), p))  # all constant
-
-    @staticmethod
-    def _per_range_offsets(s):
-        """Each range's offsets from its own block sizes, shifted by the
-        bytes of the ranges before it."""
-        sizes = model.section_sizes(s.params, s.widths)
-        sign_base = payload_base = 0
-        for b0, b1 in codec._block_ranges(s.params):
-            offs = (sign_base + codec._section_offsets(sizes[0][b0:b1]),
-                    payload_base + codec._section_offsets(sizes[1][b0:b1]))
-            yield b0, b1, offs
-            sign_base, payload_base = int(offs[0][-1]), int(offs[1][-1])
+            for q in (QuantArray(bins, p), QuantArray(np.full(n, 7), p)):  # all constant
+                yield q.bins, encode_from_quant(q)
 
     @pytest.mark.parametrize("k", [1, 13, 32, 33])
     def test_offsets_are_cumulative_section_sizes(self, k):
-        for s in self._streams(k):
+        for _, s in self._streams(k):
             for offs, sizes, section in zip(s.offsets, model.section_sizes(s.params, s.widths),
                                             (s.sign_planes, s.payload)):
                 assert offs.dtype == np.int64 and not offs.flags.writeable
@@ -460,15 +450,19 @@ class TestSectionLayout:
 
     @pytest.mark.parametrize("k", [1, 13, 32, 33])
     def test_stream_ranges_match_the_per_range_rule(self, k):
-        for s in self._streams(k):
-            got = list(codec._stream_ranges(s))
-            want = list(self._per_range_offsets(s))
-            assert [(b0, b1) for b0, b1, _ in got] == [(b0, b1) for b0, b1, _ in want]
-            for (_, _, g), (_, _, w) in zip(got, want):
-                assert all(a.tolist() == b.tolist() for a, b in zip(g, w))
+        # each range decodes alone, into a fresh buffer, at both depths
+        for bins, s in self._streams(k):
+            for e, (b0, b1, rk) in zip(codec._element_ranges(s.params),
+                                       codec._block_ranges(s.params)):
+                blocks = bins[e].reshape(-1, rk)
+                resid = np.diff(blocks, axis=1, prepend=blocks[:, :1])  # 0 at block starts
+                for depth, want in ((True, blocks), (False, resid)):
+                    out = np.full(blocks.size, -(2**40), dtype=np.int64)
+                    got = codec._decode_range(s, b0, b1, rk, out=out, bins=depth)
+                    assert got.tolist() == want.ravel().tolist()
 
     def test_deserialized_stream_keeps_the_parsed_layout(self):
-        for s in self._streams(13):
+        for _, s in self._streams(13):
             back = deserialize(serialize(s))
             assert back == s
             assert all(a.tolist() == b.tolist() for a, b in zip(back.offsets, s.offsets))
@@ -607,7 +601,7 @@ class TestBlockChunks:
         assert s == reference_stream(q)
         assert decode_to_quant(s) == q
         by_slice = {isinstance(rows, slice)
-                    for b0, b1 in codec._block_ranges(p)
+                    for b0, b1, _ in codec._block_ranges(p)
                     for _, _, rows in codec._block_chunks(s.widths[b0 : min(b1, n // k)])}
         assert by_slice == ({False} if case == "interleaved" else {True})
 
@@ -892,7 +886,7 @@ def _corpus_digest():
                 put(f"{tag}/compress{i}", serialize(s))
                 put(f"{tag}/bins{i}", decode_to_quant(s).bins.tobytes())
                 put(f"{tag}/values{i}", decompress(s).values.tobytes())
-                for b0, b1 in codec._block_ranges(p):
+                for b0, b1, _ in codec._block_ranges(p):
                     ws = s.widths[b0:b1]
                     mixed += len(np.unique(ws[ws > 0])) > 1
             for op, spec in ops.OPS.items():

@@ -10,17 +10,25 @@ from hypothesis import strategies as st
 from hoszp import (
     BadMagic,
     CompressedStream,
+    FormatError,
     GeometryMismatch,
+    HoszpError,
     OutlierOverflow,
     QuantArray,
     QuantOverflow,
     QuantParams,
     TruncatedStream,
     VersionMismatch,
+    decompress,
     deserialize,
+    elementwise_add,
+    hadamard,
+    mean,
+    negate,
     serialize,
+    variance,
 )
-from hoszp.model import MAGIC
+from hoszp.model import _HEADER, MAGIC
 
 from conftest import random_stream
 
@@ -110,6 +118,27 @@ class TestCompressedStreamConstruction:
             CompressedStream(example_stream.params, example_stream.widths,
                              np.array([2**31]), example_stream.sign_planes,
                              example_stream.payload)
+
+    @pytest.mark.parametrize("kind", ["int32", "int64", "python", "object"])
+    def test_outlier_limits(self, kind):
+        # two constant blocks of one element: outliers alone
+        p = QuantParams(eps=0.5, dims=(2,), block_len=1, dtype="f64")
+
+        def stream(outliers):
+            if kind == "python":
+                arr = list(outliers)
+            else:
+                arr = np.array(outliers, dtype=object if kind == "object" else kind)
+            return CompressedStream(p, [0, 0], arr, b"", b"")
+
+        s = stream([-(2**31), 2**31 - 1])
+        assert s.outliers.dtype == np.int32
+        assert s.outliers.tolist() == [-(2**31), 2**31 - 1]
+        assert deserialize(serialize(s)) == s
+        if kind != "int32":  # one past each limit
+            for outliers in ([-(2**31) - 1, 0], [0, 2**31]):
+                with pytest.raises(OutlierOverflow):
+                    stream(outliers)
 
 
 class TestSerializeGoldens:
@@ -240,3 +269,36 @@ def test_round_trip_property(seed):
     s = random_stream(seed)
     assert deserialize(serialize(s)) == s
 
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 199), k=st.sampled_from([1, 7, 8, 13, 32]),
+       dtype=st.sampled_from(["f32", "f64"]), seed=st.integers(0, 2**32 - 1),
+       hi=st.sampled_from([1, 2**8, 2**40]),
+       mutation=st.sampled_from(["overwrite", "truncate", "extend"]),
+       at=st.floats(0, 1), junk=st.binary(min_size=1, max_size=16))
+def test_hostile_bytes_after_the_header_fail_cleanly(n, k, dtype, seed, hi, mutation, at, junk):
+    # a valid header, then sections overwritten, cut short or grown: the
+    # stream either fails to parse with a FormatError or every operation
+    # returns or raises a HoszpError
+    p = QuantParams(eps=0.5, dims=(n,), block_len=k, dtype=dtype)
+    s = random_stream(np.random.default_rng(seed), params=p, hi=hi)
+    data = bytearray(serialize(s))
+    start = _HEADER.size + 8  # past the header and its one dim
+    pos = start + int(at * (len(data) - start))
+    if mutation == "overwrite":
+        junk = junk[: len(data) - pos]
+        data[pos : pos + len(junk)] = junk
+    elif mutation == "truncate":
+        del data[pos:]
+    else:
+        data[pos:pos] = junk
+    try:
+        s = deserialize(bytes(data))
+    except FormatError:
+        return
+    for call in (decompress, negate, lambda c: elementwise_add(c, c),
+                 lambda c: hadamard(c, c), mean, variance):
+        try:
+            call(s)
+        except HoszpError:
+            pass

@@ -226,6 +226,57 @@ class TestScalarSub:
                                   oracle_apply("ssub", [s], scalar=x).values)
 
 
+class TestOutlierLimits:
+    """Outliers at the limits of format v1's signed 32-bit field, under
+    chained stream operations: the homomorphic chain and its oracle chain
+    both raise :class:`OutlierOverflow`, or both decompress to the same
+    values."""
+
+    TOP, BOTTOM = 2**31 - 1, -(2**31)
+
+    @staticmethod
+    def _limit_stream(o):
+        # eps 0.5: a scalar of 2.0 is 2 bins.  Blocks of 4: small bins, the
+        # limit block, a constant block, then a ragged block of 2
+        step = -1 if o > 0 else 1
+        return _stream([3, 4, 4, 2, o, o, o + step, o, -5, -5, -5, -5, 0, 1],
+                       eps=0.5, block_len=4, dtype="f64")
+
+    @pytest.mark.parametrize("outlier, chain, raises", [
+        (TOP, [("sadd", 2.0)], True),
+        (TOP, [("sadd", -2.0)], False),
+        (TOP, [("ssub", -2.0)], True),
+        (TOP, [("neg", None)], False),
+        (TOP, [("neg", None), ("sadd", 2.0)], False),
+        (TOP, [("neg", None), ("sadd", -2.0)], True),
+        (TOP, [("sadd", -6.0), ("sadd", 6.0)], False),
+        (TOP, [("eadd", None)], True),
+        (TOP, [("esub", None)], False),
+        (BOTTOM, [("sadd", 2.0)], False),
+        (BOTTOM, [("sadd", -2.0)], True),
+        (BOTTOM, [("ssub", 2.0)], True),
+        (BOTTOM, [("ssub", -2.0), ("neg", None)], False),
+        (BOTTOM, [("neg", None)], True),
+        (BOTTOM, [("sadd", -6.0)], True),
+        (BOTTOM, [("eadd", None)], True),
+        (BOTTOM, [("sadd", 2.0), ("esub", None), ("neg", None)], False),
+    ])
+    def test_chain_raises_or_matches_its_oracle(self, outlier, chain, raises):
+        def run(call):
+            s = self._limit_stream(outlier)
+            try:
+                for name, scalar in chain:
+                    s = call(name, [s] * ops.OPS[name].arity, scalar)
+            except OutlierOverflow:
+                return None
+            return _values(s)
+
+        got, want = run(ops.apply), run(ops.oracle_stream)
+        assert (got is None, want is None) == (raises, raises)
+        if not raises:
+            assert np.array_equal(got, want)
+
+
 def _mixed_stream(rng, k, n, constant=0.4):
     """Stream of ``n`` elements at block length ``k`` whose blocks are
     constant with probability ``constant``; the last block never is, unless
@@ -992,7 +1043,7 @@ class TestLayoutComputedOnce:
         calls = self._counted(monkeypatch)
         # 98,309 = 3,072 * 32 + 5 elements: two ranges of whole blocks, then
         # the ragged last block as a range of its own
-        assert len(list(codec._stream_ranges(stream))) == 3
+        assert [k for *_, k in codec._block_ranges(stream.params)] == [32, 32, 5]
         decode_to_quant(stream)
         mean(stream)
         covariance(stream, stream)

@@ -17,7 +17,7 @@ Encode and decode run over block-aligned ranges of about ``_RANGE_ELEMS``
 cache; blocks never span ranges, so a stream is its ranges' sections
 joined.  A ragged last block is a range of its own, so every range is a
 ``(blocks, k)`` matrix of one block length ``k``, and ``_block_ranges``
-yields each range with its ``k``.  ``_decode_range`` slices a range's
+yields each range with its ``k``.  ``_decode_compact`` slices a range's
 sign and payload offsets from the stream's section layout
 (``CompressedStream.offsets``, computed once per stream), so walking the
 ranges derives no sizes.
@@ -35,17 +35,18 @@ on a compact matrix of the range's non-constant blocks alone, in block
 order, as their rows lie in the sections: one ``unpackbits`` over the
 range's sign bytes, the magnitudes unpacked by width, one branch-free
 sign step, each block's outlier in its first slot and the row prefix
-sums.  The constant blocks of the range
-buffer are then filled from their outliers (zeros for residuals) with one
-broadcast and the compact rows scattered in once; a range with no
-constant block decodes in place.  ``decompress``, ``decode_to_quant``, the
-stream operations and the reductions consume the buffer range by range,
-so no stage writes a full-length temporary.  Each range picks its own
-arithmetic, by one rule: int64 when its bounds allow (bins within 2^62 for
-the residual split, ``_bin_bound`` = ``max|O| + (k-1) * (2^max width - 1)``
-for the prefix sums), else the same numpy steps on an object array of
-exact Python ints.  Both directions are serial; the ``threads`` argument
-of the public entry points is accepted and ignored.
+sums (``_decode_compact``).  The reductions read that matrix and the
+range's outliers as they are.  For everyone else (``_decode_range``) the
+constant blocks of a range buffer are filled from their outliers (zeros
+for residuals) with one broadcast and the compact rows scattered in once;
+a range with no constant block decodes in place.  ``decompress``,
+``decode_to_quant`` and the stream operations consume the buffer range
+by range, so no stage writes a full-length temporary.  Each range picks
+its own arithmetic, by one rule: int64 when its bounds allow (bins within
+2^62 for the residual split, ``_bin_bound`` = ``max|O| + (k-1) * (2^max
+width - 1)`` for the prefix sums), else the same numpy steps on an object
+array of exact Python ints.  Both directions are serial; the ``threads``
+argument of the public entry points is accepted and ignored.
 
 The tests check each stage against an independent pure-Python block
 model.
@@ -289,7 +290,7 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w
                    bins: bool = True) -> np.ndarray:
     """Finish decoding, in place, the compact rows of a range's
     non-constant blocks: rows of ``k``, the length of every block of the
-    range.  :func:`_decode_range` is the one caller.
+    range.  :func:`_decode_compact` is the one caller.
 
     ``r`` (int64) holds the raw bits of the residual magnitudes, at most
     ``w`` bits wide, ``s`` (int8, clobbered) their 0/1 signs and
@@ -467,48 +468,66 @@ def _element_ranges(params: QuantParams):
         yield slice(e0, e0 + (b1 - b0) * k)
 
 
+def _decode_compact(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
+                    bins: bool = True):
+    """Decode the non-constant blocks among blocks [b0, b1) of length ``k``,
+    one of :func:`_block_ranges`, as a compact matrix.  Returns ``(rows,
+    nz, outliers)``: ``rows`` (int64, in a prefix of ``out`` when that is
+    long enough) holds their bins or, without ``bins``, their signed
+    residuals (0 at block starts), one row of ``k`` per block, in block
+    order; ``nz`` holds their indices in the range and ``outliers`` (int64)
+    the outliers of all the range's blocks.  A constant block is its
+    outlier alone, so the range's metadata finish it.
+
+    Their sign rows, back to back in the section, take one ``unpackbits``,
+    their magnitudes unpack by width into the matrix, and
+    :func:`_resolve_range` applies the signs and, with ``bins``, the
+    prefix sums.  Residuals past 63 bits come back as an object array."""
+    sign_offs, payload_offs = stream.offsets
+    ws = stream.widths[b0:b1]
+    outliers = stream.outliers[b0:b1].astype(np.int64)
+    nz = np.flatnonzero(ws)
+    nc = nz.size * k
+    c = out[:nc] if out is not None and out.size >= nc else np.empty(nc, dtype=np.int64)
+    if not nc:
+        return c.reshape(0, k), nz, outliers
+    # the range's sign rows lie back to back, one row per compact row,
+    # each padded to a byte: stripping the padding copies when k % 8
+    bits = np.unpackbits(np.frombuffer(stream.sign_planes, dtype=np.uint8,
+                                       count=int(sign_offs[b1] - sign_offs[b0]),
+                                       offset=int(sign_offs[b0])))
+    s = np.ascontiguousarray(bits.reshape(nz.size, -1)[:, :k]).reshape(nc)
+    payload = np.frombuffer(stream.payload, dtype=np.uint8)
+    cmat = c.view(np.uint64).reshape(nz.size, k)
+    for w, ids, rows in _block_chunks(ws):
+        view, at = _row_slots(payload, payload_offs[b0 : b1 + 1], ids, (k * w + 7) // 8)
+        cmat[rows] = _unpack_mag_rows(view[at], k, w)
+    x = _resolve_range(c, s.view(np.int8), outliers[nz], k, int(ws.max()), bins)
+    return x.reshape(nz.size, k), nz, outliers
+
+
 def _decode_range(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
                   bins: bool = True) -> np.ndarray:
     """Decode blocks [b0, b1) of length ``k``, one of :func:`_block_ranges`,
     in one range-sized int64 buffer (a prefix of ``out``, when given).
 
-    The non-constant blocks form a compact ``(blocks, k)`` matrix: their
-    sign rows, back to back in the section, take one ``unpackbits``, their
-    magnitudes unpack by width into it, and :func:`_resolve_range` applies
-    the signs and, with ``bins``, the prefix sums to it alone.  Then the
+    :func:`_decode_compact` decodes the non-constant blocks; then the
     constant blocks of the buffer take their outlier in every slot (with
     ``bins``; zero residuals without) and the compact rows scatter in.  A
     range with no constant block is its own compact matrix, decoded in
     place.  Residuals past 63 bits come back as an object array."""
     m = (b1 - b0) * k
     r = np.empty(m, dtype=np.int64) if out is None else out[:m]
-    sign_offs, payload_offs = stream.offsets
-    ws = stream.widths[b0:b1]
-    outliers = stream.outliers[b0:b1].astype(np.int64)
-    nz = np.flatnonzero(ws)  # the non-constant blocks: the compact rows
-    nc = nz.size * k
-    x = c = r if nc == m else np.empty(nc, dtype=np.int64)
-    if nc:
-        # the range's sign rows lie back to back, one row per compact row,
-        # each padded to a byte: stripping the padding copies when k % 8
-        bits = np.unpackbits(np.frombuffer(stream.sign_planes, dtype=np.uint8,
-                                           count=int(sign_offs[b1] - sign_offs[b0]),
-                                           offset=int(sign_offs[b0])))
-        s = np.ascontiguousarray(bits.reshape(nz.size, -1)[:, :k]).reshape(nc)
-        payload = np.frombuffer(stream.payload, dtype=np.uint8)
-        cmat = c.view(np.uint64).reshape(nz.size, k)
-        for w, ids, rows in _block_chunks(ws):
-            view, at = _row_slots(payload, payload_offs[b0 : b1 + 1], ids, (k * w + 7) // 8)
-            cmat[rows] = _unpack_mag_rows(view[at], k, w)
-        x = _resolve_range(c, s.view(np.int8), outliers[nz], k, int(ws.max()), bins)
-    if c is r:
-        return x
+    in_place = stream.widths[b0:b1].all()
+    x, nz, outliers = _decode_compact(stream, b0, b1, k, r if in_place else None, bins)
+    if in_place:
+        return x.reshape(m)
     # every block takes its outlier (zero residuals) in every slot, then the
     # compact rows overwrite the non-constant ones
     dst = r if x.dtype == np.int64 else np.empty(m, dtype=object)
     mat = dst.reshape(-1, k)
     mat[:] = outliers[:, None] if bins else 0
-    mat[nz] = x.reshape(-1, k)
+    mat[nz] = x
     return dst
 
 

@@ -182,15 +182,24 @@ def _layout(params: QuantParams, widths: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _as_int32_outliers(outliers) -> np.ndarray:
+    """``outliers`` as int32: integers of any integer dtype, or Python
+    ints, each in the signed 32-bit range.  A value past that range, or one
+    that is not an integer (a float, NaN), raises :class:`OutlierOverflow`."""
     arr = np.ascontiguousarray(outliers)
-    if arr.dtype != np.int32:
-        wide = arr.astype(np.int64, copy=False)
-        if wide.size and (wide.min() < _I32_MIN or wide.max() > _I32_MAX):
+    if arr.dtype == np.int32:
+        return arr
+    if arr.dtype.kind not in "biu":  # floats, or Python objects
+        for v in arr.flat:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise OutlierOverflow(f"outlier is not an integer: {v}") from None
+    if arr.size:
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < _I32_MIN or hi > _I32_MAX:
             raise OutlierOverflow(
-                f"outlier out of signed 32-bit range: {int(wide[np.argmax(np.abs(wide))])}"
-            )
-        arr = wide.astype(np.int32)
-    return arr
+                f"outlier out of signed 32-bit range: {lo if lo < _I32_MIN else hi}")
+    return arr.astype(np.int32)
 
 
 @dataclass(eq=False)

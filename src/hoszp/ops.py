@@ -6,16 +6,19 @@ Each operation runs in the shallowest decode domain that supports it:
   (outlier shift): the result shares the input's widths, payload and
   cached section layout, and costs only the outliers and sign planes;
 * unpacked residual space - element-wise add/sub (signed residuals and
-  outliers combine linearly);
-* quantized-bin space - scalar multiplication, Hadamard product, and all
-  reductions (mean, variance, stddev, covariance, global SSIM).
+  outliers combine linearly) and mean (a block's sum is linear in its
+  outlier and residuals);
+* quantized-bin space - scalar multiplication, Hadamard product, and the
+  other reductions (variance, stddev, covariance, global SSIM).
 
 No operation ever inverts quantization on its inputs; the reductions sum
 bins in exact integer arithmetic and apply the real-valued scaling once at
 the end.  One accumulator, ``_sums``, walks the codec's decode ranges and
-decodes each operand once (a range constant in every operand adds its
-outliers alone); every sum is taken in int64, splitting a factor into
-halves where the sum could pass int64 (``_exact_dot``).
+decodes each operand once, as the compact matrix of its non-constant
+blocks (``codec._decode_compact``): a constant block adds its outlier
+alone, weighted by the block length, and nothing is scattered into a
+full range.  Every sum is taken in int64, splitting a factor into halves
+where the sum could pass int64 (``_exact_dot``).
 
 ``OPS`` is the one table of operations: each ``OpSpec`` pairs the
 homomorphic call with its oracle, the traditional reference workflow - full
@@ -125,20 +128,25 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 # residual-space operations
 
 
-def _lockstep(streams):
+def _lockstep(streams, compact: bool = False):
     """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1, k,
     decode)`` for each of ``codec._block_ranges``: ``decode(i, bins=True)``
-    decodes operand ``i``'s range into that operand's reused int64 buffer
-    (see ``codec._decode_range``).  Operands whose params differ raise
+    decodes operand ``i``'s range into that operand's reused int64 buffer,
+    as the whole range (``codec._decode_range``) or, with ``compact``, as
+    its non-constant blocks alone, ``(rows, nz, outliers)``
+    (``codec._decode_compact``).  Operands whose params differ raise
     :class:`ParamsMismatch` before any range is decoded."""
     _check_params(streams)
+    dec = codec._decode_compact if compact else codec._decode_range
     bufs = [None] * len(streams)
     for b0, b1, k in codec._block_ranges(streams[0].params):
 
         def decode(i, bins=True):
-            x = codec._decode_range(streams[i], b0, b1, k, out=bufs[i], bins=bins)
-            if bufs[i] is None and x.dtype == np.int64:
-                bufs[i] = x
+            x = dec(streams[i], b0, b1, k, bufs[i], bins)
+            rows = x[0] if compact else x
+            # keep the longest: a compact decode may fill less than a range
+            if rows.dtype == np.int64 and (bufs[i] is None or rows.size > bufs[i].size):
+                bufs[i] = rows.reshape(-1)
             return x
 
         yield b0, b1, k, decode
@@ -240,62 +248,117 @@ def hadamard(a: CompressedStream, b: CompressedStream,
 # reductions (exact integer sums, scaled once at the end)
 
 
-def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1) -> int:
-    """Exact ``sum(x * y)`` of int64 vectors (``sum(x)`` when ``y`` is None)
-    with ``|x| <= mx`` and ``|y| <= my``: one int64 sum when the total fits,
-    else the factor with the larger bound splits into high and low halves,
-    each bounded near that bound's square root, whose sums (by this rule
-    again) add up as Python ints."""
-    if x.size * mx * my <= _I64_MAX:
-        return int(x.sum() if y is None else np.dot(x, y))
+def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1,
+               halves: dict | None = None) -> int:
+    """Exact ``sum(x * y)`` (``sum(x)`` when ``y`` is None) of int64 arrays
+    with ``|x| <= mx`` and ``|y| <= my``; ``x`` and ``y`` broadcast, so a
+    ``(rows, 1)`` column weights each row of a ``(rows, k)`` matrix and a
+    ``(k,)`` row each column.  One int64 sum when the total fits (int64
+    arithmetic wraps modulo 2^64, so in whatever order the terms add up, a
+    total that fits is exact); otherwise the factor with the larger bound
+    splits into high and low halves, each bounded near that bound's square
+    root, whose sums (by this rule again) add up as Python ints.
+    ``halves`` memoizes the splits, so an array that several sums split at
+    one shift is split once."""
+    if not x.size or y is not None and not y.size:
+        return 0
+    if max(x.size, 0 if y is None else y.size) * mx * my <= _I64_MAX:
+        if y is None:
+            return int(x.sum())
+        nd = max(x.ndim, y.ndim)  # einsum broadcasts axes of length 1
+        return int(np.einsum(x, list(range(nd - x.ndim, nd)),
+                             y, list(range(nd - y.ndim, nd)), []))
     if my > mx:
         x, mx, y, my = y, my, x, mx
     s = mx.bit_length() // 2
+    if halves is None:
+        halves = {}
+    key = (id(x), s)
+    if key not in halves:
+        # holding x keeps its id from naming another array meanwhile
+        halves[key] = (x, x >> s, x & ((1 << s) - 1))
+    _, hi, lo = halves[key]
     # the shift floors, so a negative high half reaches (mx >> s) + 1
-    return ((_exact_dot(x >> s, (mx >> s) + 1, y, my) << s)
-            + _exact_dot(x & ((1 << s) - 1), (1 << s) - 1, y, my))
+    return ((_exact_dot(hi, (mx >> s) + 1, y, my, halves) << s)
+            + _exact_dot(lo, (1 << s) - 1, y, my, halves))
+
+
+def _residual_weights(k: int) -> np.ndarray:
+    """Bin ``j`` of a block is its outlier plus residuals ``1..j``, so the
+    block sums to ``k O + sum_i R_i (k - i)``: residual ``i`` weighs ``k -
+    i``, and the block-start slot, which the outlier carries, weighs 0."""
+    weights = np.arange(k, 0, -1)
+    weights[0] = 0
+    return weights
+
+
+def _pair_dot(k: int, a, b, halves: dict) -> int:
+    """``sum(a * b)`` over one range of a pair, from each operand's compact
+    rows, constant-block mask, outliers and bound, block by block: a block
+    constant in both adds ``k Oa Ob``, one constant in one operand adds its
+    outlier times the other's row sum, and the rest take row dot products.
+    Where the operands' constant blocks coincide (none at all, or a stream
+    and one derived from it) their compact rows align and are dotted with
+    no gather."""
+    (xa, ca, oa, ma), (xb, cb, ob, mb) = a, b
+    if np.array_equal(ca, cb):
+        return k * _exact_dot(oa[ca], ma, ob[ca], mb) + _exact_dot(xa, ma, xb, mb, halves)
+    both, ra, rb = ca & cb, ~ca, ~cb  # ra, rb: the blocks with a compact row
+    ta, tb = cb[ra], ca[rb]  # of those, the ones constant in the other operand
+    return (k * _exact_dot(oa[both], ma, ob[both], mb)
+            + _exact_dot(np.compress(ta, xa, axis=0), ma, ob[ra & cb, None], mb)
+            + _exact_dot(np.compress(tb, xb, axis=0), mb, oa[rb & ca, None], ma)
+            + _exact_dot(np.compress(~ta, xa, axis=0), ma,
+                         np.compress(~tb, xb, axis=0), mb))
 
 
 def _sums(streams, *, sq: bool = False, minmax: bool = False):
     """Exact integer sums over the bins of one operand or a pair, walking
-    the operands' decode ranges in lockstep so that each is decoded once.
+    the operands' decode ranges in lockstep so that each is decoded once,
+    and only its non-constant blocks (``codec._decode_compact``).
 
     Returns Python ints ``(s, sqq, sab, lo, hi)``: per operand, in lists,
     the sum of its bins, with ``sq`` of their squares and with ``minmax``
     its lowest and highest bin; ``sab`` is ``sum(a * b)`` of a pair.  A
-    range that is constant in every operand contributes from metadata
-    alone, each outlier weighted by the range's block length; the others
-    are decoded into one reused int64 buffer per operand.  Each range's
-    sums take ``_exact_dot`` with one bound per factor: its blocks'
-    ``codec._bin_bound``, tightened to the measured min and max with
-    ``minmax`` (then every range's are measured) or where that bound would
-    split the int64 sums.
+    constant block contributes from its outlier alone: ``k O`` to the sum
+    and ``k O^2`` to the squares (see :func:`_pair_dot` for ``sab``).  A
+    lone sum (``mean``) stays at residual depth, with no prefix sum, where
+    a range's bins and residuals fit in int64 (:func:`_residual_weights`).
+    Each range's sums take ``_exact_dot`` with one bound per factor: its
+    blocks' ``codec._bin_bound``, tightened to the measured min and max
+    with ``minmax`` (then every range's are measured) or where that bound
+    would split the int64 sums.
     """
     n = len(streams)
     quad = sq or n == 2  # the sums hold products of two bins
     s, sqq, lo, hi = [0] * n, [0] * n, [math.inf] * n, [-math.inf] * n
     sab = 0
-    for b0, b1, k, decode in _lockstep(streams):
-        if any(c.widths[b0:b1].any() for c in streams):
-            xs = [decode(i) for i in range(n)]
-            wxs, scale = xs, 1
-        else:
-            xs = [c.outliers[b0:b1].astype(np.int64) for c in streams]
-            # int32 outliers times a block length below 2^32 fit in int64
-            wxs, scale = [x * k for x in xs], k
-        bounds = []
-        for i, (x, c) in enumerate(zip(xs, streams)):
-            m = codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
+    for b0, b1, k, decode in _lockstep(streams, compact=True):
+        halves, parts = {}, []
+        for i, c in enumerate(streams):
+            ws = c.widths[b0:b1]
+            w = int(ws.max())
+            m = codec._bin_bound(c.outliers[b0:b1], k, w)
+            if not (quad or minmax) and max(m, (1 << w) - 1) <= _I64_MAX:
+                rows, _, o = decode(i, bins=False)
+                s[i] += k * _exact_dot(o, m)
+                if w:  # else no rows; and a block may be 2^32 - 1 long
+                    s[i] += _exact_dot(rows, (1 << w) - 1, _residual_weights(k), k)
+                continue
+            rows, _, o = decode(i)
+            const = ws == 0
+            oc = o[const]
             if minmax or (b1 - b0) * k * (m * m if quad else m) > _I64_MAX:
-                xlo, xhi = int(x.min()), int(x.max())
+                xlo = min(int(rows.min(initial=_I64_MAX)), int(oc.min(initial=_I64_MAX)))
+                xhi = max(int(rows.max(initial=-_I64_MAX)), int(oc.max(initial=-_I64_MAX)))
                 lo[i], hi[i] = min(lo[i], xlo), max(hi[i], xhi)
                 m = max(xhi, -xlo)
-            bounds.append(m)
-            s[i] += _exact_dot(wxs[i], m * scale)
+            s[i] += k * _exact_dot(oc, m) + _exact_dot(rows, m, halves=halves)
             if sq:
-                sqq[i] += _exact_dot(x, m, wxs[i], m * scale)
+                sqq[i] += k * _exact_dot(oc, m, oc, m) + _exact_dot(rows, m, rows, m, halves)
+            parts.append((rows, const, o, m))
         if n == 2:
-            sab += _exact_dot(xs[0], bounds[0], wxs[1], bounds[1] * scale)
+            sab += _pair_dot(k, *parts, halves)
     return s, sqq, sab, lo, hi
 
 

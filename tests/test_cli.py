@@ -312,6 +312,17 @@ class TestExitCodes:
         assert code == 2
         assert "kind=ValueError" in cap.err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, value):
+        # a NaN or Inf has no bin: the input is rejected before compression
+        src, out = tmp_path / "bad.bin", tmp_path / "x.hsz"
+        np.array([0.5, value, -0.25, 1.0], dtype="<f4").tofile(src)
+        code, cap = _run(capsys, ["compress", str(src), "-o", str(out), "--dims", "4",
+                                  "--eps", "1e-3"])
+        assert code == 2
+        assert "kind=ValueError" in cap.err and "finite" in cap.err
+        assert not out.exists()
+
     def test_block_len_past_the_header_is_usage_error(self, tmp_path, capsys):
         src, out = tmp_path / "one.bin", tmp_path / "x.hsz"
         np.zeros(1, dtype="<f4").tofile(src)

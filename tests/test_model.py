@@ -1,6 +1,7 @@
 """Data-model construction rules and the serialized byte layout."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hoszp import (
     QuantParams,
     TruncatedStream,
     VersionMismatch,
+    decode_to_quant,
     decompress,
     deserialize,
     elementwise_add,
@@ -30,7 +32,7 @@ from hoszp import (
 )
 from hoszp.model import _HEADER, MAGIC
 
-from conftest import random_stream
+from conftest import py_reductions, random_stream
 
 
 class TestQuantParams:
@@ -139,6 +141,21 @@ class TestCompressedStreamConstruction:
             for outliers in ([-(2**31) - 1, 0], [0, 2**31]):
                 with pytest.raises(OutlierOverflow):
                     stream(outliers)
+
+    @pytest.mark.parametrize("outliers, message", [
+        ([1.7], "outlier is not an integer: 1.7"),
+        ([float("nan")], "outlier is not an integer: nan"),
+        ([2**70], f"outlier out of signed 32-bit range: {2**70}"),
+        (np.array([2**70], dtype=object), f"outlier out of signed 32-bit range: {2**70}"),
+    ])
+    def test_non_integer_or_huge_outlier(self, outliers, message):
+        # neither truncated nor cast with a warning, nor a bare OverflowError
+        p = QuantParams(eps=0.5, dims=(1,), block_len=1, dtype="f64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutlierOverflow) as exc:
+                CompressedStream(p, [0], outliers, b"", b"")
+        assert str(exc.value) == message
 
 
 class TestSerializeGoldens:
@@ -297,8 +314,19 @@ def test_hostile_bytes_after_the_header_fail_cleanly(n, k, dtype, seed, hi, muta
     except FormatError:
         return
     for call in (decompress, negate, lambda c: elementwise_add(c, c),
-                 lambda c: hadamard(c, c), mean, variance):
+                 lambda c: hadamard(c, c)):
         try:
             call(s)
         except HoszpError:
             pass
+    # the reductions read what decode reads, whatever a block-start slot, an
+    # over-wide width or a stray sign or padding bit holds
+    try:
+        want = py_reductions(p.eps, decode_to_quant(s).bins)
+    except HoszpError:
+        for call in (mean, variance):
+            with pytest.raises(HoszpError):
+                call(s)
+        return
+    assert mean(s) == want["mean"]
+    assert variance(s) == want["variance"]

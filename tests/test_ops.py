@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -814,6 +815,51 @@ class TestRangeReductions:
                      lambda: ssim_global(s, shifted)):
             with pytest.raises(QuantOverflow):
                 call()
+
+
+#: decode ranges of at most 256 elements, so that small streams span
+#: several ranges and each range can draw its own constant-block pattern
+_SMALL_RANGE_ELEMS = 256
+_PATTERNS = ["constant", "none", "mixed"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from([1, 7, 8, 13, 32, 33]), nranges=st.integers(1, 4),
+       tail=st.integers(0, 32), hi=st.sampled_from([2**4, 2**20, 2**40, 2**61]),
+       patterns=st.lists(st.lists(st.sampled_from(_PATTERNS), min_size=5, max_size=5),
+                         min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_block_rules_match_python_ints(k, nranges, tail, hi, patterns, seed):
+    # each operand draws, range by range (the ragged last block is a range
+    # of its own), whether every block, no block or a random half of the
+    # blocks is constant: blocks constant in both, in one operand or in
+    # neither meet in one range
+    step = max(1, _SMALL_RANGE_ELEMS // k)
+    n = nranges * step * k + tail % k
+    p = QuantParams(0.5, (n,), k, "f64")
+    rng = np.random.default_rng(seed)
+    qs = []
+    for pattern in patterns:
+        q = rng.integers(-hi, hi, n)
+        for b in range(p.block_count):
+            start = b * k
+            q[start] = rng.integers(max(-(2**31), -hi), min(2**31 - 1, hi))
+            kind = pattern[min(b // step, nranges)]
+            if kind == "constant" or (kind == "mixed" and rng.random() < 0.5):
+                q[start : start + k] = q[start]
+        qs.append(q)
+    with unittest.mock.patch.object(codec, "_RANGE_ELEMS", _SMALL_RANGE_ELEMS):
+        a, b = (encode_from_quant(QuantArray(q, p)) for q in qs)
+        want = py_reductions(p.eps, *qs) if np.ptp(qs[0]) or np.ptp(qs[1]) else None
+        for s, q in zip((a, b), qs):
+            assert mean(s) == py_reductions(p.eps, q)["mean"]
+            assert variance(s) == py_reductions(p.eps, q)["variance"]
+        if want is None:  # both operands constant: SSIM is undefined
+            with pytest.raises(ValueError, match="undefined"):
+                ssim_global(a, b)
+            return
+        assert covariance(a, b) == want["covariance"]
+        assert ssim_global(a, b) == want["ssim"]
 
 
 def _edge_operands(rng, n, k):

@@ -41,12 +41,15 @@ constant blocks of a range buffer are filled from their outliers (zeros
 for residuals) with one broadcast and the compact rows scattered in once;
 a range with no constant block decodes in place.  ``decompress``,
 ``decode_to_quant`` and the stream operations consume the buffer range
-by range, so no stage writes a full-length temporary.  Each range picks
-its own arithmetic, by one rule: int64 when its bounds allow (bins within
-2^62 for the residual split, ``_bin_bound`` = ``max|O| + (k-1) * (2^max
-width - 1)`` for the prefix sums), else the same numpy steps on an object
-array of exact Python ints.  Both directions are serial; the ``threads``
-argument of the public entry points is accepted and ignored.
+by range, so no stage writes a full-length temporary.  All the integer
+arithmetic is int64 modulo 2^64, by one rule.  A residual is a sign and a
+uint64 magnitude, exact for any two int64 bins: one subtraction where
+twice every bin of the range fits int64, else a comparison and ``max -
+min``.  The prefix sums wrap, and where a range's ``_bin_bound`` =
+``max|O| + (k-1) * (2^max width - 1)`` passes int64 each step is checked
+against its headroom, so a bin past 63 bits raises rather than wraps.
+Both directions are serial; the ``threads`` argument of the public entry
+points is accepted and ignored.
 
 The tests check each stage against an independent pure-Python block
 model.
@@ -69,7 +72,6 @@ from .model import CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, 
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
-_U64_MAX = 2**64 - 1
 # elements encoded or decoded per range: the range's buffers stay in cache
 _RANGE_ELEMS = 1 << 16
 # a range's non-constant blocks move as one slice per run of equal widths
@@ -254,23 +256,29 @@ def _nearest_bins(t: np.ndarray) -> np.ndarray:
 # residual split / rebuild (decorrelation stage)
 
 
-def _split_residuals(bins: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Signed residuals of a block-aligned run of bins in blocks of ``k``.
+def _split_residuals(bins: np.ndarray, k: int, out: np.ndarray | None = None):
+    """Residuals of a block-aligned run of bins in blocks of ``k``, as
+    ``(neg, mags)``: bool signs and uint64 magnitudes (``mags`` in ``out``,
+    when given).
 
     Residual ``i`` is ``bins[i] - bins[i-1]`` inside a block; the slot at
-    each block start stays 0 because the outlier carries the first bin.
-    They come back as int64 (in ``out`` when given) while twice every bin
-    of the run is within int64, else as Python ints in an object array.
+    each block start stays 0 because the outlier carries the first bin.  Two
+    int64 bins differ by less than 2^64, so the pair is exact: while twice
+    every bin of the run is within int64 the difference is one int64
+    subtraction, else its sign is ``bins[i] < bins[i-1]`` and its magnitude
+    ``max - min`` modulo 2^64.
     """
+    d = np.empty(bins.size, dtype=np.int64) if out is None else out[: bins.size]
+    b1, b0 = bins[1:], bins[:-1]
     if 2 * max(int(bins.max()), -int(bins.min())) > _I64_MAX:
-        bins = bins.astype(object)  # differences may pass 63 bits
-        resid = np.empty(bins.size, dtype=object)
-    else:
-        resid = np.empty(bins.size, dtype=np.int64) if out is None else out[: bins.size]
-    resid[0] = 0
-    np.subtract(bins[1:], bins[:-1], out=resid[1:])
-    resid[::k] = 0
-    return resid
+        neg = np.concatenate(([False], b1 < b0))
+        neg[::k] = False
+        np.subtract(np.maximum(b1, b0), np.minimum(b1, b0), out=d[1:])
+        d[::k] = 0
+        return neg, d.view(np.uint64)
+    np.subtract(b1, b0, out=d[1:])
+    d[::k] = 0
+    return d < 0, np.abs(d, out=d).view(np.uint64)
 
 
 def _block_widths(mags: np.ndarray, k: int) -> np.ndarray:
@@ -296,28 +304,30 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w
     ``w`` bits wide, ``s`` (int8, clobbered) their 0/1 signs and
     ``outliers`` the rows' outliers.  Returns ``r`` as signed residuals (0
     at block starts) or, with ``bins``, as per-block prefix sums seeded by
-    the outliers.  Rows whose :func:`_bin_bound` passes int64 take the same
-    steps on Python ints in an object array (np.int64 scalars would wrap),
-    and residuals past 63 bits come back as that array.
+    the outliers.  Both steps wrap modulo 2^64, so a residual past 63 bits
+    comes back wrapped.  Where the rows' :func:`_bin_bound` passes int64,
+    each step of the prefix sums is checked against its headroom in uint64
+    (up: ``mag <= I64_MAX - prev``, down: ``mag <= I64_MAX + prev``), and a
+    bin past 63 bits, -2^63 included, raises :class:`QuantOverflow`.
     """
-    if (_bin_bound(outliers, k, w) if bins else (1 << w) - 1) > _I64_MAX:
-        x = r.view(np.uint64).astype(object)
-        np.negative(x, out=x, where=s.view(np.bool_))
-    else:
-        np.negative(s, out=s)  # branch-free sign step: -1 is all ones
-        r ^= s
-        r -= s
-        x = r
+    check = bins and _bin_bound(outliers, k, w) > _I64_MAX
+    if check:  # the steps' magnitudes, before the sign step overwrites them
+        mags = r.reshape(-1, k)[:, 1:].view(np.uint64).copy()
+    np.negative(s, out=s)  # branch-free sign step: -1 is all ones
+    r ^= s
+    r -= s
     if not bins:
-        x[::k] = 0  # the outlier carries the block start; ignore what is stored
-        return x
-    x[::k] = outliers
-    mat = x.reshape(-1, k)
+        r[::k] = 0  # the outlier carries the block start; ignore what is stored
+        return r
+    r[::k] = outliers
+    mat = r.reshape(-1, k)
     np.cumsum(mat, axis=1, out=mat)
-    if x is not r:
-        if max(x.max(), -x.min()) > _I64_MAX:
+    if check:
+        # the steps before the first one past int64 are exact, so that one
+        # sees its true predecessor
+        prev, down = mat[:, :-1].view(np.uint64), s.reshape(-1, k)[:, 1:] < 0
+        if (mags > np.where(down, _I64_MAX + prev, _I64_MAX - prev)).any():
             raise QuantOverflow("prefix sum overflows 63 bits")
-        r[:] = x
     return r
 
 
@@ -482,7 +492,7 @@ def _decode_compact(stream: CompressedStream, b0: int, b1: int, k: int, out=None
     Their sign rows, back to back in the section, take one ``unpackbits``,
     their magnitudes unpack by width into the matrix, and
     :func:`_resolve_range` applies the signs and, with ``bins``, the
-    prefix sums.  Residuals past 63 bits come back as an object array."""
+    prefix sums.  Residuals past 63 bits come back wrapped modulo 2^64."""
     sign_offs, payload_offs = stream.offsets
     ws = stream.widths[b0:b1]
     outliers = stream.outliers[b0:b1].astype(np.int64)
@@ -515,7 +525,7 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
     constant blocks of the buffer take their outlier in every slot (with
     ``bins``; zero residuals without) and the compact rows scatter in.  A
     range with no constant block is its own compact matrix, decoded in
-    place.  Residuals past 63 bits come back as an object array."""
+    place.  Residuals past 63 bits come back wrapped modulo 2^64."""
     m = (b1 - b0) * k
     r = np.empty(m, dtype=np.int64) if out is None else out[:m]
     in_place = stream.widths[b0:b1].all()
@@ -524,11 +534,10 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
         return x.reshape(m)
     # every block takes its outlier (zero residuals) in every slot, then the
     # compact rows overwrite the non-constant ones
-    dst = r if x.dtype == np.int64 else np.empty(m, dtype=object)
-    mat = dst.reshape(-1, k)
+    mat = r.reshape(-1, k)
     mat[:] = outliers[:, None] if bins else 0
     mat[nz] = x
-    return dst
+    return r
 
 
 def _range_buffer(params: QuantParams) -> np.ndarray:
@@ -536,22 +545,14 @@ def _range_buffer(params: QuantParams) -> np.ndarray:
     return np.empty(next(_element_ranges(params)).stop, dtype=np.int64)
 
 
-def _encode_range(resid: np.ndarray, w: np.ndarray, k: int) -> tuple[bytes, bytes]:
-    """Encode one range of :func:`_block_ranges` from its signed residuals
-    (int64, clobbered, or Python ints in an object array; 0 at block
-    starts) in blocks of ``k``: fill the blocks' widths ``w`` and return
-    the range's sign and payload bytes."""
-    signs = resid < 0
-    if resid.dtype == object:
-        mags = np.abs(resid)
-        if mags.max() > _U64_MAX:
-            raise QuantOverflow("residual exceeds the 64-bit width of format v1")
-        mags = mags.astype(np.uint64)
-    else:
-        mags = np.abs(resid, out=resid).view(np.uint64)
+def _encode_range(neg: np.ndarray, mags: np.ndarray, w: np.ndarray, k: int) -> tuple[bytes, bytes]:
+    """Encode one range of :func:`_block_ranges` from its residuals' signs
+    ``neg`` (bool) and magnitudes ``mags`` (uint64), 0 at block starts, in
+    blocks of ``k``: fill the blocks' widths ``w`` and return the range's
+    sign and payload bytes."""
     w[:] = _block_widths(mags, k)
     # one packbits over the range's blocks; the non-constant rows stay
-    sign_bytes = np.packbits(signs.reshape(-1, k), axis=1)[w > 0].tobytes()
+    sign_bytes = np.packbits(neg.reshape(-1, k), axis=1)[w > 0].tobytes()
     # widen first: uint8 * k stays uint8 and wraps
     offs = _section_offsets((w.astype(np.int64) * k + 7) // 8)
     payload = np.empty(int(offs[-1]), dtype=np.uint8)
@@ -565,14 +566,14 @@ def _encode_range(resid: np.ndarray, w: np.ndarray, k: int) -> tuple[bytes, byte
 def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
     """The one encoder.  ``parts`` yields, for each of
     :func:`_block_ranges` in turn, the range's block outliers and its
-    signed residuals (see :func:`_encode_range`); the per-range sections
-    are joined once at the end."""
+    residuals as ``(neg, mags)`` (see :func:`_encode_range`); the per-range
+    sections are joined once at the end."""
     widths = np.empty(params.block_count, dtype=np.uint8)
     outliers = np.empty(params.block_count, dtype=np.int64)
     signs, payload = [], []
-    for (b0, b1, k), (outs, resid) in zip(_block_ranges(params), parts):
+    for (b0, b1, k), (outs, (neg, mags)) in zip(_block_ranges(params), parts):
         outliers[b0:b1] = outs
-        s, p = _encode_range(resid, widths[b0:b1], k)
+        s, p = _encode_range(neg, mags, widths[b0:b1], k)
         signs.append(s)
         payload.append(p)
     return CompressedStream(params, widths, outliers, b"".join(signs), b"".join(payload))

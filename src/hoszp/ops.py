@@ -6,8 +6,9 @@ Each operation runs in the shallowest decode domain that supports it:
   (outlier shift): the result shares the input's widths, payload and
   cached section layout, and costs only the outliers and sign planes;
 * unpacked residual space - element-wise add/sub (signed residuals and
-  outliers combine linearly) and mean (a block's sum is linear in its
-  outlier and residuals);
+  outliers combine linearly; a range whose sum could pass 63 bits adds
+  bins instead) and mean (a block's sum is linear in its outlier and
+  residuals);
 * quantized-bin space - scalar multiplication, Hadamard product, and the
   other reductions (variance, stddev, covariance, global SSIM).
 
@@ -145,7 +146,7 @@ def _lockstep(streams, compact: bool = False):
             x = dec(streams[i], b0, b1, k, bufs[i], bins)
             rows = x[0] if compact else x
             # keep the longest: a compact decode may fill less than a range
-            if rows.dtype == np.int64 and (bufs[i] is None or rows.size > bufs[i].size):
+            if bufs[i] is None or rows.size > bufs[i].size:
                 bufs[i] = rows.reshape(-1)
             return x
 
@@ -158,28 +159,48 @@ def sum_streams(streams, signs) -> CompressedStream:
     linearly, so the result decompresses to the exact signed sum of the
     operands' reconstructions.
 
-    Each range is summed in int64 when the widest residuals of its
-    operands add up within int64, else in Python ints; a result residual
-    past 2^64 - 1 raises ``QuantOverflow``.
+    A range whose operands' ``codec._bin_bound`` add up within int64 sums
+    their signed residuals in int64; no residual or bin of the sum can pass
+    it.  Any other range sums their bins instead (:func:`_limb_sum`), so an
+    n-ary sum fails only where its result does, and re-splits them: a bin
+    of the sum past 63 bits raises ``QuantOverflow``, as the oracle does.
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
 
     def parts():
-        for b0, b1, _, decode in _lockstep(streams):
-            outliers = sum(g * c.outliers[b0:b1].astype(np.int64)
-                           for g, c in zip(signs, streams))
-            exact = sum((1 << int(c.widths[b0:b1].max())) - 1 for c in streams) > _I64_MAX
+        for b0, b1, k, decode in _lockstep(streams):
+            if sum(codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
+                   for c in streams) > _I64_MAX:
+                yield _limb_sum([decode(i) for i in range(len(streams))], signs, k)
+                continue
+            outliers = sum(g * c.outliers[b0:b1].astype(np.int64) for g, c in zip(signs, streams))
             acc = None
             for i, g in enumerate(signs):
                 x = decode(i, bins=False)
-                x = x.astype(object) if exact else x
                 if g < 0:
                     np.negative(x, out=x)
                 acc = x if acc is None else np.add(acc, x, out=acc)
-            yield outliers, acc
+            yield outliers, (acc < 0, np.abs(acc, out=acc).view(np.uint64))
 
     return codec._encode_ranges(streams[0].params, parts())
+
+
+def _limb_sum(xs, signs, k: int):
+    """One range of :func:`sum_streams` from its operands' bins ``xs``
+    (int64) in blocks of ``k``: the outliers and split residuals of the
+    exact ``sum(sign * x)``.  The high and low 32-bit halves of the bins sum
+    apart in int64 and the low sum's carry moves up, so the int64 sum is
+    exact; a sum past 63 bits, -2^63 included, raises
+    :class:`QuantOverflow`."""
+    hi = sum(g * (x >> 32) for g, x in zip(signs, xs))
+    lo = sum(g * (x & 0xFFFFFFFF) for g, x in zip(signs, xs))
+    hi += lo >> 32
+    lo &= 0xFFFFFFFF
+    bins = (hi << 32) | lo  # exact where hi fits in 32 bits
+    if hi.min() < -(2**31) or hi.max() >= 2**31 or bins.min() == -(2**63):
+        raise QuantOverflow("the sum of the operands' bins passes 63 bits")
+    return bins[::k], codec._split_residuals(bins, k)
 
 
 def elementwise_add(a: CompressedStream, b: CompressedStream,

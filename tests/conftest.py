@@ -20,6 +20,14 @@ EXAMPLE_EPS = 0.01
 EXAMPLE_VALUES = [-0.025, -0.025, -0.051, -0.052]
 EXAMPLE_BINS = [-1, -1, -3, -3]
 
+#: bins of one f64 block at eps 0.5 whose doubles pass 63 bits, where the
+#: oracle's quantizer fails too, whether the residuals pass int64 or not
+SUM_PAST_63_BITS = [
+    [0, 2**62 + 2**61],  # the residual fits in 64 bits, the bins pass 63
+    [0, -(2**62)],  # the sum lands exactly on -2^63
+    [0, 2**61, 2**62, 2**62 + 2**61],  # every residual of the sum fits int64
+]
+
 
 @pytest.fixture
 def example_params():

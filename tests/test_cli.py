@@ -299,6 +299,18 @@ class TestExitCodes:
         assert code == 4
         assert "kind=QuantOverflow" in cap.err
 
+    def test_eadd_bins_past_63_bits_is_codec_error(self, tmp_path, capsys):
+        # the residual of a + a fits in 64 bits, but its bins pass 63: the
+        # sum fails as decompress-then-add does, and writes no stream
+        p = QuantParams(eps=0.5, dims=(2,), block_len=2, dtype="f64")
+        wide, out = tmp_path / "wide.hsz", tmp_path / "out.hsz"
+        wide.write_bytes(serialize(encode_from_quant(QuantArray(
+            np.array([0, 2**62 + 2**61]), p))))
+        code, cap = _run(capsys, ["op", "eadd", str(wide), str(wide), "-o", str(out)])
+        assert code == 4
+        assert "kind=QuantOverflow" in cap.err and "63 bits" in cap.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["compress", "bench", "distsim"])
     def test_invalid_eps_is_usage_error(self, tmp_path, example_file, capsys, command, eps):

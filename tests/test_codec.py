@@ -201,7 +201,7 @@ class TestLorenzo:
 
     def test_identity_near_63_bit_bins(self):
         # interior bins near the cap: residuals of 63 and 64 bits take the
-        # codec's exact object path in both directions
+        # codec's wide split and checked prefix sums
         p = QuantParams(eps=0.1, dims=(9,), block_len=4, dtype="f64")
         bins = np.array([3, 2**63 - 1, -(2**63 - 1), 2**62, -7, 0, 5, -(2**62), 11])
         q = QuantArray(bins, p)
@@ -369,8 +369,9 @@ class TestRangeDecode:
                                   bins.astype(np.float64))
 
     def test_wide_range_between_narrow_ones(self):
-        # only the middle range needs exact Python ints; its neighbours stay
-        # on the int64 path and must still line up with it
+        # only the middle range takes the wide split and checked prefix
+        # sums; its neighbours stay on the plain path and must still line
+        # up with it
         k = 32
         n = range_sizes(k)[-1]
         p = QuantParams(0.5, (n,), k, "f64")
@@ -534,20 +535,24 @@ class TestRangeEncode:
             assert not c.widths[: min(r, p32.block_count - 1)].any()
 
     def test_wide_bins_split_per_range(self):
-        # only the ranges holding a bin past 2^62 take Python ints
+        # every range splits into bool signs and uint64 magnitudes, exact
+        # also in the ranges holding a bin past 2^62, whose differences
+        # pass 63 bits
         k = 32
         n = range_sizes(k)[-1]
         p = QuantParams(0.5, (n,), k, "f64")
         bins, _ = wide_block_bins(np.random.default_rng(409), n, k)
-        dtypes = []
+        wide = []
         for e in codec._element_ranges(p):
             part = bins[e]
-            resid = codec._split_residuals(part, k)
+            neg, mags = codec._split_residuals(part, k)
+            assert (neg.dtype, mags.dtype) == (np.bool_, np.uint64)
             xs = part.tolist()
-            assert resid.tolist() == [0 if i % k == 0 else xs[i] - xs[i - 1]
-                                      for i in range(len(xs))]
-            dtypes.append(resid.dtype)
-        assert dtypes == [np.int64, object, object]
+            want = [0 if i % k == 0 else xs[i] - xs[i - 1] for i in range(len(xs))]
+            assert neg.tolist() == [d < 0 for d in want]
+            assert mags.tolist() == [abs(d) for d in want]
+            wide.append(max(map(abs, want)) > 2**63 - 1)
+        assert wide == [False, True, True]
 
     @pytest.mark.parametrize("where", [1, 2])
     def test_quant_overflow_in_one_range(self, where):
@@ -667,7 +672,7 @@ class TestCompactDecode:
                                   ops.oracle_apply(op, [a, b]).values)
 
     def test_wide_blocks_between_constant_ones(self):
-        # 64-bit residuals take the object path; the constant blocks around
+        # 64-bit residuals take the wide split; the constant blocks around
         # them hold outliers at the int32 limits
         k, n = 32, 3 * codec._RANGE_ELEMS
         p = QuantParams(0.5, (n,), k, "f64")

@@ -19,6 +19,8 @@ from hoszp.codec import RawArray
 from hoszp.distsim import SimScenario, _aggregate_homomorphic, _aggregate_traditional, simulate
 from hoszp.synth import smooth_field
 
+from conftest import SUM_PAST_63_BITS
+
 
 def _chunks(count, dims=(48, 48), base_seed=0):
     return [smooth_field(dims, seed=base_seed + i) for i in range(count)]
@@ -72,7 +74,7 @@ class TestAggregation:
 
     @pytest.mark.parametrize("bins, error", [
         ([2**31 - 1, 2**31 + 2**61], OutlierOverflow),  # a + a: outlier past int32
-        ([-(2**31) + 1, 2**63 - 1], QuantOverflow),  # a + a: residual past 2^64 - 1
+        ([-(2**31) + 1, 2**63 - 1], QuantOverflow),  # a + a: bins past 63 bits
     ])
     def test_sum_fits_where_pairwise_fold_overflows(self, bins, error):
         # the n-ary sum checks only the result, not a left fold's partial sums
@@ -81,9 +83,20 @@ class TestAggregation:
             elementwise_add(a, a)
         assert _aggregate_homomorphic([a, a, negate(a)]) == a
 
+    @pytest.mark.parametrize("bins", SUM_PAST_63_BITS)
+    def test_sum_past_63_bits_raises_like_the_oracle(self, bins):
+        a = encode_from_quant(QuantArray(np.array(bins),
+                                         QuantParams(0.5, (len(bins),), len(bins), "f64")))
+        for aggregate in (_aggregate_traditional, _aggregate_homomorphic):
+            with pytest.raises(QuantOverflow):
+                aggregate([a, a])
+        # the n-ary sum checks the result alone
+        assert _aggregate_homomorphic([a, a, negate(a)]) == a
+
     def test_result_residual_past_64_bits_is_quant_overflow(self):
-        # the result has both an outlier past int32 and a residual past
-        # 2^64 - 1; as in elementwise_add, the residual is reported
+        # the result has an outlier past int32, a residual past 2^64 - 1
+        # and bins past 63 bits; as in elementwise_add, the bins are
+        # reported
         a = encode_from_quant(QuantArray(np.array([-(2**31), 2**63 - 1]),
                                          QuantParams(0.5, (2,), 2, "f64")))
         with pytest.raises(QuantOverflow):

@@ -52,6 +52,7 @@ from hoszp.cli import build_parser
 
 from conftest import (
     EXAMPLE_BINS,
+    SUM_PAST_63_BITS,
     py_reductions,
     random_params,
     random_stream,
@@ -537,11 +538,23 @@ class TestElementwiseAdd:
 
     def test_residual_past_64_bits_is_quant_overflow(self):
         # a residual of 2^63 + 2^31 - 1 doubles past 2^64 - 1, the widest
-        # magnitude format v1 stores
+        # magnitude format v1 stores; the bin 2^63 - 1 it leads to doubles
+        # past 63 bits, which the sum of the bins rejects first
         a = _stream([-(2**31), 2**63 - 1], eps=0.5, block_len=2, dtype="f64")
         assert int(a.widths[0]) == 64
-        with pytest.raises(QuantOverflow, match="64-bit width"):
+        with pytest.raises(QuantOverflow, match="bins passes 63 bits"):
             elementwise_add(a, a)
+
+    @pytest.mark.parametrize("bins", SUM_PAST_63_BITS)
+    @pytest.mark.parametrize("op", ["eadd", "esub"])
+    def test_sum_past_63_bits_raises_like_the_oracle(self, op, bins):
+        a = _stream(bins, eps=0.5, block_len=len(bins), dtype="f64")
+        # a + a, or a - (-a): every result bin doubles
+        pair = [a, a] if op == "eadd" else [a, negate(a)]
+        with pytest.raises(QuantOverflow):
+            oracle_stream(op, pair)
+        with pytest.raises(QuantOverflow, match="bins passes 63 bits"):
+            ops.apply(op, pair)
 
     @pytest.mark.parametrize("op", ["eadd", "esub"])
     @pytest.mark.parametrize("w, first", [(2, 3), (64, 2**64 - 1)])
@@ -801,6 +814,15 @@ class TestRangeReductions:
         q[0] = 7
         s = encode_from_quant(QuantArray(q, p))
         assert variance(s) == py_reductions(p.eps, q)["variance"]
+
+    def test_prefix_sum_landing_on_minus_2_63_raises(self):
+        # bins -1 and -2^63: the step's magnitude fits in 63 bits, but it
+        # lands on -2^63, one below the lowest bin -(2^63 - 1)
+        s = _stream([0, -(2**63 - 1)], eps=0.5, block_len=2, dtype="f64")
+        shifted = scalar_add(s, -1.0)
+        for call in (decode_to_quant, decompress, mean, variance):
+            with pytest.raises(QuantOverflow):
+                call(shifted)
 
     def test_prefix_sum_past_63_bits_raises(self):
         k = 32

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -203,8 +204,9 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 def _run_op(name, streams, scalar, verify):
     """Time operation ``name``; with ``verify`` also time its oracle and
-    compare (stream results bit for bit, reductions to REDUCTION_RTOL or
-    to less than half the reduction's quantum, see ``_half_quantum``).
+    compare (stream results bit for bit, finite reductions to REDUCTION_RTOL
+    or to less than half the reduction's quantum, see ``_half_quantum``,
+    and a non-finite reduction to an identical value).
     Returns (result, report row, whether it matched)."""
     spec = ops.OPS[name]
     t0 = time.perf_counter()
@@ -216,7 +218,11 @@ def _run_op(name, streams, scalar, verify):
         t0 = time.perf_counter()
         want = spec.oracle(streams, scalar)
         t_oracle = time.perf_counter() - t0
-        if spec.reduction:
+        if spec.reduction and not (math.isfinite(result) and math.isfinite(want)):
+            # a non-finite value agrees only with the same value, NaN with NaN
+            ok = result == want or math.isnan(result) and math.isnan(want)
+            diff = 0.0 if ok else abs(result - want)
+        elif spec.reduction:
             diff = abs(result - want)
             ok = (diff <= REDUCTION_RTOL * max(abs(want), abs(result), 1e-300)
                   or diff < _half_quantum(name, streams[0].params))

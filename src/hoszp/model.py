@@ -209,8 +209,9 @@ class CompressedStream:
     Instances are immutable by contract and safe to share between concurrent
     callers.  Construction normalizes the widths (uint8) and outliers
     (int32, or :class:`OutlierOverflow`), checks their counts and the 64-bit
-    width limit, and checks both sections' lengths against the widths, so
-    any stream object in circulation is structurally valid.
+    width limit, keeping the widest width as ``width_max``, and checks both
+    sections' lengths against the widths, so any stream object in
+    circulation is structurally valid.
 
     ``offsets`` holds the stream's section layout: the sign and payload
     offsets of every block (two read-only int64 arrays of ``block_count +
@@ -233,8 +234,9 @@ class CompressedStream:
             raise GeometryMismatch(
                 f"expected {b} widths/outliers, got {widths.shape}/{outliers.shape}"
             )
-        if widths.size and int(widths.max()) > 64:
-            raise GeometryMismatch(f"width {int(widths.max())} exceeds 64 bits")
+        self.width_max = int(widths.max(initial=0))
+        if self.width_max > 64:
+            raise GeometryMismatch(f"width {self.width_max} exceeds 64 bits")
         self.widths = widths
         self.outliers = outliers
         self.sign_planes = bytes(self.sign_planes)

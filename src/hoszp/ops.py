@@ -14,12 +14,13 @@ Each operation runs in the shallowest decode domain that supports it:
 
 No operation ever inverts quantization on its inputs; the reductions sum
 bins in exact integer arithmetic and apply the real-valued scaling once at
-the end.  One accumulator, ``_sums``, walks the codec's decode ranges and
-decodes each operand once, as the compact matrix of its non-constant
-blocks (``codec._decode_compact``): a constant block adds its outlier
-alone, weighted by the block length, and nothing is scattered into a
-full range.  Every sum is taken in int64, splitting a factor into halves
-where the sum could pass int64 (``_exact_dot``).
+the end, every second moment by one rule (``_moment``).  One accumulator,
+``_sums``, walks the codec's decode ranges and decodes each operand once,
+as the compact matrix of its non-constant blocks
+(``codec._decode_compact``): a constant block adds its outlier alone,
+weighted by the block length, and nothing is scattered into a full range.
+Every sum is taken in int64, splitting a factor into halves where the sum
+could pass int64 (``_exact_dot``).
 
 ``OPS`` is the one table of operations: each ``OpSpec`` pairs the
 homomorphic call with its oracle, the traditional reference workflow - full
@@ -115,9 +116,20 @@ def negate(c: CompressedStream) -> CompressedStream:
 
 def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
     """Shift every block outlier by the scalar's bin; the result
-    decompresses to the input plus the quantized scalar, exactly."""
+    decompresses to the input plus the quantized scalar, exactly.
+
+    A shifted bin past 63 bits raises :class:`QuantOverflow`, as the oracle
+    does.  Only a range whose ``codec._bin_bound`` passes int64 can hold
+    one, and only such a range is decoded, which checks its bins; with the
+    int32 outliers and the stream's widest block well within int64 (every
+    ordinary stream) the shift stays metadata-only."""
     rs = ScalarBin.of(s, c.params.eps).bin
-    return c._derive(c.outliers.astype(np.int64) + rs)
+    out = c._derive(c.outliers.astype(np.int64) + rs)
+    if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:
+        for b0, b1, k in codec._block_ranges(c.params):
+            if codec._bin_bound(out.outliers[b0:b1], k, int(c.widths[b0:b1].max())) > _I64_MAX:
+                codec._decode_compact(out, b0, b1, k)
+    return out
 
 
 def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
@@ -269,8 +281,7 @@ def hadamard(a: CompressedStream, b: CompressedStream,
 # reductions (exact integer sums, scaled once at the end)
 
 
-def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1,
-               halves: dict | None = None) -> int:
+def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1) -> int:
     """Exact ``sum(x * y)`` (``sum(x)`` when ``y`` is None) of int64 arrays
     with ``|x| <= mx`` and ``|y| <= my``; ``x`` and ``y`` broadcast, so a
     ``(rows, 1)`` column weights each row of a ``(rows, k)`` matrix and a
@@ -278,9 +289,8 @@ def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1,
     arithmetic wraps modulo 2^64, so in whatever order the terms add up, a
     total that fits is exact); otherwise the factor with the larger bound
     splits into high and low halves, each bounded near that bound's square
-    root, whose sums (by this rule again) add up as Python ints.
-    ``halves`` memoizes the splits, so an array that several sums split at
-    one shift is split once."""
+    root, whose sums (by this rule again) add up as Python ints.  A pure
+    function of its factors and bounds, with no memo of the halves."""
     if not x.size or y is not None and not y.size:
         return 0
     if max(x.size, 0 if y is None else y.size) * mx * my <= _I64_MAX:
@@ -292,16 +302,9 @@ def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1,
     if my > mx:
         x, mx, y, my = y, my, x, mx
     s = mx.bit_length() // 2
-    if halves is None:
-        halves = {}
-    key = (id(x), s)
-    if key not in halves:
-        # holding x keeps its id from naming another array meanwhile
-        halves[key] = (x, x >> s, x & ((1 << s) - 1))
-    _, hi, lo = halves[key]
     # the shift floors, so a negative high half reaches (mx >> s) + 1
-    return ((_exact_dot(hi, (mx >> s) + 1, y, my, halves) << s)
-            + _exact_dot(lo, (1 << s) - 1, y, my, halves))
+    return ((_exact_dot(x >> s, (mx >> s) + 1, y, my) << s)
+            + _exact_dot(x & ((1 << s) - 1), (1 << s) - 1, y, my))
 
 
 def _residual_weights(k: int) -> np.ndarray:
@@ -313,7 +316,7 @@ def _residual_weights(k: int) -> np.ndarray:
     return weights
 
 
-def _pair_dot(k: int, a, b, halves: dict) -> int:
+def _pair_dot(k: int, a, b) -> int:
     """``sum(a * b)`` over one range of a pair, from each operand's compact
     rows, constant-block mask, outliers and bound, block by block: a block
     constant in both adds ``k Oa Ob``, one constant in one operand adds its
@@ -323,7 +326,7 @@ def _pair_dot(k: int, a, b, halves: dict) -> int:
     no gather."""
     (xa, ca, oa, ma), (xb, cb, ob, mb) = a, b
     if np.array_equal(ca, cb):
-        return k * _exact_dot(oa[ca], ma, ob[ca], mb) + _exact_dot(xa, ma, xb, mb, halves)
+        return k * _exact_dot(oa[ca], ma, ob[ca], mb) + _exact_dot(xa, ma, xb, mb)
     both, ra, rb = ca & cb, ~ca, ~cb  # ra, rb: the blocks with a compact row
     ta, tb = cb[ra], ca[rb]  # of those, the ones constant in the other operand
     return (k * _exact_dot(oa[both], ma, ob[both], mb)
@@ -355,7 +358,7 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
     s, sqq, lo, hi = [0] * n, [0] * n, [math.inf] * n, [-math.inf] * n
     sab = 0
     for b0, b1, k, decode in _lockstep(streams, compact=True):
-        halves, parts = {}, []
+        parts = []
         for i, c in enumerate(streams):
             ws = c.widths[b0:b1]
             w = int(ws.max())
@@ -374,27 +377,22 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
                 xhi = max(int(rows.max(initial=-_I64_MAX)), int(oc.max(initial=-_I64_MAX)))
                 lo[i], hi[i] = min(lo[i], xlo), max(hi[i], xhi)
                 m = max(xhi, -xlo)
-            s[i] += k * _exact_dot(oc, m) + _exact_dot(rows, m, halves=halves)
+            s[i] += k * _exact_dot(oc, m) + _exact_dot(rows, m)
             if sq:
-                sqq[i] += k * _exact_dot(oc, m, oc, m) + _exact_dot(rows, m, rows, m, halves)
+                sqq[i] += k * _exact_dot(oc, m, oc, m) + _exact_dot(rows, m, rows, m)
             parts.append((rows, const, o, m))
         if n == 2:
-            sab += _pair_dot(k, *parts, halves)
+            sab += _pair_dot(k, *parts)
     return s, sqq, sab, lo, hi
 
 
-def _square(x: float) -> float:
-    """``x ** 2``, or inf where that overflows (float ``**`` raises there)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def _moment(eps: float, num: int, n: int) -> float:
-    """``(2 eps)^2 * num / n^2`` from an exact integer numerator: 0.0 when
-    ``num`` is 0, infinite when ``(2 eps)^2`` overflows."""
-    return _square(2.0 * eps) * float(num) / (n * n) if num else 0.0
+    """The one finish of a second moment: ``(2 eps)^2 * (num / n^2)`` from
+    an exact integer numerator ``num``, 0.0 when ``num`` is 0.  It divides
+    before it scales, so it overflows only where the moment does, as long
+    as ``(2 eps)^2`` is finite (eps below about 6.7e153)."""
+    e2 = 2.0 * eps
+    return e2 * e2 * (float(num) / (n * n)) if num else 0.0
 
 
 def mean(c: CompressedStream, *, threads: int = 1) -> float:
@@ -408,10 +406,8 @@ def variance(c: CompressedStream, *, threads: int = 1) -> float:
     ``(2 eps)^2 * (sum(bins^2)/N - (sum(bins)/N)^2)``."""
     n = c.params.element_count
     (s,), (sqq,), *_ = _sums([c], sq=True)
-    # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers);
-    # this rounds in another order than _moment
-    num = n * sqq - s * s
-    return _square(2.0 * c.params.eps) * (float(num) / (n * n)) if num else 0.0
+    # n*sqq - S*S is exact and non-negative (Cauchy-Schwarz on integers)
+    return _moment(c.params.eps, n * sqq - s * s, n)
 
 
 def stddev(c: CompressedStream, *, threads: int = 1) -> float:
@@ -441,8 +437,8 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
     var_b = _moment(params.eps, n * sqb - sb * sb, n)
     cov = _moment(params.eps, n * sab - sa * sb, n)
     value_range = eps2 * max(hi[0] - lo[0], hi[1] - lo[1])
-    c1 = _square(0.01 * value_range)
-    c2 = _square(0.03 * value_range)
+    r1, r3 = 0.01 * value_range, 0.03 * value_range
+    c1, c2 = r1 * r1, r3 * r3  # inf where they overflow; x ** 2 would raise
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     if den == 0.0:

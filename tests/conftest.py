@@ -127,20 +127,22 @@ def py_reductions(eps, qa, qb=None):
     n = len(xa)
     sa, sqa = sum(xa), sum(v * v for v in xa)
     e2 = 2.0 * eps
-    out = {"mean": (e2 * sa) / n,
-           # variance() rounds in this order
-           "variance": e2**2 * (float(n * sqa - sa * sa) / (n * n))}
+
+    def moment(num):  # ops._moment
+        return e2 * e2 * (float(num) / (n * n)) if num else 0.0
+
+    out = {"mean": (e2 * sa) / n, "variance": moment(n * sqa - sa * sa)}
     if qb is None:
         return out
     xb = qb.tolist()
     sb, sqb = sum(xb), sum(v * v for v in xb)
     sab = sum(u * v for u, v in zip(xa, xb))
-    cov = e2**2 * float(n * sab - sa * sb) / (n * n)
+    cov = moment(n * sab - sa * sb)
     mu_a, mu_b = e2 * sa / n, e2 * sb / n
-    var_a = e2**2 * float(n * sqa - sa * sa) / (n * n)
-    var_b = e2**2 * float(n * sqb - sb * sb) / (n * n)
+    var_a, var_b = out["variance"], moment(n * sqb - sb * sb)
     value_range = e2 * max(max(xa) - min(xa), max(xb) - min(xb))
-    c1, c2 = (0.01 * value_range) ** 2, (0.03 * value_range) ** 2
+    r1, r3 = 0.01 * value_range, 0.03 * value_range
+    c1, c2 = r1 * r1, r3 * r3
     out["covariance"] = cov
     out["ssim"] = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
                    / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)))

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,17 @@ def huge_eps_hsz(tmp_path):
     np.array([0.1, -0.2, 0.3, 0.05], dtype="<f4").tofile(src)
     out = tmp_path / "v.hsz"
     assert main(["compress", str(src), "-o", str(out), "--dims", "4", "--eps", "1e160"]) == 0
+    return out
+
+
+@pytest.fixture
+def infinite_moments_hsz(tmp_path):
+    """Bins ``[0, 1, -2, 3, 0, 5, -7, 2]`` at eps 1e160 (f64): variance and
+    covariance are inf and SSIM is nan, homomorphically and in the oracle."""
+    p = QuantParams(eps=1e160, dims=(8,), block_len=32, dtype="f64")
+    out = tmp_path / "inf.hsz"
+    bins = np.array([0, 1, -2, 3, 0, 5, -7, 2])
+    out.write_bytes(serialize(encode_from_quant(QuantArray(bins, p))))
     return out
 
 
@@ -147,6 +159,28 @@ class TestStats:
         assert code == 0
         assert f"{name} = 0.0" in cap.out
         assert _csv_rows(cap.out)[0]["max_abs_diff"] == "0.0"
+
+    @pytest.mark.parametrize("name, want", [("variance", "inf"), ("covariance", "inf"),
+                                            ("ssim", "nan")])
+    def test_non_finite_result_equal_to_its_oracle_passes(self, infinite_moments_hsz, capsys,
+                                                         name, want):
+        hsz = str(infinite_moments_hsz)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's float overflow
+            code, cap = _run(capsys, ["stats", name, *[hsz] * ops.OPS[name].arity, "--verify",
+                                      "--report", "csv"])
+        assert code == 0, cap.err
+        assert f"{name} = {want}" in cap.out
+        assert _csv_rows(cap.out)[0]["max_abs_diff"] == "0.0"
+
+    @pytest.mark.parametrize("side", ["apply", "oracle"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_against_finite_is_verify_error(self, example_hsz, monkeypatch, capsys,
+                                                        side, bad):
+        spec = dataclasses.replace(ops.OPS["variance"], **{side: lambda s, x: bad})
+        monkeypatch.setitem(ops.OPS, "variance", spec)
+        code, cap = _run(capsys, ["stats", "variance", str(example_hsz), "--verify"])
+        assert code == 5
+        assert "kind=VerificationMismatch" in cap.err
 
 
 class TestVerifyQuantumFloor:
@@ -309,6 +343,15 @@ class TestExitCodes:
         code, cap = _run(capsys, ["op", "eadd", str(wide), str(wide), "-o", str(out)])
         assert code == 4
         assert "kind=QuantOverflow" in cap.err and "63 bits" in cap.err
+        assert not out.exists()
+
+    def test_sadd_bins_past_63_bits_is_codec_error(self, tmp_path, capsys):
+        p = QuantParams(eps=0.5, dims=(2,), block_len=2, dtype="f64")
+        wide, out = tmp_path / "wide.hsz", tmp_path / "out.hsz"
+        wide.write_bytes(serialize(encode_from_quant(QuantArray(np.array([0, 2**63 - 1]), p))))
+        code, cap = _run(capsys, ["op", "sadd", str(wide), "--scalar", "1.0", "-o", str(out)])
+        assert code == 4
+        assert "kind=QuantOverflow" in cap.err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])

@@ -800,6 +800,10 @@ class TestRawIO:
             with pytest.raises(ValueError, match="dims"):
                 call()
 
+    def test_value_count_checked(self):
+        with pytest.raises(ValueError, match="got 3 values for dims"):
+            RawArray(np.zeros(3), (2, 2), "f64")
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             RawArray(np.array([1.0, np.nan]), (2,), "f64")

@@ -31,6 +31,10 @@ class TestScenario:
         with pytest.raises(ValueError):
             SimScenario(_chunks(1), eps=1e-2)
 
+    def test_needs_one_repetition(self):
+        with pytest.raises(ValueError, match="repetitions"):
+            SimScenario(_chunks(2), eps=1e-2, repetitions=0)
+
     def test_chunks_must_match(self):
         bad = [smooth_field((8, 8), seed=0), smooth_field((8, 9), seed=1)]
         with pytest.raises(ParamsMismatch):

@@ -115,6 +115,15 @@ class TestCompressedStreamConstruction:
             CompressedStream(p, example_stream.widths, example_stream.outliers,
                              example_stream.sign_planes, example_stream.payload + b"\x00")
 
+    def test_counts_and_width_limit_checked(self, example_stream):
+        s = example_stream
+        with pytest.raises(GeometryMismatch, match="expected 1 widths/outliers"):
+            CompressedStream(s.params, [1, 1], s.outliers, s.sign_planes, s.payload)
+        with pytest.raises(GeometryMismatch, match="expected 1 widths/outliers"):
+            CompressedStream(s.params, s.widths, [0, 0], s.sign_planes, s.payload)
+        with pytest.raises(GeometryMismatch, match="width 65 exceeds 64 bits"):
+            CompressedStream(s.params, [65], s.outliers, s.sign_planes, s.payload)
+
     def test_outlier_32bit_enforced(self, example_stream):
         with pytest.raises(OutlierOverflow):
             CompressedStream(example_stream.params, example_stream.widths,

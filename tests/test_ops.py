@@ -201,6 +201,26 @@ class TestScalarAdd:
         with pytest.raises(OutlierOverflow):
             scalar_add(s, 100.0)
 
+    @pytest.mark.parametrize("op, name, x", [(scalar_add, "sadd", 1.0), (scalar_sub, "ssub", -1.0)])
+    def test_shift_past_63_bits_raises_like_the_oracle(self, op, name, x):
+        s = _stream([0, 2**63 - 1], eps=0.5, block_len=2, dtype="f64")
+        for call in (op, lambda s, x: oracle_stream(name, [s], x)):
+            with pytest.raises(QuantOverflow):
+                call(s, x)
+        # the other way the bins fit: the range is decoded, checked and kept
+        assert decode_to_quant(op(s, -x)).bins.tolist() == [-1, 2**63 - 2]
+
+    def test_shift_of_a_stream_that_fits_decodes_nothing(self, monkeypatch):
+        # 31 residuals of 58 bits on a 32-bit outlier stay within int64
+        s = _stream(np.resize([2**31 - 1, 2**58 - 1 + 2**31 - 1], 64), eps=0.5, dtype="f64")
+        assert s.width_max == 58
+
+        def boom(*a, **k):
+            raise AssertionError("a scalar shift decoded a range")
+
+        monkeypatch.setattr(codec, "_decode_compact", boom)
+        assert scalar_sub(scalar_add(s, -4.0), -4.0) == s
+
 
 class TestScalarSub:
     def test_example_derived(self, example_stream):
@@ -655,6 +675,19 @@ class TestCovariance:
         assert covariance(example_stream, example_stream) == variance(example_stream)
         assert covariance(example_stream, example_stream) == pytest.approx(4.0e-4,
                                                                        rel=1e-12)
+        rng = np.random.default_rng(221)
+        for _ in range(25):
+            s = random_stream(rng)
+            assert covariance(s, s) == variance(s)
+
+    def test_second_moment_divides_before_it_scales(self):
+        # bins near 1e9 at eps 5e140: (2 eps)^2 times the integer numerator
+        # overflows, though the moment itself is about 8.3e298
+        a = np.random.default_rng(0).uniform(0, 1e150, 100_000)
+        p = QuantParams(5e140, (a.size,), 32, "f64")
+        s = compress(RawArray(a, p.dims, "f64"), p)
+        want = oracle_reduction("covariance", [s, s])
+        assert covariance(s, s) == variance(s) == pytest.approx(want, rel=1e-9)
 
     def test_bilinearity_under_negation(self):
         rng = np.random.default_rng(223)
@@ -719,8 +752,9 @@ class TestSsim:
 
     def test_degenerate_rejected(self):
         z = _stream(np.zeros(8))
-        with pytest.raises(ValueError):
-            ssim_global(z, z)
+        for call in (ssim_global, lambda a, b: oracle_reduction("ssim", [a, b])):
+            with pytest.raises(ValueError, match="undefined"):
+                call(z, z)
 
 
 class TestOverflowingScale:
@@ -819,8 +853,10 @@ class TestRangeReductions:
         # bins -1 and -2^63: the step's magnitude fits in 63 bits, but it
         # lands on -2^63, one below the lowest bin -(2^63 - 1)
         s = _stream([0, -(2**63 - 1)], eps=0.5, block_len=2, dtype="f64")
-        shifted = scalar_add(s, -1.0)
-        for call in (decode_to_quant, decompress, mean, variance):
+        # the shifted stream, built without scalar_add's check (as hostile
+        # bytes could hold it)
+        shifted = s._derive(s.outliers.astype(np.int64) - 1)
+        for call in (lambda c: scalar_add(s, -1.0), decode_to_quant, decompress, mean, variance):
             with pytest.raises(QuantOverflow):
                 call(shifted)
 
@@ -830,9 +866,11 @@ class TestRangeReductions:
         p = QuantParams(0.5, (n,), k, "f64")
         bins, _ = wide_block_bins(np.random.default_rng(311), n, k)
         s = encode_from_quant(QuantArray(bins, p))
-        # one more bin on top of the 2^63 - 1 bin of the middle range
-        shifted = scalar_add(s, 1.0)
-        for call in (lambda: decode_to_quant(shifted), lambda: decompress(shifted),
+        # one more bin on top of the 2^63 - 1 bin of the middle range, built
+        # without scalar_add's check (as hostile bytes could hold it)
+        shifted = s._derive(s.outliers.astype(np.int64) + 1)
+        for call in (lambda: scalar_add(s, 1.0),
+                     lambda: decode_to_quant(shifted), lambda: decompress(shifted),
                      lambda: mean(shifted), lambda: covariance(shifted, s),
                      lambda: ssim_global(s, shifted)):
             with pytest.raises(QuantOverflow):

@@ -49,8 +49,9 @@ def _m(name, file, tests, *edits, equivalent=False):
     return Mutant(name, file, tuple(tests), tuple(edits), equivalent)
 
 
-CODEC, OPS = "codec.py", "ops.py"
+CODEC, OPS, CLI = "codec.py", "ops.py", "cli.py"
 T_CODEC, T_OPS, T_DISTSIM = "tests/test_codec.py", "tests/test_ops.py", "tests/test_distsim.py"
+T_CLI = "tests/test_cli.py"
 
 MUTANTS = [
     # the checked prefix sums of codec._resolve_range
@@ -112,11 +113,22 @@ MUTANTS = [
        ("    weights[0] = 0\n", ""), equivalent=True),
     # the halves of ops._exact_dot
     _m("low half dropped", OPS, [T_OPS],
-       ("            + _exact_dot(lo, (1 << s) - 1, y, my, halves))", "            + 0)")),
+       ("            + _exact_dot(x & ((1 << s) - 1), (1 << s) - 1, y, my))", "            + 0)")),
     _m("high half shifted by s - 1", OPS, [T_OPS],
-       ("y, my, halves) << s)", "y, my, halves) << (s - 1))")),
+       ("y, my) << s)", "y, my) << (s - 1))")),
     _m("high half bound without + 1", OPS, [T_OPS],
-       ("_exact_dot(hi, (mx >> s) + 1,", "_exact_dot(hi, mx >> s,")),
+       ("_exact_dot(x >> s, (mx >> s) + 1,", "_exact_dot(x >> s, mx >> s,")),
+    # the one finish of a second moment
+    _m("moment multiplies before it divides", OPS, [T_OPS],
+       ("e2 * e2 * (float(num) / (n * n))", "e2 * e2 * float(num) / (n * n)")),
+    # the 63-bit check of a scalar shift
+    _m("scalar-shift check skipped", OPS, [T_OPS, T_CLI],
+       ("if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:",
+        "if False:")),
+    # --verify on a non-finite reduction
+    _m("non-finite verify rule reverted", CLI, [T_CLI],
+       ("if spec.reduction and not (math.isfinite(result) and math.isfinite(want)):",
+        "if False:")),
 ]
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -66,32 +67,34 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _add_common(p):
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored; everything runs serially")
-    p.add_argument("--report", choices=["text", "csv", "json"], default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # flag groups shared by several subcommands: every one takes `common`,
+    # and the ones that compress a field take `field`
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility and ignored; everything runs serially")
+    common.add_argument("--report", choices=["text", "csv", "json"], default="text")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--dims", type=_parse_dims, required=True)
+    field.add_argument("--dtype", choices=["f32", "f64"], default="f32")
+    field.add_argument("--eps", type=float, required=True)
+    field.add_argument("--block-len", type=int, default=32)
+
     ap = argparse.ArgumentParser(prog="hoszp", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compress", help="compress a raw binary field")
+    p = sub.add_parser("compress", parents=[field, common], help="compress a raw binary field")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
-    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--eps-mode", choices=["abs", "rel"], default="abs")
-    p.add_argument("--block-len", type=int, default=32)
-    _add_common(p)
 
-    p = sub.add_parser("decompress", help="decompress a .hsz stream to raw binary")
+    p = sub.add_parser("decompress", parents=[common],
+                       help="decompress a .hsz stream to raw binary")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("op", help="apply a homomorphic operation to stream file(s)")
+    p = sub.add_parser("op", parents=[common],
+                       help="apply a homomorphic operation to stream file(s)")
     p.add_argument("op_name", metavar="name",
                    choices=sorted(n for n, spec in ops.OPS.items() if not spec.reduction))
     p.add_argument("inputs", nargs="+")
@@ -99,39 +102,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scalar", type=float)
     p.add_argument("--verify", action="store_true",
                    help="also run the traditional workflow and compare")
-    _add_common(p)
 
-    p = sub.add_parser("stats", help="compute a statistic on stream file(s)")
+    p = sub.add_parser("stats", parents=[common], help="compute a statistic on stream file(s)")
     p.add_argument("op_name", metavar="name",
                    choices=sorted(n for n, spec in ops.OPS.items() if spec.reduction))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--verify", action="store_true")
-    _add_common(p)
 
-    p = sub.add_parser("bench", help="time every operation against the traditional workflow")
+    p = sub.add_parser("bench", parents=[field, common],
+                       help="time every operation against the traditional workflow")
     p.add_argument("--input", help="raw binary field (default: synthetic smooth field)")
-    p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
-    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--eps-mode", choices=["abs", "rel"], default="abs")
-    p.add_argument("--block-len", type=int, default=32)
     p.add_argument("--ops", dest="ops_list", default=None,
                    help="comma-separated op names (default: all)")
     p.add_argument("--scalar", type=float, default=3.14)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
 
-    p = sub.add_parser("distsim", help="simulate distributed sum aggregation")
+    p = sub.add_parser("distsim", parents=[field, common],
+                       help="simulate distributed sum aggregation")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--block-len", type=int, default=32)
     p.add_argument("--input", help="raw field used by every node (default: synthetic)")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--latency-per-byte", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     return ap
 
 
@@ -169,33 +162,39 @@ def _row(op, seconds, bytes_in, ratio, t_oracle=None, max_abs_diff=None, **extra
     return row
 
 
+def _timed(fn, *args):
+    """``(fn(*args), seconds it took)``."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - t0
+
+
 def _load_streams(paths):
-    streams = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            streams.append(deserialize(fh.read()))
-    return streams
+    return [deserialize(Path(path).read_bytes()) for path in paths]
+
+
+def _fields(args: argparse.Namespace, count: int = 1):
+    """``count`` input fields: the ``--input`` file, read once and shared,
+    or synthetic smooth fields of seeds ``--seed``, ``--seed + 1``, ..."""
+    if args.input is not None:
+        return [codec.read_raw(args.input, args.dims, args.dtype)] * count
+    return [smooth_field(args.dims, args.seed + i, args.dtype) for i in range(count)]
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     raw = codec.read_raw(args.input, args.dims, args.dtype)
     eps = codec.resolve_eps(raw, args.eps, args.eps_mode)
     params = QuantParams(eps, args.dims, args.block_len, args.dtype)
-    t0 = time.perf_counter()
-    stream = codec.compress(raw, params)
-    elapsed = time.perf_counter() - t0
+    stream, elapsed = _timed(codec.compress, raw, params)
     data = serialize(stream)
-    with open(args.output, "wb") as fh:
-        fh.write(data)
+    Path(args.output).write_bytes(data)
     _emit([_row("compress", elapsed, raw.nbytes, raw.nbytes / len(data))], args.report)
     return EXIT_OK
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
     (stream,) = _load_streams([args.input])
-    t0 = time.perf_counter()
-    raw = codec.decompress(stream)
-    elapsed = time.perf_counter() - t0
+    raw, elapsed = _timed(codec.decompress, stream)
     codec.write_raw(raw, args.output)
     _emit([_row("decompress", elapsed, stream.serialized_size, stream.compression_ratio)],
           args.report)
@@ -209,15 +208,11 @@ def _run_op(name, streams, scalar, verify):
     and a non-finite reduction to an identical value).
     Returns (result, report row, whether it matched)."""
     spec = ops.OPS[name]
-    t0 = time.perf_counter()
-    result = ops.apply(name, streams, scalar)
-    t_homo = time.perf_counter() - t0
+    result, t_homo = _timed(ops.apply, name, streams, scalar)
     t_oracle = diff = None
     ok = True
     if verify:
-        t0 = time.perf_counter()
-        want = spec.oracle(streams, scalar)
-        t_oracle = time.perf_counter() - t0
+        want, t_oracle = _timed(spec.oracle, streams, scalar)
         if spec.reduction and not (math.isfinite(result) and math.isfinite(want)):
             # a non-finite value agrees only with the same value, NaN with NaN
             ok = result == want or math.isnan(result) and math.isnan(want)
@@ -245,8 +240,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
     if args.command == "stats":
         print(f"{args.op_name} = {result!r}")
     elif args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(serialize(result))
+        Path(args.output).write_bytes(serialize(result))
     _emit([row], args.report)
     if not ok:
         raise VerificationMismatch(f"{args.op_name}: max abs diff {row['max_abs_diff']}")
@@ -257,10 +251,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Compress one field, then time each operation against the traditional
     workflow.  After the rows of every operation that ran, the first error
     is raised, or a disagreement exits with EXIT_VERIFY."""
-    if args.input is not None:
-        raw = codec.read_raw(args.input, args.dims, args.dtype)
-    else:
-        raw = smooth_field(args.dims, args.seed, args.dtype)
+    (raw,) = _fields(args)
     params = QuantParams(codec.resolve_eps(raw, args.eps, args.eps_mode), args.dims,
                          args.block_len, args.dtype)
     names = args.ops_list.split(",") if args.ops_list else list(ops.OPS)
@@ -268,9 +259,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         print(f"hoszp: unknown ops {sorted(unknown)}", file=sys.stderr)
         return EXIT_USAGE
-    t0 = time.perf_counter()
-    stream = codec.compress(raw, params)
-    t_compress = time.perf_counter() - t0
+    stream, t_compress = _timed(codec.compress, raw, params)
     rows = [_row("compress", t_compress, raw.nbytes, raw.nbytes / stream.serialized_size)]
     operands = [stream, ops.scalar_add(stream, 16.0 * params.eps)]
     bad, errors = [], []
@@ -294,19 +283,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_distsim(args: argparse.Namespace) -> int:
-    if args.nodes < 2:
-        print("hoszp: --nodes must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.input is not None:
-        arrays = [codec.read_raw(args.input, args.dims, args.dtype)] * args.nodes
-    else:
-        arrays = [smooth_field(args.dims, args.seed + i, args.dtype)
-                  for i in range(args.nodes)]
-    sim = simulate(SimScenario(arrays, args.eps, args.block_len, args.reps,
+    """``SimScenario`` rejects fewer than 2 nodes with a ValueError (exit 2);
+    ``simulate`` raises unless both aggregates agree, so the row's
+    ``max_abs_diff`` is 0.0."""
+    sim = simulate(SimScenario(_fields(args, args.nodes), args.eps, args.block_len, args.reps,
                                args.latency_per_byte))
     _emit([_row("distsim_sum", sim.t_homomorphic, sim.bytes_in, sim.compression_ratio,
-                sim.t_traditional, sim.max_abs_diff,
-                node_count=sim.node_count, eps=sim.eps)], args.report)
+                sim.t_traditional, 0.0, node_count=sim.node_count, eps=sim.eps)], args.report)
     return EXIT_OK
 
 

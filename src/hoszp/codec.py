@@ -17,15 +17,15 @@ Encode and decode run over block-aligned ranges of about ``_RANGE_ELEMS``
 cache; blocks never span ranges, so a stream is its ranges' sections
 joined.  A ragged last block is a range of its own, so every range is a
 ``(blocks, k)`` matrix of one block length ``k``, and ``_block_ranges``
-yields each range with its ``k``.  ``_decode_compact`` slices a range's
-sign and payload offsets from the stream's section layout
-(``CompressedStream.offsets``, computed once per stream), so walking the
-ranges derives no sizes.
-``_encode_ranges`` is the one encoder: ``compress`` quantizes
-each range, ``encode_from_quant`` and the stream operations in ``ops``
-hand it a range's bins or signed residuals, and it fills the range's
-widths and packs its sign rows (one ``packbits`` over the range) and its
-payload.  Both directions move a range's non-constant blocks in
+yields each range with its ``k`` and its element slice.
+``_decode_compact`` slices a range's sign and payload offsets from the
+stream's section layout (``CompressedStream.offsets``, computed once per
+stream), so walking the ranges derives no sizes.  ``_encode_ranges`` is
+the one encoder: ``compress`` quantizes each range, ``encode_from_quant``
+and the stream operations in ``ops`` hand it a range's bins or signed
+residuals (or, for a range whose every block is constant, its outliers
+alone), and it fills the range's widths and packs its sign rows (one
+``packbits`` over the range) and its payload.  Both directions move a range's non-constant blocks in
 chunks of one width (``_block_chunks``), counting runs of equal widths
 over the non-constant blocks alone: a range of few runs, such as noise
 with a rare narrower block, moves each run as one slice of the sections,
@@ -157,10 +157,13 @@ def _reconstruct_f64(bins: np.ndarray, params: QuantParams) -> np.ndarray:
     return (2.0 * params.eps) * bins.astype(np.float64)
 
 
-def _dequant_values(bins: np.ndarray, params: QuantParams) -> np.ndarray:
-    # f32 streams round the f64 grid value to the nearest float32, which can
-    # add up to half an ulp of representation noise on top of the eps bound
-    return _reconstruct_f64(bins, params).astype(params.numpy_dtype)
+def _dequantize_into(bins: np.ndarray, eps: float, out: np.ndarray) -> None:
+    """Write the f64 grid value ``2 * eps * bin`` of each bin into ``out``,
+    rounded once to its dtype: an f32 output can add up to half an ulp of
+    representation noise on top of the eps bound.  A value past the dtype's
+    range comes out inf (or NaN from 0 * inf), for :func:`_checked_raw`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(bins, 2.0 * eps, out=out)
 
 
 def _check_geometry(raw: RawArray, params: QuantParams):
@@ -216,7 +219,7 @@ def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
     """
     _check_geometry(raw, params)
     bins = np.empty(params.element_count, dtype=np.int64)
-    for e in _element_ranges(params):
+    for *_, e in _block_ranges(params):
         _quantize_values(raw.values[e], params, bins[e])
     return QuantArray(bins, params)
 
@@ -234,9 +237,10 @@ def _checked_raw(values: np.ndarray, params: QuantParams) -> RawArray:
 
 def dequantize(q: QuantArray) -> RawArray:
     """Reverse quantization: ``2 * eps * bin`` in the stream's dtype.  A
-    value past the dtype's range raises :class:`QuantOverflow`."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        values = _dequant_values(q.bins, q.params)
+    value past the dtype's range raises :class:`QuantOverflow`.  The one
+    rounding step is :func:`_dequantize_into`, as in :func:`decompress`."""
+    values = np.empty(q.bins.size, dtype=q.params.numpy_dtype)
+    _dequantize_into(q.bins, q.params.eps, values)
     return _checked_raw(values, q.params)
 
 
@@ -458,24 +462,19 @@ def _row_slots(section: np.ndarray, offs: np.ndarray, ids, width: int):
 
 
 def _block_ranges(params: QuantParams):
-    """Block-aligned ranges ``(b0, b1, k)`` of about ``_RANGE_ELEMS``
-    elements, at least one block each, of blocks of length ``k``: the whole
-    blocks, then a ragged last block as a range of its own.  No range is
-    longer than the one before it, so a buffer for the first holds all."""
+    """Block-aligned ranges ``(b0, b1, k, e)`` of about ``_RANGE_ELEMS``
+    elements, at least one block each: blocks [b0, b1), all of length
+    ``k``, hold the elements of slice ``e``.  The whole blocks come first,
+    then a ragged last block as a range of its own.  No range is longer
+    than the one before it, so a buffer for the first holds all."""
     k, n = params.block_len, params.element_count
     nfull = n // k
     step = max(1, _RANGE_ELEMS // k)
     for b0 in range(0, nfull, step):
-        yield b0, min(b0 + step, nfull), k
+        b1 = min(b0 + step, nfull)
+        yield b0, b1, k, slice(b0 * k, b1 * k)
     if n % k:
-        yield nfull, nfull + 1, n % k
-
-
-def _element_ranges(params: QuantParams):
-    """The element slices of :func:`_block_ranges`."""
-    for b0, b1, k in _block_ranges(params):
-        e0 = b0 * params.block_len
-        yield slice(e0, e0 + (b1 - b0) * k)
+        yield nfull, nfull + 1, n % k, slice(nfull * k, n)
 
 
 def _decode_compact(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
@@ -540,11 +539,6 @@ def _decode_range(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
     return r
 
 
-def _range_buffer(params: QuantParams) -> np.ndarray:
-    """An int64 buffer as long as the first (longest) range."""
-    return np.empty(next(_element_ranges(params)).stop, dtype=np.int64)
-
-
 def _encode_range(neg: np.ndarray, mags: np.ndarray, w: np.ndarray, k: int) -> tuple[bytes, bytes]:
     """Encode one range of :func:`_block_ranges` from its residuals' signs
     ``neg`` (bool) and magnitudes ``mags`` (uint64), 0 at block starts, in
@@ -566,26 +560,40 @@ def _encode_range(neg: np.ndarray, mags: np.ndarray, w: np.ndarray, k: int) -> t
 def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
     """The one encoder.  ``parts`` yields, for each of
     :func:`_block_ranges` in turn, the range's block outliers and its
-    residuals as ``(neg, mags)`` (see :func:`_encode_range`); the per-range
+    residuals as ``(neg, mags)`` (see :func:`_encode_range`), or None for a
+    range whose every block is constant: it has width 0 and no sign or
+    payload bytes, so it needs no per-element buffer.  The per-range
     sections are joined once at the end."""
-    widths = np.empty(params.block_count, dtype=np.uint8)
+    widths = np.zeros(params.block_count, dtype=np.uint8)
     outliers = np.empty(params.block_count, dtype=np.int64)
     signs, payload = [], []
-    for (b0, b1, k), (outs, (neg, mags)) in zip(_block_ranges(params), parts):
+    for (b0, b1, k, _), (outs, resid) in zip(_block_ranges(params), parts):
         outliers[b0:b1] = outs
-        s, p = _encode_range(neg, mags, widths[b0:b1], k)
-        signs.append(s)
-        payload.append(p)
+        if resid is not None:
+            s, p = _encode_range(*resid, widths[b0:b1], k)
+            signs.append(s)
+            payload.append(p)
     return CompressedStream(params, widths, outliers, b"".join(signs), b"".join(payload))
 
 
 def _encode_bin_ranges(params: QuantParams, bins_per_range) -> CompressedStream:
-    """Encode the bins of each of :func:`_block_ranges` in turn, splitting
-    each range into residuals in one reused buffer."""
+    """Encode, for each of :func:`_block_ranges` in turn, the range's bins,
+    split into residuals in one buffer made on first use and reused, or
+    ``(outliers, None)`` for a range whose every block is constant (one bin
+    per block, passed to :func:`_encode_ranges` as they are)."""
     k = params.block_len
-    resid = _range_buffer(params)
-    return _encode_ranges(params, ((bins[::k], _split_residuals(bins, k, out=resid))
-                                   for bins in bins_per_range))
+
+    def parts():
+        resid = None
+        for bins in bins_per_range:
+            if isinstance(bins, tuple):
+                yield bins
+                continue
+            # the first range split is the longest still to come
+            resid = np.empty(bins.size, dtype=np.int64) if resid is None else resid
+            yield bins[::k], _split_residuals(bins, k, out=resid)
+
+    return _encode_ranges(params, parts())
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +605,19 @@ def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> Compressed
     is accepted and ignored).  Deterministic: one canonical output per
     (input, params)."""
     _check_geometry(raw, params)
-    buf = _range_buffer(params)
+    buf = np.empty(next(_block_ranges(params))[3].stop, dtype=np.int64)  # the longest range
     return _encode_bin_ranges(params, (_quantize_values(raw.values[e], params, buf)
-                                       for e in _element_ranges(params)))
+                                       for *_, e in _block_ranges(params)))
 
 
 def decompress(stream: CompressedStream, threads: int = 1,
                out_dtype=None) -> RawArray:
     """bit-unpack -> prefix-sum -> dequantize, range by range straight into
-    the output array (``threads`` is accepted and ignored).
+    the output array (``threads`` is accepted and ignored): each range's
+    bins take the one rounding step of :func:`dequantize`
+    (:func:`_dequantize_into`) into their element slice.  The output array
+    is allocated whole, so a stream of many elements in few constant blocks
+    still needs its full decompressed size.
 
     ``out_dtype`` is None (the stream dtype), float32 or float64 (anything
     ``np.dtype`` maps to them).  Float64 returns the exact reconstruction
@@ -620,13 +632,10 @@ def decompress(stream: CompressedStream, threads: int = 1,
         raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
     values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
     buf = None
-    for b0, b1, k in _block_ranges(params):
+    for b0, b1, k, e in _block_ranges(params):
         bins = _decode_range(stream, b0, b1, k, out=buf)
         buf = bins if buf is None else buf
-        e0 = b0 * params.block_len
-        # the f64 grid value, rounded once to the output dtype
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            np.multiply(bins, 2.0 * params.eps, out=values[e0 : e0 + bins.size])
+        _dequantize_into(bins, params.eps, values[e])
     return _checked_raw(values, params)
 
 
@@ -636,12 +645,12 @@ def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
     accepted and ignored."""
     params = stream.params
     bins = np.empty(params.element_count, dtype=np.int64)
-    for b0, b1, k in _block_ranges(params):
-        _decode_range(stream, b0, b1, k, out=bins[b0 * params.block_len :])
+    for b0, b1, k, e in _block_ranges(params):
+        _decode_range(stream, b0, b1, k, out=bins[e])
     return QuantArray(bins, params)
 
 
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:
     """Inverse of :func:`decode_to_quant`: decorrelate and re-pack, range by
     range (``threads`` is accepted and ignored)."""
-    return _encode_bin_ranges(q.params, (q.bins[e] for e in _element_ranges(q.params)))
+    return _encode_bin_ranges(q.params, (q.bins[e] for *_, e in _block_ranges(q.params)))

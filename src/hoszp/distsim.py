@@ -66,7 +66,6 @@ class SimReport:
     bytes_compressed: int
     t_traditional: float
     t_homomorphic: float
-    max_abs_diff: float = 0.0
 
     @property
     def speedup(self) -> float:

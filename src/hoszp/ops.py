@@ -126,7 +126,7 @@ def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
     rs = ScalarBin.of(s, c.params.eps).bin
     out = c._derive(c.outliers.astype(np.int64) + rs)
     if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:
-        for b0, b1, k in codec._block_ranges(c.params):
+        for b0, b1, k, _ in codec._block_ranges(c.params):
             if codec._bin_bound(out.outliers[b0:b1], k, int(c.widths[b0:b1].max())) > _I64_MAX:
                 codec._decode_compact(out, b0, b1, k)
     return out
@@ -152,7 +152,7 @@ def _lockstep(streams, compact: bool = False):
     _check_params(streams)
     dec = codec._decode_compact if compact else codec._decode_range
     bufs = [None] * len(streams)
-    for b0, b1, k in codec._block_ranges(streams[0].params):
+    for b0, b1, k, _ in codec._block_ranges(streams[0].params):
 
         def decode(i, bins=True):
             x = dec(streams[i], b0, b1, k, bufs[i], bins)
@@ -163,6 +163,13 @@ def _lockstep(streams, compact: bool = False):
             return x
 
         yield b0, b1, k, decode
+
+
+def _all_constant(streams, b0: int, b1: int) -> bool:
+    """Whether blocks [b0, b1) are constant in every operand: a stream
+    operation's result blocks there are constant too, and follow from the
+    outliers alone, with no decode."""
+    return not any(c.widths[b0:b1].any() for c in streams)
 
 
 def sum_streams(streams, signs) -> CompressedStream:
@@ -176,6 +183,9 @@ def sum_streams(streams, signs) -> CompressedStream:
     it.  Any other range sums their bins instead (:func:`_limb_sum`), so an
     n-ary sum fails only where its result does, and re-splits them: a bin
     of the sum past 63 bits raises ``QuantOverflow``, as the oracle does.
+    A range constant in every operand is ``sum(sign * outlier)`` per block,
+    with no decode, so no buffer outgrows a range or 32 times the operands'
+    bytes (a non-constant block of ``k`` brings at least ``k / 4`` of them).
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
@@ -187,6 +197,9 @@ def sum_streams(streams, signs) -> CompressedStream:
                 yield _limb_sum([decode(i) for i in range(len(streams))], signs, k)
                 continue
             outliers = sum(g * c.outliers[b0:b1].astype(np.int64) for g, c in zip(signs, streams))
+            if _all_constant(streams, b0, b1):
+                yield outliers, None
+                continue
             acc = None
             for i, g in enumerate(signs):
                 x = decode(i, bins=False)
@@ -252,14 +265,19 @@ def _rescale_bins(products, eps: float) -> np.ndarray:
 
 def _rescaled_products(streams, factor=None) -> CompressedStream:
     """Encode ``nearest(2 eps * a * b)`` range by range, where ``a`` is the
-    first stream's bins and ``b`` the second's or the bin ``factor``."""
+    first stream's bins and ``b`` the second's or the bin ``factor``.  A
+    range constant in every operand multiplies the outliers alone, one
+    product per block, with no decode (the memory bound of
+    :func:`sum_streams`)."""
     params = streams[0].params
 
     def rescaled():
-        for *_, decode in _lockstep(streams):
-            x = decode(0)
-            yield _rescale_bins(_exact_products(x, decode(1) if len(streams) == 2 else factor),
-                                params.eps)
+        for b0, b1, _, decode in _lockstep(streams):
+            const = _all_constant(streams, b0, b1)
+            get = (lambda i: streams[i].outliers[b0:b1].astype(np.int64)) if const else decode
+            bins = _rescale_bins(_exact_products(get(0), get(1) if len(streams) == 2 else factor),
+                                 params.eps)
+            yield (bins, None) if const else bins
 
     return codec._encode_bin_ranges(params, rescaled())
 

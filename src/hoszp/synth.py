@@ -29,9 +29,8 @@ def smooth_field(dims, seed: int = 0, dtype: str = "f32") -> RawArray:
     return RawArray(field.ravel(), dims, dtype)
 
 
-def random_field(dims, seed: int = 0, dtype: str = "f32",
-                 lo: float = -1.0, hi: float = 1.0) -> RawArray:
-    """Uniform white noise in [lo, hi)."""
+def random_field(dims, seed: int = 0, dtype: str = "f32") -> RawArray:
+    """Uniform white noise in [-1, 1)."""
     rng = np.random.default_rng(seed)
     dims = _as_dims(dims)
-    return RawArray(rng.uniform(lo, hi, math.prod(dims)), dims, dtype)
+    return RawArray(rng.uniform(-1.0, 1.0, math.prod(dims)), dims, dtype)

@@ -1,5 +1,6 @@
 """Command-line interface: pipelines, report formats, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -15,7 +16,7 @@ import pytest
 
 import hoszp
 from hoszp import QuantArray, QuantParams, compress, deserialize, encode_from_quant, ops, serialize
-from hoszp.cli import CSV_COLUMNS, _row, main
+from hoszp.cli import CSV_COLUMNS, _row, build_parser, main
 from hoszp.codec import RawArray
 from hoszp.synth import smooth_field
 
@@ -401,6 +402,64 @@ class TestExitCodes:
         }[command]
         code, _ = _run(capsys, argv + ["--threads", "3"])
         assert code == 0
+
+
+def _flags(parser):
+    """A parser's actions, ``-h`` aside: its options as ``{option strings:
+    (dest, default, choices, required, type)}`` and its positionals' dests
+    in order."""
+    options, positionals = {}, []
+    for a in parser._actions:
+        if isinstance(a, argparse._HelpAction):
+            continue
+        if not a.option_strings:
+            positionals.append((a.dest, a.nargs, a.choices and sorted(a.choices)))
+            continue
+        options[tuple(a.option_strings)] = (a.dest, a.default, a.choices and list(a.choices),
+                                            a.required, getattr(a.type, "__name__", None))
+    return options, positionals
+
+
+_COMMON = {("--threads",): ("threads", None, None, False, "int"),
+           ("--report",): ("report", "text", ["text", "csv", "json"], False, None)}
+_FIELD = {("--dims",): ("dims", None, None, True, "_parse_dims"),
+          ("--dtype",): ("dtype", "f32", ["f32", "f64"], False, None),
+          ("--eps",): ("eps", None, None, True, "float"),
+          ("--block-len",): ("block_len", 32, None, False, "int")}
+_EPS_MODE = {("--eps-mode",): ("eps_mode", "abs", ["abs", "rel"], False, None)}
+_OUTPUT = {("-o", "--output"): ("output", None, None, True, None)}
+_VERIFY = {("--verify",): ("verify", False, None, False, None)}
+_SEED = {("--seed",): ("seed", 0, None, False, "int")}
+
+
+class TestParser:
+    def test_every_flag_default_and_choice_is_pinned(self):
+        ap = build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {name: _flags(p) for name, p in sub.choices.items()}
+        streams = ("inputs", "+", None)
+        assert got == {
+            "compress": ({**_COMMON, **_FIELD, **_EPS_MODE, **_OUTPUT}, [("input", None, None)]),
+            "decompress": ({**_COMMON, **_OUTPUT}, [("input", None, None)]),
+            "op": ({**_COMMON, **_VERIFY,
+                    ("-o", "--output"): ("output", None, None, False, None),
+                    ("--scalar",): ("scalar", None, None, False, "float")},
+                   [("op_name", None, ["eadd", "esub", "hadamard", "neg", "sadd", "smul",
+                                       "ssub"]), streams]),
+            "stats": ({**_COMMON, **_VERIFY},
+                      [("op_name", None, ["covariance", "mean", "ssim", "stddev", "variance"]),
+                       streams]),
+            "bench": ({**_COMMON, **_FIELD, **_EPS_MODE, **_SEED,
+                       ("--input",): ("input", None, None, False, None),
+                       ("--ops",): ("ops_list", None, None, False, None),
+                       ("--scalar",): ("scalar", 3.14, None, False, "float")}, []),
+            "distsim": ({**_COMMON, **_FIELD, **_SEED,
+                         ("--nodes",): ("nodes", 4, None, False, "int"),
+                         ("--input",): ("input", None, None, False, None),
+                         ("--reps",): ("reps", 3, None, False, "int"),
+                         ("--latency-per-byte",): ("latency_per_byte", 0.0, None, False,
+                                                   "float")}, []),
+        }
 
 
 class TestProcess:

@@ -405,16 +405,19 @@ class TestBlockRanges:
             p = QuantParams(0.5, (n,), k, "f64")
             ranges = list(codec._block_ranges(p))
             # in order, back to back, from block 0 to the last block
-            assert [b0 for b0, _, _ in ranges] == [0] + [b1 for _, b1, _ in ranges[:-1]]
+            assert [b0 for b0, *_ in ranges] == [0] + [b1 for _, b1, *_ in ranges[:-1]]
             assert ranges[-1][1] == p.block_count
-            assert all(b0 < b1 for b0, b1, _ in ranges)
+            assert all(b0 < b1 for b0, b1, *_ in ranges)
             whole = ranges
             if n % k:  # the ragged last block alone, at its own length
-                assert ranges[-1] == (n // k, n // k + 1, n % k)
+                assert ranges[-1] == (n // k, n // k + 1, n % k, slice(n - n % k, n))
                 whole = ranges[:-1]
-            assert all(rk == k and b1 * k <= n for _, b1, rk in whole)
-            lengths = [e.stop - e.start for e in codec._element_ranges(p)]
-            assert lengths == [min(b1 * k, n) - b0 * k for b0, b1, _ in ranges]
+            assert all(rk == k and b1 * k <= n for _, b1, rk, _ in whole)
+            # the element slices tile the elements, each its blocks' length
+            assert [e.start for *_, e in ranges] == [0] + [e.stop for *_, e in ranges[:-1]]
+            assert ranges[-1][3].stop == n
+            lengths = [e.stop - e.start for *_, e in ranges]
+            assert lengths == [(b1 - b0) * rk for b0, b1, rk, _ in ranges]
             # lengths never increase: _decode_range reuses the first
             # range's buffer for the others
             assert lengths == sorted(lengths, reverse=True)
@@ -453,8 +456,7 @@ class TestSectionLayout:
     def test_stream_ranges_match_the_per_range_rule(self, k):
         # each range decodes alone, into a fresh buffer, at both depths
         for bins, s in self._streams(k):
-            for e, (b0, b1, rk) in zip(codec._element_ranges(s.params),
-                                       codec._block_ranges(s.params)):
+            for b0, b1, rk, e in codec._block_ranges(s.params):
                 blocks = bins[e].reshape(-1, rk)
                 resid = np.diff(blocks, axis=1, prepend=blocks[:, :1])  # 0 at block starts
                 for depth, want in ((True, blocks), (False, resid)):
@@ -543,7 +545,7 @@ class TestRangeEncode:
         p = QuantParams(0.5, (n,), k, "f64")
         bins, _ = wide_block_bins(np.random.default_rng(409), n, k)
         wide = []
-        for e in codec._element_ranges(p):
+        for *_, e in codec._block_ranges(p):
             part = bins[e]
             neg, mags = codec._split_residuals(part, k)
             assert (neg.dtype, mags.dtype) == (np.bool_, np.uint64)
@@ -606,7 +608,7 @@ class TestBlockChunks:
         assert s == reference_stream(q)
         assert decode_to_quant(s) == q
         by_slice = {isinstance(rows, slice)
-                    for b0, b1, _ in codec._block_ranges(p)
+                    for b0, b1, *_ in codec._block_ranges(p)
                     for _, _, rows in codec._block_chunks(s.widths[b0 : min(b1, n // k)])}
         assert by_slice == ({False} if case == "interleaved" else {True})
 
@@ -895,7 +897,7 @@ def _corpus_digest():
                 put(f"{tag}/compress{i}", serialize(s))
                 put(f"{tag}/bins{i}", decode_to_quant(s).bins.tobytes())
                 put(f"{tag}/values{i}", decompress(s).values.tobytes())
-                for b0, b1, _ in codec._block_ranges(p):
+                for b0, b1, *_ in codec._block_ranges(p):
                     ws = s.widths[b0:b1]
                     mixed += len(np.unique(ws[ws > 0])) > 1
             for op, spec in ops.OPS.items():

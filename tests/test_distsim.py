@@ -9,12 +9,16 @@ from hoszp import (
     QuantArray,
     QuantOverflow,
     QuantParams,
+    VerificationMismatch,
     compress,
     decompress,
     elementwise_add,
     encode_from_quant,
     negate,
+    ops,
+    scalar_add,
 )
+from hoszp import distsim
 from hoszp.codec import RawArray
 from hoszp.distsim import SimScenario, _aggregate_homomorphic, _aggregate_traditional, simulate
 from hoszp.synth import smooth_field
@@ -112,7 +116,6 @@ class TestSimulate:
         rep = simulate(SimScenario(_chunks(4), eps=1e-2, repetitions=2))
         assert rep.node_count == 4
         assert rep.eps == 1e-2
-        assert rep.max_abs_diff == 0.0
         assert rep.t_traditional > 0 and rep.t_homomorphic > 0
         assert rep.speedup == rep.t_traditional / rep.t_homomorphic
         assert rep.bytes_in == 4 * 48 * 48 * 4
@@ -133,5 +136,15 @@ class TestSimulate:
         params = QuantParams(1e-2, (30, 30), 32, "f32")
         s = compress(chunk, params)
         neg_raw = RawArray(-chunk.values, (30, 30), "f32")
+        # simulate raises unless both aggregates decompress identically
         rep = simulate(SimScenario([chunk, neg_raw], eps=1e-2))
-        assert rep.max_abs_diff == 0.0
+        assert rep.node_count == 2
+
+    def test_differing_aggregates_raise(self, monkeypatch):
+        def off_by_one_bin(streams):
+            return scalar_add(ops.sum_streams(streams, [1] * len(streams)),
+                              2.0 * streams[0].params.eps)
+
+        monkeypatch.setattr(distsim, "_aggregate_homomorphic", off_by_one_bin)
+        with pytest.raises(VerificationMismatch, match="decompress differently"):
+            simulate(SimScenario(_chunks(2), eps=1e-2))

@@ -981,6 +981,28 @@ class TestRangeEncodeOps:
         want = [_nearest_rescaled(v * rs) for v in qa.tolist()]
         assert scalar_mul(a, WIDE_SCALAR) == reference_stream(QuantArray(np.array(want), p))
 
+    @pytest.mark.parametrize("k", [32, 33])
+    def test_ranges_constant_in_some_operands(self, k):
+        # four ranges and a ragged block: constant in both operands, in a
+        # alone, in b alone, in neither; only the first is built from the
+        # outliers, which differ in sign between the operands
+        rng = np.random.default_rng(531 + k)
+        r = codec._RANGE_ELEMS // k
+        n = 4 * r * k + k // 2
+        p = QuantParams(0.5, (n,), k, "f64")
+        qa, qb = rng.integers(-3000, 3000, n), rng.integers(-3000, 3000, n)
+        for q, ranges, sign in ((qa, (0, 1), 1), (qb, (0, 2), -1)):
+            for i in ranges:
+                e = slice(i * r * k, (i + 1) * r * k)
+                q[e] = sign * np.repeat(rng.integers(1, 1000, r), k)
+        a, b = (encode_from_quant(QuantArray(q, p)) for q in (qa, qb))
+        assert not (a.widths[: 2 * r].any() or b.widths[:r].any() or b.widths[2 * r : 3 * r].any())
+        assert elementwise_add(a, b) == reference_stream(QuantArray(qa + qb, p))
+        assert elementwise_sub(a, b) == reference_stream(QuantArray(qa - qb, p))
+        assert ops.sum_streams([a, b, a], [-1, -1, 1]) == reference_stream(QuantArray(-qb, p))
+        assert scalar_mul(a, -3.0) == reference_stream(QuantArray(-3 * qa, p))
+        assert hadamard(a, b) == reference_stream(QuantArray(qa * qb, p))
+
     def test_sum_streams_signs(self):
         rng = np.random.default_rng(521)
         p = QuantParams(0.5, (range_sizes(33)[-1],), 33, "f64")
@@ -994,7 +1016,8 @@ class TestRangeEncodeOps:
 
 
 class TestBoundedMemory:
-    """Reductions hold one range per operand, never a full-length array."""
+    """Reductions hold one range per operand, never a full-length array;
+    stream operations decode no range that is constant in every operand."""
 
     def test_huge_constant_stream_reduces_from_metadata(self):
         # 2^40 elements in 257 constant blocks of 2^32 - 1: 1,313 bytes on
@@ -1003,7 +1026,9 @@ class TestBoundedMemory:
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             import numpy as np
-            from hoszp import CompressedStream, QuantParams, deserialize, mean, serialize, variance
+            from hoszp import (CompressedStream, QuantParams, deserialize, elementwise_add,
+                               elementwise_sub, hadamard, mean, scalar_mul, serialize,
+                               variance)
             p = QuantParams(0.5, (2**40,), 2**32 - 1, "f32")
             outliers = (np.arange(p.block_count) % 7 - 3) * 1000
             data = serialize(CompressedStream(p, np.zeros(p.block_count), outliers, b"", b""))
@@ -1016,6 +1041,16 @@ class TestBoundedMemory:
             sq = sum(L * v * v for L, v in zip(lengths, o))
             assert mean(s) == (1.0 * total) / n
             assert variance(s) == 1.0 * (float(n * sq - total * total) / (n * n))
+            # one constant block of 2^32 - 1 elements, outlier 7: 32 GiB if
+            # decoded; a stream operation builds its result from the outliers
+            p = QuantParams(0.5, (2**32 - 1,), 2**32 - 1, "f32")
+            data = serialize(CompressedStream(p, np.zeros(1), [7], b"", b""))
+            assert len(data) == 33
+            s = deserialize(data)
+            for r, o in ((scalar_mul(s, 3.0), 21), (elementwise_add(s, s), 14),
+                         (elementwise_sub(s, s), 0), (hadamard(s, s), 49)):
+                assert (r.widths.tolist(), r.outliers.tolist()) == ([0], [o])
+                assert (r.sign_planes, r.payload) == (b"", b"")
             print("ok")
         """)
         src = os.path.dirname(os.path.dirname(codec.__file__))
@@ -1094,7 +1129,7 @@ class TestStructuralNoDequantize:
 
         monkeypatch.setattr(codec, "dequantize", boom)
         monkeypatch.setattr(codec, "decompress", boom)
-        monkeypatch.setattr(codec, "_dequant_values", boom)
+        monkeypatch.setattr(codec, "_dequantize_into", boom)
         s = example_stream
         negate(s)
         scalar_add(s, 0.67)
@@ -1149,7 +1184,7 @@ class TestLayoutComputedOnce:
         calls = self._counted(monkeypatch)
         # 98,309 = 3,072 * 32 + 5 elements: two ranges of whole blocks, then
         # the ragged last block as a range of its own
-        assert [k for *_, k in codec._block_ranges(stream.params)] == [32, 32, 5]
+        assert [k for _, _, k, _ in codec._block_ranges(stream.params)] == [32, 32, 5]
         decode_to_quant(stream)
         mean(stream)
         covariance(stream, stream)

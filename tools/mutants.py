@@ -85,7 +85,7 @@ MUTANTS = [
        ("([False], b1 < b0)", "([False], b1 > b0)"),
        ("    np.negative(s, out=s)  # branch-free", "    s ^= 1\n    np.negative(s, out=s)  # branch-free")),
     _m("ragged block at the full block length", CODEC, [T_CODEC],
-       ("yield nfull, nfull + 1, n % k", "yield nfull, nfull + 1, k")),
+       ("yield nfull, nfull + 1, n % k,", "yield nfull, nfull + 1, k,")),
     # the outlier terms of ops._sums and ops._pair_dot
     _m("k*O dropped from the constant blocks' sum", OPS, [T_OPS],
        ("s[i] += k * _exact_dot(oc, m) +", "s[i] += _exact_dot(oc, m) +")),
@@ -121,6 +121,13 @@ MUTANTS = [
     # the one finish of a second moment
     _m("moment multiplies before it divides", OPS, [T_OPS],
        ("e2 * e2 * (float(num) / (n * n))", "e2 * e2 * float(num) / (n * n)")),
+    # stream operations on a range constant in every operand
+    _m("constant-range shortcut when any operand is constant", OPS, [T_OPS],
+       ("return not any(c.widths[b0:b1].any() for c in streams)",
+        "return any(not c.widths[b0:b1].any() for c in streams)")),
+    _m("constant-range sum without the signs", OPS, [T_OPS],
+       ("                yield outliers, None\n",
+        "                yield sum(c.outliers[b0:b1].astype(np.int64) for c in streams), None\n")),
     # the 63-bit check of a scalar shift
     _m("scalar-shift check skipped", OPS, [T_OPS, T_CLI],
        ("if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:",

@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except HoszpError as exc:
         print(f"hoszp: error kind={type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CODEC
+    except MemoryError as exc:  # a stream too large to decode here
+        print(f"hoszp: error kind=MemoryError: {exc}", file=sys.stderr)
+        return EXIT_CODEC
     except OSError as exc:
         print(f"hoszp: error kind=IOError: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -21,12 +21,15 @@ yields each range with its ``k`` and its element slice.
 ``_decode_compact`` slices a range's sign and payload offsets from the
 stream's section layout (``CompressedStream.offsets``, computed once per
 stream), so walking the ranges derives no sizes.  ``_encode_ranges`` is
-the one encoder: ``compress`` quantizes each range, ``encode_from_quant``
-and the stream operations in ``ops`` hand it a range's bins or signed
-residuals (or, for a range whose every block is constant, its outliers
-alone), and it fills the range's widths and packs its sign rows (one
-``packbits`` over the range) and its payload.  Both directions move a range's non-constant blocks in
-chunks of one width (``_block_chunks``), counting runs of equal widths
+the one encoder, with one entry: each range comes in as its bins, which
+it splits into residuals itself, or as its outliers and split residuals,
+or, where every block is constant, its outliers alone.  ``compress``
+hands it each range's quantized bins, ``encode_from_quant`` and the
+products in ``ops`` their bins, and ``ops.sum_streams`` its summed
+residuals (or the bins of a range summed in limbs).  It fills the range's
+widths and packs its sign rows (one ``packbits`` over the range) and its
+payload.  Both directions move a range's non-constant blocks in chunks
+of one width (``_block_chunks``), counting runs of equal widths
 over the non-constant blocks alone: a range of few runs, such as noise
 with a rare narrower block, moves each run as one slice of the sections,
 where its rows lie back to back; a range of many runs, such as cloud-like
@@ -68,7 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, QuantOverflow
-from .model import CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, _section_offsets
+from .model import (CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, _equal_fields,
+                    _section_offsets)
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
@@ -105,14 +109,7 @@ class RawArray:
     def nbytes(self) -> int:
         return self.values.size * DTYPES[self.dtype][2]
 
-    def __eq__(self, other):
-        if not isinstance(other, RawArray):
-            return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.dtype == other.dtype
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = _equal_fields
 
 
 def read_raw(path, dims, dtype: str = "f32") -> RawArray:
@@ -152,11 +149,6 @@ def resolve_eps(raw: RawArray, eps: float, mode: str = "abs") -> float:
 # quantization
 
 
-def _reconstruct_f64(bins: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Exact reconstruction grid ``2 * eps * bin`` in double precision."""
-    return (2.0 * params.eps) * bins.astype(np.float64)
-
-
 def _dequantize_into(bins: np.ndarray, eps: float, out: np.ndarray) -> None:
     """Write the f64 grid value ``2 * eps * bin`` of each bin into ``out``,
     rounded once to its dtype: an f32 output can add up to half an ulp of
@@ -177,29 +169,29 @@ def _check_geometry(raw: RawArray, params: QuantParams):
 def _quantize_values(x: np.ndarray, params: QuantParams, out: np.ndarray) -> np.ndarray:
     """Quantize one range of values into a prefix of ``out`` (int64) while
     the range is in cache; see :func:`quantize`."""
-    eps = params.eps
+    eps, e2 = params.eps, 2.0 * params.eps
     x = x.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # extreme value/eps ratios hit inf below
         q = x + eps
-        q /= 2.0 * eps
+        q /= e2
         np.floor(q, out=q)
     if max(-q.min(), q.max()) >= 2.0**63:
         raise QuantOverflow("quantization bin exceeds 63-bit range; eps too small")
     bins = out[: x.size]
     np.copyto(bins, q, casting="unsafe")
-    err = np.multiply(bins, 2.0 * eps, out=q)  # the f64 reconstruction grid
+    err = np.multiply(bins, e2, out=q)  # the f64 grid, as in the repair below
     np.subtract(x, err, out=err)
     bad = np.flatnonzero(np.abs(err, out=err) > eps)
     if bad.size:
         # nudge ulp-level violators one bin toward the input; inputs sitting
         # exactly on a bin boundary may evaluate a hair beyond eps on both
         # sides, so keep whichever neighbor reconstructs nearer
-        err = x[bad] - _reconstruct_f64(bins[bad], params)
+        err = x[bad] - e2 * bins[bad]
         moved = bins[bad] + np.where(err > 0, 1, -1).astype(np.int64)
-        err2 = x[bad] - _reconstruct_f64(moved, params)
+        err2 = x[bad] - e2 * moved
         keep = np.abs(err2) < np.abs(err)
         bins[bad[keep]] = moved[keep]
-        final = np.abs(x[bad] - _reconstruct_f64(bins[bad], params))
+        final = np.abs(x[bad] - e2 * bins[bad])
         if np.any(final > eps * (1.0 + 1e-9)):
             raise QuantOverflow(
                 "error bound unattainable: the f64 grid value 2*eps*bin rounds more "
@@ -559,41 +551,30 @@ def _encode_range(neg: np.ndarray, mags: np.ndarray, w: np.ndarray, k: int) -> t
 
 def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
     """The one encoder.  ``parts`` yields, for each of
-    :func:`_block_ranges` in turn, the range's block outliers and its
-    residuals as ``(neg, mags)`` (see :func:`_encode_range`), or None for a
-    range whose every block is constant: it has width 0 and no sign or
-    payload bytes, so it needs no per-element buffer.  The per-range
-    sections are joined once at the end."""
+    :func:`_block_ranges` in turn, either the range's bins (int64), which
+    it splits into residuals (:func:`_split_residuals`) in one buffer made
+    on first use and reused, or ``(outliers, resid)``: the range's block
+    outliers and its residuals as ``(neg, mags)`` (see
+    :func:`_encode_range`), or None for a range whose every block is
+    constant, which has width 0 and no sign or payload bytes and so needs
+    no per-element buffer.  The per-range sections are joined once at the
+    end."""
     widths = np.zeros(params.block_count, dtype=np.uint8)
     outliers = np.empty(params.block_count, dtype=np.int64)
     signs, payload = [], []
-    for (b0, b1, k, _), (outs, resid) in zip(_block_ranges(params), parts):
+    buf = None
+    for (b0, b1, k, _), part in zip(_block_ranges(params), parts):
+        if isinstance(part, np.ndarray):
+            # the first range split is the longest still to come
+            buf = np.empty(part.size, dtype=np.int64) if buf is None else buf
+            part = part[::k], _split_residuals(part, k, out=buf)
+        outs, resid = part
         outliers[b0:b1] = outs
         if resid is not None:
             s, p = _encode_range(*resid, widths[b0:b1], k)
             signs.append(s)
             payload.append(p)
     return CompressedStream(params, widths, outliers, b"".join(signs), b"".join(payload))
-
-
-def _encode_bin_ranges(params: QuantParams, bins_per_range) -> CompressedStream:
-    """Encode, for each of :func:`_block_ranges` in turn, the range's bins,
-    split into residuals in one buffer made on first use and reused, or
-    ``(outliers, None)`` for a range whose every block is constant (one bin
-    per block, passed to :func:`_encode_ranges` as they are)."""
-    k = params.block_len
-
-    def parts():
-        resid = None
-        for bins in bins_per_range:
-            if isinstance(bins, tuple):
-                yield bins
-                continue
-            # the first range split is the longest still to come
-            resid = np.empty(bins.size, dtype=np.int64) if resid is None else resid
-            yield bins[::k], _split_residuals(bins, k, out=resid)
-
-    return _encode_ranges(params, parts())
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +587,8 @@ def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> Compressed
     (input, params)."""
     _check_geometry(raw, params)
     buf = np.empty(next(_block_ranges(params))[3].stop, dtype=np.int64)  # the longest range
-    return _encode_bin_ranges(params, (_quantize_values(raw.values[e], params, buf)
-                                       for *_, e in _block_ranges(params)))
+    return _encode_ranges(params, (_quantize_values(raw.values[e], params, buf)
+                                   for *_, e in _block_ranges(params)))
 
 
 def decompress(stream: CompressedStream, threads: int = 1,
@@ -653,4 +634,4 @@ def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:
     """Inverse of :func:`decode_to_quant`: decorrelate and re-pack, range by
     range (``threads`` is accepted and ignored)."""
-    return _encode_bin_ranges(q.params, (q.bins[e] for *_, e in _block_ranges(q.params)))
+    return _encode_ranges(q.params, (q.bins[e] for *_, e in _block_ranges(q.params)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -63,6 +63,17 @@ def _as_dims(dims) -> tuple[int, ...]:
     if len(ints) != len(dims) or any(d < 1 for d in ints):
         raise ValueError(f"dims must be integers of at least 1, got {dims!r}")
     return ints
+
+
+def _equal_fields(self, other):
+    """The one equality of the data classes: ``NotImplemented`` for
+    another type, else the dataclass fields in order, arrays compared with
+    ``np.array_equal`` and everything else with ``==``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(self, f.name), getattr(other, f.name))
+                            for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -149,10 +160,7 @@ class QuantArray:
             raise QuantOverflow("bin magnitude does not fit in 63 bits")
         self.bins = bins
 
-    def __eq__(self, other):
-        if not isinstance(other, QuantArray):
-            return NotImplemented
-        return self.params == other.params and np.array_equal(self.bins, other.bins)
+    __eq__ = _equal_fields
 
 
 def section_sizes(params: QuantParams, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,16 +294,7 @@ class CompressedStream:
     def compression_ratio(self) -> float:
         return self.params.raw_nbytes / self.serialized_size
 
-    def __eq__(self, other):
-        if not isinstance(other, CompressedStream):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and np.array_equal(self.widths, other.widths)
-            and np.array_equal(self.outliers, other.outliers)
-            and self.sign_planes == other.sign_planes
-            and self.payload == other.payload
-        )
+    __eq__ = _equal_fields
 
 
 def serialize(stream: CompressedStream) -> bytes:
@@ -333,38 +332,29 @@ def deserialize(data: bytes) -> CompressedStream:
         raise GeometryMismatch(f"unknown dtype code {dtype_code}")
 
     pos = _HEADER.size
-    dims_end = pos + 8 * ndim
-    if len(data) < dims_end:
-        raise TruncatedStream("byte sequence ends inside the dims table")
-    dims = tuple(int(d) for d in np.frombuffer(data[pos:dims_end], dtype="<u8"))
+
+    def take(size: int, section: str) -> bytes:
+        """The next ``size`` bytes, which lie inside ``section``."""
+        nonlocal pos
+        if len(data) < pos + size:
+            raise TruncatedStream(f"byte sequence ends inside the {section}")
+        pos += size
+        return data[pos - size : pos]
+
+    dims = tuple(int(d) for d in np.frombuffer(take(8 * ndim, "dims table"), dtype="<u8"))
     try:
         params = QuantParams(eps, dims, block_len, _DTYPE_BY_CODE[dtype_code])
     except ValueError as exc:
         raise GeometryMismatch(f"invalid header: {exc}") from None
 
-    pos = dims_end
     b = params.block_count
-    if len(data) < pos + b:
-        raise TruncatedStream("byte sequence ends inside the widths section")
-    widths = np.frombuffer(data[pos : pos + b], dtype=np.uint8)
-    pos += b
+    widths = np.frombuffer(take(b, "widths section"), dtype=np.uint8)
     if widths.size and int(widths.max()) > 64:
         raise GeometryMismatch(f"width {int(widths.max())} exceeds 64 bits")
-    if len(data) < pos + 4 * b:
-        raise TruncatedStream("byte sequence ends inside the outliers section")
-    outliers = np.frombuffer(data[pos : pos + 4 * b], dtype="<i4").astype(np.int32)
-    pos += 4 * b
-
+    outliers = np.frombuffer(take(4 * b, "outliers section"), dtype="<i4").astype(np.int32)
     offsets = _layout(params, widths)
-    sign_total, payload_total = (int(offs[-1]) for offs in offsets)
-    if len(data) < pos + sign_total:
-        raise TruncatedStream("byte sequence ends inside the sign-plane section")
-    sign_planes = data[pos : pos + sign_total]
-    pos += sign_total
-    if len(data) < pos + payload_total:
-        raise TruncatedStream("byte sequence ends inside the payload section")
-    payload = data[pos : pos + payload_total]
-    pos += payload_total
+    sign_planes = take(int(offsets[0][-1]), "sign-plane section")
+    payload = take(int(offsets[1][-1]), "payload section")
     if pos != len(data):
         raise GeometryMismatch(
             f"{len(data) - pos} trailing bytes beyond the declared sections"

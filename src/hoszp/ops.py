@@ -181,11 +181,13 @@ def sum_streams(streams, signs) -> CompressedStream:
     A range whose operands' ``codec._bin_bound`` add up within int64 sums
     their signed residuals in int64; no residual or bin of the sum can pass
     it.  Any other range sums their bins instead (:func:`_limb_sum`), so an
-    n-ary sum fails only where its result does, and re-splits them: a bin
-    of the sum past 63 bits raises ``QuantOverflow``, as the oracle does.
-    A range constant in every operand is ``sum(sign * outlier)`` per block,
-    with no decode, so no buffer outgrows a range or 32 times the operands'
-    bytes (a non-constant block of ``k`` brings at least ``k / 4`` of them).
+    n-ary sum fails only where its result does, and hands the encoder the
+    summed bins to split: a bin of the sum past 63 bits raises
+    ``QuantOverflow``, as the oracle does.  A range constant in every
+    operand is ``sum(sign * outlier)`` per block, with no decode, so no
+    buffer outgrows a range or 32 times the operands' bytes (a non-constant
+    block of ``k`` brings at least ``k / 4`` of them).  Each range goes to
+    ``codec._encode_ranges`` in whichever of its three forms it took.
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
@@ -194,7 +196,7 @@ def sum_streams(streams, signs) -> CompressedStream:
         for b0, b1, k, decode in _lockstep(streams):
             if sum(codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
                    for c in streams) > _I64_MAX:
-                yield _limb_sum([decode(i) for i in range(len(streams))], signs, k)
+                yield _limb_sum([decode(i) for i in range(len(streams))], signs)
                 continue
             outliers = sum(g * c.outliers[b0:b1].astype(np.int64) for g, c in zip(signs, streams))
             if _all_constant(streams, b0, b1):
@@ -211,13 +213,12 @@ def sum_streams(streams, signs) -> CompressedStream:
     return codec._encode_ranges(streams[0].params, parts())
 
 
-def _limb_sum(xs, signs, k: int):
-    """One range of :func:`sum_streams` from its operands' bins ``xs``
-    (int64) in blocks of ``k``: the outliers and split residuals of the
-    exact ``sum(sign * x)``.  The high and low 32-bit halves of the bins sum
-    apart in int64 and the low sum's carry moves up, so the int64 sum is
-    exact; a sum past 63 bits, -2^63 included, raises
-    :class:`QuantOverflow`."""
+def _limb_sum(xs, signs) -> np.ndarray:
+    """The exact ``sum(sign * x)`` of one range's operand bins ``xs``
+    (int64), as int64 bins for :func:`sum_streams` to encode.  The high and
+    low 32-bit halves of the bins sum apart in int64 and the low sum's
+    carry moves up, so the int64 sum is exact; a sum past 63 bits, -2^63
+    included, raises :class:`QuantOverflow`."""
     hi = sum(g * (x >> 32) for g, x in zip(signs, xs))
     lo = sum(g * (x & 0xFFFFFFFF) for g, x in zip(signs, xs))
     hi += lo >> 32
@@ -225,7 +226,7 @@ def _limb_sum(xs, signs, k: int):
     bins = (hi << 32) | lo  # exact where hi fits in 32 bits
     if hi.min() < -(2**31) or hi.max() >= 2**31 or bins.min() == -(2**63):
         raise QuantOverflow("the sum of the operands' bins passes 63 bits")
-    return bins[::k], codec._split_residuals(bins, k)
+    return bins
 
 
 def elementwise_add(a: CompressedStream, b: CompressedStream,
@@ -244,42 +245,37 @@ def elementwise_sub(a: CompressedStream, b: CompressedStream,
 # quantized-space operations
 
 
-def _exact_products(x: np.ndarray, y) -> np.ndarray:
-    """Exact element-wise ``x * y`` of int64 bins (``y`` may be one bin): an
-    int64 array when every product fits, else an object array of Python
-    ints."""
+def _rescale(x: np.ndarray, y, eps: float) -> np.ndarray:
+    """The rescale rule of the multiplicative operations: ``nearest(2 eps *
+    x * y)`` of int64 bins ``x`` and ``y`` (``y`` may be one bin), ties away
+    from zero.  The products are exact: int64 where every product fits,
+    else Python ints, each rounded once to float."""
     y = np.asarray(y, dtype=np.int64)
     mx = max(int(x.max()), -int(x.min())) if x.size else 0
     my = max(int(y.max()), -int(y.min())) if y.size else 0
-    if mx * my <= _I64_MAX:
-        return x * y
-    return x.astype(object) * y.astype(object)
-
-
-def _rescale_bins(products, eps: float) -> np.ndarray:
-    """nearest_int(2 * eps * p), ties away from zero."""
-    t = np.array(products, dtype=np.float64)
+    p = x * y if mx * my <= _I64_MAX else x.astype(object) * y.astype(object)
+    t = np.array(p, dtype=np.float64)
     t *= 2.0 * eps
     return codec._nearest_bins(t)
 
 
 def _rescaled_products(streams, factor=None) -> CompressedStream:
-    """Encode ``nearest(2 eps * a * b)`` range by range, where ``a`` is the
-    first stream's bins and ``b`` the second's or the bin ``factor``.  A
-    range constant in every operand multiplies the outliers alone, one
+    """Encode :func:`_rescale` of ``a`` and ``b`` range by range, where
+    ``a`` is the first stream's bins and ``b`` the second's or the bin
+    ``factor``: each range goes to ``codec._encode_ranges`` as its bins.  A
+    range constant in every operand rescales the outliers alone, one
     product per block, with no decode (the memory bound of
-    :func:`sum_streams`)."""
+    :func:`sum_streams`), and goes as ``(outliers, None)``."""
     params = streams[0].params
 
     def rescaled():
         for b0, b1, _, decode in _lockstep(streams):
             const = _all_constant(streams, b0, b1)
             get = (lambda i: streams[i].outliers[b0:b1].astype(np.int64)) if const else decode
-            bins = _rescale_bins(_exact_products(get(0), get(1) if len(streams) == 2 else factor),
-                                 params.eps)
+            bins = _rescale(get(0), get(1) if len(streams) == 2 else factor, params.eps)
             yield (bins, None) if const else bins
 
-    return codec._encode_bin_ranges(params, rescaled())
+    return codec._encode_ranges(params, rescaled())
 
 
 def scalar_mul(c: CompressedStream, s: float, threads: int = 1) -> CompressedStream:
@@ -508,7 +504,7 @@ def _product_oracle(streams, scalar):
     vals = _decompressed(streams)
     rho = [codec._nearest_bins(v / (2.0 * p64.eps)) for v in vals]
     other = rho[1] if len(rho) == 2 else ScalarBin.of(scalar, p64.eps).bin
-    bins = _rescale_bins(_exact_products(rho[0], other), p64.eps)
+    bins = _rescale(rho[0], other, p64.eps)
     return codec.encode_from_quant(QuantArray(bins, p64))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hoszp
-from hoszp import QuantArray, QuantParams, compress, deserialize, encode_from_quant, ops, serialize
+from hoszp import CompressedStream, QuantArray, QuantParams, compress, deserialize, encode_from_quant, ops, serialize
 from hoszp.cli import CSV_COLUMNS, _row, build_parser, main
 from hoszp.codec import RawArray
 from hoszp.synth import smooth_field
@@ -467,12 +467,15 @@ class TestProcess:
     including argparse's own exit."""
 
     SRC = str(Path(hoszp.__file__).resolve().parents[1])
+    # the CLI with its address space capped at 1 GiB
+    CAPPED = ("-c", "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                    "from hoszp.cli import main; sys.exit(main())")
 
-    def _hoszp(self, *argv):
+    def _hoszp(self, *argv, entry=("-m", "hoszp")):
         path = os.pathsep.join(p for p in (self.SRC, os.environ.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "hoszp", *map(str, argv)],
+        return subprocess.run([sys.executable, *entry, *map(str, argv)],
                               capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=path))
+                              env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"))
 
     def test_ok(self, tmp_path, example_file):
         proc = self._hoszp("compress", example_file, "-o", tmp_path / "x.hsz",
@@ -518,6 +521,19 @@ class TestProcess:
             assert proc.returncode == 4, proc.stderr
             assert "kind=QuantOverflow" in proc.stderr
             assert "RuntimeWarning" not in proc.stderr
+
+    def test_stream_too_large_to_decode_is_a_codec_error(self, tmp_path):
+        # 33 bytes: one constant block of 2^32 - 1 elements, whose 16 GiB
+        # f32 output does not fit under the cap
+        huge, out = tmp_path / "huge.hsz", tmp_path / "huge.out"
+        p = QuantParams(0.5, (2**32 - 1,), 2**32 - 1, "f32")
+        huge.write_bytes(serialize(CompressedStream(p, np.zeros(1), [7], b"", b"")))
+        assert huge.stat().st_size == 33
+        proc = self._hoszp("decompress", huge, "-o", out, entry=self.CAPPED)
+        assert proc.returncode == 4, proc.stderr
+        assert "kind=MemoryError" in proc.stderr and "GiB" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_variance_at_overflowing_eps(self, huge_eps_hsz):
         proc = self._hoszp("stats", "variance", huge_eps_hsz, "--verify")

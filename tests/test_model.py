@@ -261,11 +261,16 @@ class TestDeserializeErrors:
         with pytest.raises(GeometryMismatch, match="invalid header"):
             deserialize(bytes(data))
 
-    @pytest.mark.parametrize("keep", [2, 10, 21, 28, 37, 41, 42])
+    # where each cut of the 43-byte example stream falls
+    _CUT_SECTIONS = {2: "fixed header", 10: "fixed header", 21: "dims table",
+                     28: "dims table", 36: "widths section", 37: "outliers section",
+                     41: "sign-plane section", 42: "payload section"}
+
+    @pytest.mark.parametrize("keep", list(_CUT_SECTIONS))
     def test_truncation_everywhere(self, example_stream, keep):
         data = serialize(example_stream)
         assert len(data) == 43
-        with pytest.raises(TruncatedStream):
+        with pytest.raises(TruncatedStream, match=self._CUT_SECTIONS[keep]):
             deserialize(data[:keep])
 
     def test_corrupt_dim_is_geometry_mismatch(self):

@@ -1003,6 +1003,27 @@ class TestRangeEncodeOps:
         assert scalar_mul(a, -3.0) == reference_stream(QuantArray(-3 * qa, p))
         assert hadamard(a, b) == reference_stream(QuantArray(qa * qb, p))
 
+    def test_sum_takes_all_three_part_kinds(self):
+        # three ranges of one block each, handed to one encode as summed
+        # bins (the bounds add past int64), as summed residuals, and as
+        # outliers alone (constant in both operands)
+        k = codec._RANGE_ELEMS
+        p = QuantParams(0.5, (3 * k,), k, "f64")  # 2 eps = 1: the values are the bins
+        rng = np.random.default_rng(547)
+        qs = []
+        for _ in range(2):
+            q = np.cumsum(rng.integers(-7, 8, 3 * k))
+            q[5] = 2**46  # a 47-bit residual: one bound is just under 2^63
+            q[2 * k :] = rng.integers(-1000, 1000)
+            qs.append(q)
+        a, b = (encode_from_quant(QuantArray(q, p)) for q in qs)
+        assert sum(codec._bin_bound(s.outliers[:1], k, int(s.widths[0])) for s in (a, b)) \
+            > codec._I64_MAX
+        assert a.widths[1] and b.widths[1] and not (a.widths[2] or b.widths[2])
+        got = ops.sum_streams([a, b], [1, 1])
+        assert got == encode_from_quant(QuantArray(qs[0] + qs[1], p))
+        assert got == ops.oracle_stream("eadd", [a, b])
+
     def test_sum_streams_signs(self):
         rng = np.random.default_rng(521)
         p = QuantParams(0.5, (range_sizes(33)[-1],), 33, "f64")

@@ -28,21 +28,24 @@ hands it each range's quantized bins, ``encode_from_quant`` and the
 products in ``ops`` their bins, and ``ops.sum_streams`` its summed
 residuals (or the bins of a range summed in limbs).  It fills the range's
 widths and packs its sign rows (one ``packbits`` over the range) and its
-payload.  Both directions move a range's non-constant blocks in chunks
-of one width (``_block_chunks``), counting runs of equal widths
-over the non-constant blocks alone: a range of few runs, such as noise
-with a rare narrower block, moves each run as one slice of the sections,
-where its rows lie back to back; a range of many runs, such as cloud-like
-data with widths interleaved, gathers its rows by width.  Decode works
-on a compact matrix of the range's non-constant blocks alone, in block
-order, as their rows lie in the sections: one ``unpackbits`` over the
-range's sign bytes, the magnitudes unpacked by width, one branch-free
-sign step, each block's outlier in its first slot and the row prefix
-sums (``_decode_compact``).  The reductions read that matrix and the
+payload.  The encoder moves a range's non-constant blocks in chunks of
+one width (``_block_chunks``), counting runs of equal widths over the
+non-constant blocks alone: a range of few runs, such as noise with a rare
+narrower block, moves each run as one slice of the sections, where its
+rows lie back to back; a range of many runs, such as cloud-like data with
+widths interleaved, gathers its rows by width.  Decode works on a
+slot-major compact matrix of the range's non-constant blocks alone,
+``(k, blocks)`` in block order, so that slot ``i`` of every block is one
+contiguous row (``_decode_compact``): one ``unpackbits`` down the range's
+transposed sign bytes; the magnitudes in one gather of big-endian u64
+windows where every width is at most 8 (``_gather_narrow``, every
+cloud-like range), else by width chunk (``_unpack_mag_rows``); one
+branch-free sign step; the outliers in slot 0 and the prefix sums as
+``k - 1`` contiguous row adds.  The reductions read that matrix and the
 range's outliers as they are.  For everyone else (``_decode_range``) the
 constant blocks of a range buffer are filled from their outliers (zeros
-for residuals) with one broadcast and the compact rows scattered in once;
-a range with no constant block decodes in place.  ``decompress``,
+for residuals) with one broadcast and the compact matrix scattered in
+with one transposing copy (``_scatter``).  ``decompress``,
 ``decode_to_quant`` and the stream operations consume the buffer range
 by range, so no stage writes a full-length temporary.  All the integer
 arithmetic is int64 modulo 2^64, by one rule.  A residual is a sign and a
@@ -83,6 +86,11 @@ _RANGE_ELEMS = 1 << 16
 # back.  Past it, as in cloud-like data where widths interleave, the per-run
 # calls cost more than gathering the rows by width.
 _SLICE_RUNS = 16
+# the narrow gather (widths of at most 8): field j of a group of w-bit
+# fields sits 64 - (j + 1) * w bits up in the group's big-endian u64 window;
+# row j, column w (column 0 is never read)
+_NARROW_SHIFTS = (64 - np.arange(1, 9)[:, None] * np.arange(9)).astype(np.uint64)
+_NARROW_MASKS = np.asarray([(1 << w) - 1 for w in range(9)], dtype=np.uint64)
 # the output dtypes of decompress, by numpy dtype
 _OUT_DTYPES = {np.dtype(t): name for name, (_, t, _) in DTYPES.items()}
 
@@ -292,36 +300,45 @@ def _bin_bound(outliers: np.ndarray, k: int, w: int) -> int:
 
 def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w: int,
                    bins: bool = True) -> np.ndarray:
-    """Finish decoding, in place, the compact rows of a range's
-    non-constant blocks: rows of ``k``, the length of every block of the
-    range.  :func:`_decode_compact` is the one caller.
+    """Finish decoding, in place, the slot-major compact matrix of a range's
+    non-constant blocks: ``r`` is ``(k, blocks)``, so slot ``i`` of every
+    block is one contiguous row, and ``k`` is the length of every block of
+    the range.  :func:`_decode_compact` is the one caller.
 
     ``r`` (int64) holds the raw bits of the residual magnitudes, at most
-    ``w`` bits wide, ``s`` (int8, clobbered) their 0/1 signs and
-    ``outliers`` the rows' outliers.  Returns ``r`` as signed residuals (0
-    at block starts) or, with ``bins``, as per-block prefix sums seeded by
-    the outliers.  Both steps wrap modulo 2^64, so a residual past 63 bits
-    comes back wrapped.  Where the rows' :func:`_bin_bound` passes int64,
-    each step of the prefix sums is checked against its headroom in uint64
-    (up: ``mag <= I64_MAX - prev``, down: ``mag <= I64_MAX + prev``), and a
-    bin past 63 bits, -2^63 included, raises :class:`QuantOverflow`.
+    ``w`` bits wide, ``s`` (int8, ``(k, blocks)``, clobbered) their 0/1
+    signs and ``outliers`` the blocks' outliers.  Returns ``r`` as signed
+    residuals (0 in slot 0) or, with ``bins``, as per-block prefix sums:
+    slot 0 takes the outliers and each later slot adds the one before it,
+    one contiguous row add per slot.  Blocks longer than 256 (``k * k``
+    past ``_RANGE_ELEMS``) leave a full range fewer blocks than slots, rows
+    too short to pay for a call each, so they take one ``cumsum`` down the
+    slots instead, which keeps decode linear in the elements.  Both steps
+    wrap modulo 2^64, so a residual past 63 bits comes back wrapped.  Where
+    the blocks' :func:`_bin_bound` passes int64, each step of the prefix
+    sums is checked against its headroom in uint64 (up: ``mag <= I64_MAX -
+    prev``, down: ``mag <= I64_MAX + prev``), and a bin past 63 bits, -2^63
+    included, raises :class:`QuantOverflow`.
     """
     check = bins and _bin_bound(outliers, k, w) > _I64_MAX
     if check:  # the steps' magnitudes, before the sign step overwrites them
-        mags = r.reshape(-1, k)[:, 1:].view(np.uint64).copy()
-    np.negative(s, out=s)  # branch-free sign step: -1 is all ones
-    r ^= s
-    r -= s
+        mags = r[1:].view(np.uint64).copy()
+    np.multiply(s, -2, out=s)  # branch-free sign step: signs 0/1 become factors 1/-1
+    s += 1
+    r *= s
     if not bins:
-        r[::k] = 0  # the outlier carries the block start; ignore what is stored
+        r[0] = 0  # the outlier carries the block start; ignore what is stored
         return r
-    r[::k] = outliers
-    mat = r.reshape(-1, k)
-    np.cumsum(mat, axis=1, out=mat)
+    r[0] = outliers
+    if k * k > _RANGE_ELEMS:  # a full range holds fewer blocks than slots
+        np.cumsum(r, axis=0, out=r)
+    else:
+        for i in range(1, k):
+            np.add(r[i - 1], r[i], out=r[i])
     if check:
         # the steps before the first one past int64 are exact, so that one
         # sees its true predecessor
-        prev, down = mat[:, :-1].view(np.uint64), s.reshape(-1, k)[:, 1:] < 0
+        prev, down = r[:-1].view(np.uint64), s[1:] < 0
         if (mags > np.where(down, _I64_MAX + prev, _I64_MAX - prev)).any():
             raise QuantOverflow("prefix sum overflows 63 bits")
     return r
@@ -332,12 +349,16 @@ def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w
 #
 # A non-constant block of k residuals at width w is one byte row: the
 # magnitudes MSB first, w bits each, zero-padded to a byte.  Eight w-bit
-# fields fill exactly w bytes, so both kernels pad a row to ceil(k/8) groups
+# fields fill exactly w bytes, so the kernels pad a row to ceil(k/8) groups
 # of 8 fields and move each group as ceil(w/8) big-endian u64 words.  Field
 # j of a group starts at bit j*w: inside word (j*w) >> 6, or straddling that
-# word and the next.  Both kernels shift whole lanes, each a contiguous
-# array holding field j of every group, and reach the (blocks, k) layout
-# through one transpose.
+# word and the next.  The kernels shift whole lanes, each a contiguous
+# array holding field j of every group.  Packing reaches its lanes from the
+# block-major (blocks, k) matrix through one transpose; unpacking writes
+# lane j of group g straight into slot 8g + j of the slot-major matrix,
+# which therefore takes 8 * ceil(k/8) slots.  Where every width of a range
+# is at most 8, a group is one u64 window and the whole range unpacks in
+# one gather (_gather_narrow).
 
 
 def _pack_mag_rows(mat: np.ndarray, w: int) -> np.ndarray:
@@ -366,8 +387,12 @@ def _pack_mag_rows(mat: np.ndarray, w: int) -> np.ndarray:
     return octets.reshape(g, groups * w)[:, : (k * w + 7) // 8]
 
 
-def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
-    """Inverse of :func:`_pack_mag_rows`: a (blocks, k) uint64 matrix."""
+def _unpack_mag_rows(rows: np.ndarray, k: int, w: int, out: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack_mag_rows`, slot-major: unpack the byte rows
+    of ``rows.shape[0]`` blocks of ``k`` into ``out``, a uint64 matrix of
+    ``8 * ceil(k / 8)`` slots by those blocks (any strides), whose first
+    ``k`` slots then hold the magnitudes.  Lane ``j`` of group ``g`` goes
+    straight into slot ``8 g + j``.  Returns ``out``."""
     g = rows.shape[0]
     groups, nw = (k + 7) // 8, (w + 7) // 8
     if rows.shape[1] == groups * w:  # k % 8 == 0: the rows need no padding
@@ -375,19 +400,17 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
     else:
         padded = np.zeros((g, groups * w), dtype=np.uint8)
         padded[:, : rows.shape[1]] = rows
-    octets = np.zeros((g * groups, nw * 8), dtype=np.uint8)
-    octets[:, :w] = padded.reshape(g * groups, w)
+    # group-major: the bytes of group i of every block, then group i + 1
+    octets = np.zeros((groups, g, nw * 8), dtype=np.uint8)
+    octets[:, :, :w] = padded.reshape(g, groups, w).transpose(1, 0, 2)
+    # word i of every group, contiguous, as (nw, groups, blocks)
+    words = octets.view(">u8").transpose(2, 0, 1).astype(np.uint64, order="C")
     mask = np.uint64((1 << w) - 1)
-    if w <= 8:  # a group is one word: shift all eight lanes out at once
-        words = octets.view(">u8").astype(np.uint64)  # (groups, 1)
-        vals = words >> np.arange(64 - w, -1, -w, dtype=np.uint64)[:8]
-        vals &= mask
-        return vals.reshape(g, groups * 8)[:, :k]
-    # word i of every group, contiguous; lane j holds field j of every group
-    words = octets.view(">u8").T.astype(np.uint64, order="C")
-    lanes = np.empty((8, g * groups), dtype=np.uint64)
-    tmp = np.empty(g * groups, dtype=np.uint64)
-    for j, lane in enumerate(lanes):
+    # lane j, field j of every group and block, is built contiguous (a
+    # strided operand costs numpy more per call than the data) and then
+    # lands in slots j, 8 + j, ...
+    lane, tmp = np.empty((2, groups, g), dtype=np.uint64)
+    for j in range(8):
         i, o = divmod(j * w, 64)
         if o + w <= 64:
             np.right_shift(words[i], np.uint64(64 - o - w), out=lane)
@@ -395,7 +418,35 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int) -> np.ndarray:
             np.left_shift(words[i], np.uint64(o + w - 64), out=lane)
             lane |= np.right_shift(words[i + 1], np.uint64(128 - o - w), out=tmp)
         lane &= mask
-    return lanes.T.reshape(g, groups * 8)[:, :k]
+        out[j::8] = lane
+    return out
+
+
+def _gather_narrow(section: np.ndarray, offs: np.ndarray, ws: np.ndarray, nz: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Unpack the magnitudes of a range whose widths are all at most 8 in
+    one gather: ``section`` is the payload (uint8), ``offs`` the range's
+    payload offsets, one per block and one past the end, ``ws`` its widths
+    and ``nz`` its non-constant blocks.  ``out`` is their slot-major uint64
+    matrix, ``8 * ceil(k / 8)`` slots by ``len(nz)`` contiguous.
+
+    A group of 8 fields of ``w`` bits fills ``w <= 8`` bytes, so group
+    ``g`` of a block is one big-endian u64 window at the block's row
+    offset plus ``g * w``, and field ``j`` sits ``64 - (j + 1) * w`` bits
+    up in it: one shift by a per-width table and one mask split every
+    window.  Windows of a last group read up to 7 bytes past the range's
+    rows, so the range's payload is copied with 8 zero bytes on the end.
+    Returns ``out``."""
+    p0, p1 = int(offs[0]), int(offs[-1])
+    buf = np.zeros(p1 - p0 + 8, dtype=np.uint8)
+    buf[:-8] = section[p0:p1]
+    windows = np.ndarray((buf.size - 7,), ">u8", buf, 0, (1,))  # window i: bytes i..i+7
+    wz = ws[nz].astype(np.int64)
+    at = (offs[:-1][nz] - p0) + np.arange(out.shape[0] // 8)[:, None] * wz
+    words = windows.take(at).astype(np.uint64)  # (groups, blocks)
+    np.right_shift(words[:, None], _NARROW_SHIFTS[:, wz], out=out.reshape(-1, 8, nz.size))
+    out &= _NARROW_MASKS[wz]
+    return out
 
 
 def _as_slice(idx: np.ndarray):
@@ -472,63 +523,78 @@ def _block_ranges(params: QuantParams):
 def _decode_compact(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
                     bins: bool = True):
     """Decode the non-constant blocks among blocks [b0, b1) of length ``k``,
-    one of :func:`_block_ranges`, as a compact matrix.  Returns ``(rows,
-    nz, outliers)``: ``rows`` (int64, in a prefix of ``out`` when that is
-    long enough) holds their bins or, without ``bins``, their signed
-    residuals (0 at block starts), one row of ``k`` per block, in block
-    order; ``nz`` holds their indices in the range and ``outliers`` (int64)
-    the outliers of all the range's blocks.  A constant block is its
-    outlier alone, so the range's metadata finish it.
+    one of :func:`_block_ranges`, as a slot-major compact matrix.  Returns
+    ``(rows, nz, outliers)``: ``rows`` (int64, ``(k, len(nz))``) holds their
+    bins or, without ``bins``, their signed residuals (0 in slot 0), slot
+    ``i`` of every block in row ``i``, the blocks in block order; ``nz``
+    holds their indices in the range and ``outliers`` (int64) the outliers
+    of all the range's blocks.  A constant block is its outlier alone, so
+    the range's metadata finish it.  The matrix takes ``8 * ceil(k / 8)``
+    slots, of which ``rows`` is the first ``k``, in a prefix of ``out``
+    when that is long enough.
 
-    Their sign rows, back to back in the section, take one ``unpackbits``,
-    their magnitudes unpack by width into the matrix, and
-    :func:`_resolve_range` applies the signs and, with ``bins``, the
-    prefix sums.  Residuals past 63 bits come back wrapped modulo 2^64."""
+    Their sign rows, back to back in the section, take one ``unpackbits``
+    down the transposed bytes, which lands slot-major.  A range whose
+    widths are all at most 8 unpacks its magnitudes in one gather
+    (:func:`_gather_narrow`); any other range by width
+    (:func:`_block_chunks`, :func:`_unpack_mag_rows`).
+    :func:`_resolve_range` applies the signs and, with ``bins``, the prefix
+    sums.  Residuals past 63 bits come back wrapped modulo 2^64."""
     sign_offs, payload_offs = stream.offsets
     ws = stream.widths[b0:b1]
     outliers = stream.outliers[b0:b1].astype(np.int64)
     nz = np.flatnonzero(ws)
-    nc = nz.size * k
+    slots = (k + 7) // 8 * 8
+    nc = slots * nz.size
     c = out[:nc] if out is not None and out.size >= nc else np.empty(nc, dtype=np.int64)
+    mat = c.reshape(slots, nz.size)
     if not nc:
-        return c.reshape(0, k), nz, outliers
-    # the range's sign rows lie back to back, one row per compact row,
-    # each padded to a byte: stripping the padding copies when k % 8
-    bits = np.unpackbits(np.frombuffer(stream.sign_planes, dtype=np.uint8,
-                                       count=int(sign_offs[b1] - sign_offs[b0]),
-                                       offset=int(sign_offs[b0])))
-    s = np.ascontiguousarray(bits.reshape(nz.size, -1)[:, :k]).reshape(nc)
+        return mat[:k], nz, outliers
+    signs = np.frombuffer(stream.sign_planes, dtype=np.uint8,
+                          count=int(sign_offs[b1] - sign_offs[b0]), offset=int(sign_offs[b0]))
+    s = np.unpackbits(signs.reshape(nz.size, -1).T, axis=0)[:k]
     payload = np.frombuffer(stream.payload, dtype=np.uint8)
-    cmat = c.view(np.uint64).reshape(nz.size, k)
-    for w, ids, rows in _block_chunks(ws):
-        view, at = _row_slots(payload, payload_offs[b0 : b1 + 1], ids, (k * w + 7) // 8)
-        cmat[rows] = _unpack_mag_rows(view[at], k, w)
-    x = _resolve_range(c, s.view(np.int8), outliers[nz], k, int(ws.max()), bins)
-    return x.reshape(nz.size, k), nz, outliers
+    offs = payload_offs[b0 : b1 + 1]
+    umat = mat.view(np.uint64)
+    w = int(ws.max())
+    if w <= 8:
+        _gather_narrow(payload, offs, ws, nz, umat)
+    else:
+        for cw, ids, rows in _block_chunks(ws):
+            view, at = _row_slots(payload, offs, ids, (k * cw + 7) // 8)
+            if isinstance(rows, slice):  # a run of blocks: unpack in place
+                _unpack_mag_rows(view[at], k, cw, umat[:, rows])
+            else:  # blocks grouped by width: unpack, then scatter
+                umat[:, rows] = _unpack_mag_rows(view[at], k, cw,
+                                                 np.empty((slots, len(rows)), dtype=np.uint64))
+    return _resolve_range(mat[:k], s.view(np.int8), outliers[nz], k, w, bins), nz, outliers
+
+
+def _scatter(x: np.ndarray, nz: np.ndarray, fill, r: np.ndarray) -> np.ndarray:
+    """Write a range's slot-major compact matrix ``x`` (``(k, len(nz))``,
+    blocks ``nz``) into ``r``, the range's block-major int64 buffer: the
+    other blocks take ``fill`` in every slot (their outliers as a column,
+    or 0), and ``x`` lands with one transposing copy.  Returns ``r``."""
+    mat = r.reshape(-1, x.shape[0])
+    if nz.size < mat.shape[0]:
+        mat[:] = fill
+    if nz.size:
+        mat[_as_slice(nz)] = x.T
+    return r
 
 
 def _decode_range(stream: CompressedStream, b0: int, b1: int, k: int, out=None,
                   bins: bool = True) -> np.ndarray:
     """Decode blocks [b0, b1) of length ``k``, one of :func:`_block_ranges`,
-    in one range-sized int64 buffer (a prefix of ``out``, when given).
-
-    :func:`_decode_compact` decodes the non-constant blocks; then the
-    constant blocks of the buffer take their outlier in every slot (with
-    ``bins``; zero residuals without) and the compact rows scatter in.  A
-    range with no constant block is its own compact matrix, decoded in
-    place.  Residuals past 63 bits come back wrapped modulo 2^64."""
+    in one range-sized int64 buffer (a prefix of ``out``, when given):
+    :func:`_decode_compact` decodes the non-constant blocks and
+    :func:`_scatter` fills the constant ones with their outliers (with
+    ``bins``; zero residuals without).  Residuals past 63 bits come back
+    wrapped modulo 2^64."""
     m = (b1 - b0) * k
     r = np.empty(m, dtype=np.int64) if out is None else out[:m]
-    in_place = stream.widths[b0:b1].all()
-    x, nz, outliers = _decode_compact(stream, b0, b1, k, r if in_place else None, bins)
-    if in_place:
-        return x.reshape(m)
-    # every block takes its outlier (zero residuals) in every slot, then the
-    # compact rows overwrite the non-constant ones
-    mat = r.reshape(-1, k)
-    mat[:] = outliers[:, None] if bins else 0
-    mat[nz] = x
-    return r
+    x, nz, outliers = _decode_compact(stream, b0, b1, k, bins=bins)
+    return _scatter(x, nz, outliers[:, None] if bins else 0, r)
 
 
 def _encode_range(neg: np.ndarray, mags: np.ndarray, w: np.ndarray, k: int) -> tuple[bytes, bytes]:

@@ -141,26 +141,26 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 # residual-space operations
 
 
-def _lockstep(streams, compact: bool = False):
+def _lockstep(streams):
     """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1, k,
-    decode)`` for each of ``codec._block_ranges``: ``decode(i, bins=True)``
-    decodes operand ``i``'s range into that operand's reused int64 buffer,
-    as the whole range (``codec._decode_range``) or, with ``compact``, as
-    its non-constant blocks alone, ``(rows, nz, outliers)``
-    (``codec._decode_compact``).  Operands whose params differ raise
+    decode)`` for each of ``codec._block_ranges``: ``decode(i, bins=True,
+    compact=False)`` decodes operand ``i``'s range into that operand's
+    reused int64 buffer, as the whole range (``codec._decode_range``) or,
+    with ``compact``, as its non-constant blocks alone, ``(rows, nz,
+    outliers)`` (``codec._decode_compact``), whose matrix takes whole
+    groups of 8 slots.  Operands whose params differ raise
     :class:`ParamsMismatch` before any range is decoded."""
     _check_params(streams)
-    dec = codec._decode_compact if compact else codec._decode_range
     bufs = [None] * len(streams)
     for b0, b1, k, _ in codec._block_ranges(streams[0].params):
 
-        def decode(i, bins=True):
-            x = dec(streams[i], b0, b1, k, bufs[i], bins)
-            rows = x[0] if compact else x
-            # keep the longest: a compact decode may fill less than a range
-            if bufs[i] is None or rows.size > bufs[i].size:
-                bufs[i] = rows.reshape(-1)
-            return x
+        def decode(i, bins=True, compact=False):
+            # made for the first range that needs one, which no later range
+            # outgrows; a range of constant blocks alone needs no compact one
+            if bufs[i] is None and (not compact or streams[i].widths[b0:b1].any()):
+                bufs[i] = np.empty((k + 7) // 8 * 8 * (b1 - b0), dtype=np.int64)
+            dec = codec._decode_compact if compact else codec._decode_range
+            return dec(streams[i], b0, b1, k, bufs[i], bins)
 
         yield b0, b1, k, decode
 
@@ -180,19 +180,25 @@ def sum_streams(streams, signs) -> CompressedStream:
 
     A range whose operands' ``codec._bin_bound`` add up within int64 sums
     their signed residuals in int64; no residual or bin of the sum can pass
-    it.  Any other range sums their bins instead (:func:`_limb_sum`), so an
-    n-ary sum fails only where its result does, and hands the encoder the
-    summed bins to split: a bin of the sum past 63 bits raises
-    ``QuantOverflow``, as the oracle does.  A range constant in every
-    operand is ``sum(sign * outlier)`` per block, with no decode, so no
-    buffer outgrows a range or 32 times the operands' bytes (a non-constant
-    block of ``k`` brings at least ``k / 4`` of them).  Each range goes to
-    ``codec._encode_ranges`` in whichever of its three forms it took.
+    it.  Where the operands' constant blocks coincide (noise, or a stream
+    and one derived from it), their slot-major compact matrices align and
+    add up as they are, and the sum is scattered into a range buffer once
+    (``codec._scatter``); otherwise each operand's whole range is decoded
+    and added.  Any other range sums their bins instead
+    (:func:`_limb_sum`), so an n-ary sum fails only where its result does,
+    and hands the encoder the summed bins to split: a bin of the sum past
+    63 bits raises ``QuantOverflow``, as the oracle does.  A range
+    constant in every operand is ``sum(sign * outlier)`` per block, with
+    no decode, so no buffer outgrows a range or 32 times the operands'
+    bytes (a non-constant block of ``k`` brings at least ``k / 4`` of
+    them).  Each range goes to ``codec._encode_ranges`` in whichever of its
+    three forms it took.
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
 
     def parts():
+        buf = None  # the aligned sums' range buffer; no later range outgrows the first
         for b0, b1, k, decode in _lockstep(streams):
             if sum(codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
                    for c in streams) > _I64_MAX:
@@ -202,12 +208,21 @@ def sum_streams(streams, signs) -> CompressedStream:
             if _all_constant(streams, b0, b1):
                 yield outliers, None
                 continue
+            # where the operands' constant blocks coincide, their compact
+            # matrices align and add up before one scatter
+            live = streams[0].widths[b0:b1] > 0
+            aligned = all(np.array_equal(live, c.widths[b0:b1] > 0) for c in streams[1:])
             acc = None
             for i, g in enumerate(signs):
-                x = decode(i, bins=False)
+                x = decode(i, bins=False, compact=aligned)
+                x = x[0] if aligned else x
                 if g < 0:
                     np.negative(x, out=x)
                 acc = x if acc is None else np.add(acc, x, out=acc)
+            if aligned:
+                m = (b1 - b0) * k
+                buf = np.empty(m, dtype=np.int64) if buf is None else buf
+                acc = codec._scatter(acc, np.flatnonzero(live), 0, buf[:m])
             yield outliers, (acc < 0, np.abs(acc, out=acc).view(np.uint64))
 
     return codec._encode_ranges(streams[0].params, parts())
@@ -298,12 +313,13 @@ def hadamard(a: CompressedStream, b: CompressedStream,
 def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1) -> int:
     """Exact ``sum(x * y)`` (``sum(x)`` when ``y`` is None) of int64 arrays
     with ``|x| <= mx`` and ``|y| <= my``; ``x`` and ``y`` broadcast, so a
-    ``(rows, 1)`` column weights each row of a ``(rows, k)`` matrix and a
-    ``(k,)`` row each column.  One int64 sum when the total fits (int64
-    arithmetic wraps modulo 2^64, so in whatever order the terms add up, a
-    total that fits is exact); otherwise the factor with the larger bound
-    splits into high and low halves, each bounded near that bound's square
-    root, whose sums (by this rule again) add up as Python ints.  A pure
+    ``(k, 1)`` column weights each slot of a slot-major ``(k, blocks)``
+    compact matrix and a ``(blocks,)`` row each block.  One int64 sum when
+    the total fits (int64 arithmetic wraps modulo 2^64, so in whatever
+    order the terms add up, a total that fits is exact); otherwise the
+    factor with the larger bound splits into high and low halves, each
+    bounded near that bound's square root, whose sums (by this rule again)
+    add up as Python ints.  A pure
     function of its factors and bounds, with no memo of the halves."""
     if not x.size or y is not None and not y.size:
         return 0
@@ -324,30 +340,44 @@ def _exact_dot(x: np.ndarray, mx: int, y: np.ndarray | None = None, my: int = 1)
 def _residual_weights(k: int) -> np.ndarray:
     """Bin ``j`` of a block is its outlier plus residuals ``1..j``, so the
     block sums to ``k O + sum_i R_i (k - i)``: residual ``i`` weighs ``k -
-    i``, and the block-start slot, which the outlier carries, weighs 0."""
+    i``, and the block-start slot, which the outlier carries, weighs 0.
+    Returns the weights as a ``(k, 1)`` column, one per slot of the
+    slot-major compact matrix."""
     weights = np.arange(k, 0, -1)
     weights[0] = 0
-    return weights
+    return weights[:, None]
+
+
+def _block_dot(x: np.ndarray, mx: int, t: np.ndarray, y: np.ndarray, my: int) -> int:
+    """Exact ``sum(x[:, t] * y)`` of slot-major compact rows ``x`` (``(k,
+    blocks)``, ``|x| <= mx``): the blocks ``t`` (a mask) weighted by ``y``
+    (``|y| <= my``), one weight per block.  Where a block sum fits int64
+    (``k mx``), ``x``'s block sums are one contiguous sum down the slots and
+    the weights dot them; otherwise the weights dot the gathered rows."""
+    k = x.shape[0]
+    if k * mx <= _I64_MAX:
+        return _exact_dot(x.sum(axis=0)[t], k * mx, y, my)
+    return _exact_dot(x[:, t], mx, y, my)
 
 
 def _pair_dot(k: int, a, b) -> int:
-    """``sum(a * b)`` over one range of a pair, from each operand's compact
-    rows, constant-block mask, outliers and bound, block by block: a block
-    constant in both adds ``k Oa Ob``, one constant in one operand adds its
-    outlier times the other's row sum, and the rest take row dot products.
-    Where the operands' constant blocks coincide (none at all, or a stream
-    and one derived from it) their compact rows align and are dotted with
-    no gather."""
+    """``sum(a * b)`` over one range of a pair, from each operand's
+    slot-major compact rows, constant-block mask, outliers and bound, block
+    by block: a block constant in both adds ``k Oa Ob``, one constant in
+    one operand adds its outlier times the other's block sum
+    (:func:`_block_dot`), and the rest take the dot of their rows, gathered
+    once per operand.  Where the operands' constant blocks coincide (none
+    at all, or a stream and one derived from it) their compact rows align
+    and are dotted with no gather."""
     (xa, ca, oa, ma), (xb, cb, ob, mb) = a, b
     if np.array_equal(ca, cb):
         return k * _exact_dot(oa[ca], ma, ob[ca], mb) + _exact_dot(xa, ma, xb, mb)
-    both, ra, rb = ca & cb, ~ca, ~cb  # ra, rb: the blocks with a compact row
-    ta, tb = cb[ra], ca[rb]  # of those, the ones constant in the other operand
+    both = ca & cb
+    ta, tb = cb[~ca], ca[~cb]  # of the blocks with rows, the ones constant in the other operand
     return (k * _exact_dot(oa[both], ma, ob[both], mb)
-            + _exact_dot(np.compress(ta, xa, axis=0), ma, ob[ra & cb, None], mb)
-            + _exact_dot(np.compress(tb, xb, axis=0), mb, oa[rb & ca, None], ma)
-            + _exact_dot(np.compress(~ta, xa, axis=0), ma,
-                         np.compress(~tb, xb, axis=0), mb))
+            + _block_dot(xa, ma, ta, ob[~ca & cb], mb)
+            + _block_dot(xb, mb, tb, oa[~cb & ca], ma)
+            + _exact_dot(xa[:, ~ta], ma, xb[:, ~tb], mb))
 
 
 def _sums(streams, *, sq: bool = False, minmax: bool = False):
@@ -371,19 +401,19 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
     quad = sq or n == 2  # the sums hold products of two bins
     s, sqq, lo, hi = [0] * n, [0] * n, [math.inf] * n, [-math.inf] * n
     sab = 0
-    for b0, b1, k, decode in _lockstep(streams, compact=True):
+    for b0, b1, k, decode in _lockstep(streams):
         parts = []
         for i, c in enumerate(streams):
             ws = c.widths[b0:b1]
             w = int(ws.max())
             m = codec._bin_bound(c.outliers[b0:b1], k, w)
             if not (quad or minmax) and max(m, (1 << w) - 1) <= _I64_MAX:
-                rows, _, o = decode(i, bins=False)
+                rows, _, o = decode(i, bins=False, compact=True)
                 s[i] += k * _exact_dot(o, m)
                 if w:  # else no rows; and a block may be 2^32 - 1 long
                     s[i] += _exact_dot(rows, (1 << w) - 1, _residual_weights(k), k)
                 continue
-            rows, _, o = decode(i)
+            rows, _, o = decode(i, compact=True)
             const = ws == 0
             oc = o[const]
             if minmax or (b1 - b0) * k * (m * m if quad else m) > _I64_MAX:

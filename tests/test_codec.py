@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -698,6 +699,89 @@ class TestCompactDecode:
         assert not decode_to_quant(ops.elementwise_sub(s, s)).bins.any()
 
 
+class TestSlotMajorDecode:
+    """Decode holds a range's non-constant blocks slot-major, ``(k,
+    blocks)``: a range whose widths are all at most 8 unpacks in one
+    gather, any other by width, and a block length that is not a multiple
+    of 8 pads the matrix to whole groups of 8 slots.  Each case is checked
+    range by range against the independent block model, at bin and at
+    residual depth, compact and scattered into the whole range."""
+
+    @staticmethod
+    def _check(q):
+        s = encode_from_quant(q)
+        assert s == reference_stream(q)
+        blocks = ref_blocks(q)
+        for b0, b1, k, _ in codec._block_ranges(q.params):
+            rng_blocks = blocks[b0:b1]
+            nz = [i for i, b in enumerate(rng_blocks) if not b.is_constant]
+            want = {True: [[b.outlier + x for x in accumulate(b.residuals)] for b in rng_blocks],
+                    False: [b.residuals for b in rng_blocks]}
+            for bins in (True, False):
+                rows, got_nz, outliers = codec._decode_compact(s, b0, b1, k, bins=bins)
+                assert got_nz.tolist() == nz
+                assert outliers.tolist() == [b.outlier for b in rng_blocks]
+                assert rows.shape == (k, len(nz))
+                assert rows.T.tolist() == [want[bins][i] for i in nz]
+                whole = codec._decode_range(s, b0, b1, k, bins=bins)
+                assert whole.tolist() == [x for i, b in enumerate(rng_blocks)
+                                          for x in (want[bins][i] if bins or i in nz
+                                                    else [0] * len(b.residuals))]
+        assert decode_to_quant(s) == q
+        return s
+
+    @pytest.mark.parametrize("k", [32, 13])
+    def test_one_range_mixes_narrow_and_wide_widths(self, k):
+        rng = np.random.default_rng(k)
+        n = 3000 * k + k // 2  # a range of whole blocks, then a ragged one
+        widths = np.resize([3, 8, 0, 9, 12, 1, 0, 30], -(-n // k))
+        s = self._check(QuantArray(width_bins(rng, widths, k, n), QuantParams(0.5, (n,), k, "f64")))
+        assert s.widths.tolist() == widths.tolist()
+
+    @pytest.mark.parametrize("widths", [[8], [9], [8, 9], [8, 0], [9, 0]])
+    def test_width_8_and_width_9(self, widths):
+        k, n = 32, 1000 * 32 + 17
+        rng = np.random.default_rng(sum(widths) + len(widths))
+        ws = np.resize(widths, -(-n // k))
+        ws[-1] = widths[0]
+        s = self._check(QuantArray(width_bins(rng, ws, k, n), QuantParams(0.5, (n,), k, "f64")))
+        assert s.widths.tolist() == ws.tolist()
+
+    @pytest.mark.parametrize("k", [5, 12, 13, 33, 300])
+    @pytest.mark.parametrize("top", [8, 12])
+    def test_block_lengths_off_the_group_size(self, k, top):
+        # k % 8 != 0: the matrix takes whole groups of 8 slots; a full
+        # range, a short one and a ragged last block, narrow (widths up to
+        # 8) or mixed; blocks of 300 take the prefix sums in one cumsum
+        rng = np.random.default_rng(k * top)
+        n = (codec._RANGE_ELEMS // k + 40) * k + k // 2
+        widths = rng.integers(0, top + 1, -(-n // k))
+        s = self._check(QuantArray(width_bins(rng, widths, k, n), QuantParams(0.5, (n,), k, "f64")))
+        assert s.widths.tolist() == widths.tolist()
+
+    @pytest.mark.parametrize("tail, w", [(2, 1), (3, 2), (5, 8), (7, 8), (13, 3), (31, 1)])
+    def test_last_row_ends_inside_the_last_eight_bytes(self, tail, w):
+        # the section's last row is 1-7 bytes long: every window of the
+        # narrow gather there reads past the end of the payload
+        k = 32
+        n = 100 * k + tail
+        widths = np.resize([5, 0, 8], -(-n // k))
+        widths[-1] = w
+        rng = np.random.default_rng(tail * 8 + w)
+        s = self._check(QuantArray(width_bins(rng, widths, k, n), QuantParams(0.5, (n,), k, "f64")))
+        assert 1 <= (tail * w + 7) // 8 <= 7 and s.widths[-1] == w
+
+    @pytest.mark.parametrize("k", [5, 13])
+    def test_full_last_block_ends_inside_the_last_eight_bytes(self, k):
+        # no ragged block: the last full block's row is under 8 bytes
+        n = (codec._RANGE_ELEMS // k + 40) * k
+        widths = np.resize([0, 4, 7, 1], n // k)
+        widths[-1] = 3
+        s = self._check(QuantArray(width_bins(np.random.default_rng(k), widths, k, n),
+                                   QuantParams(0.5, (n,), k, "f64")))
+        assert (k * 3 + 7) // 8 < 8 and s.widths[-1] == 3
+
+
 class TestLossinessLocalization:
     """Quantization is the only lossy stage; everything after it is exact."""
 
@@ -712,6 +796,37 @@ class TestLossinessLocalization:
             assert decode_to_quant(encode_from_quant(q)) == q
 
 
+def unpack_rows(rows, k, w):
+    """The ``(blocks, k)`` magnitudes of byte rows ``rows`` through the
+    slot-major unpack kernel, written as decode writes a run of blocks:
+    into a column slice of a wider matrix, whose other columns must stay
+    untouched."""
+    slots, g = (k + 7) // 8 * 8, rows.shape[0]
+    wide = np.full((slots, g + 3), 7, dtype=np.uint64)
+    out = wide[:, 2 : 2 + g]
+    assert codec._unpack_mag_rows(rows, k, w, out) is out
+    assert (wide[:, :2] == 7).all() and (wide[:, 2 + g :] == 7).all()
+    return out[:k].T
+
+
+def gather_rows(rows, k, ws):
+    """The ``(blocks, k)`` magnitudes of byte rows ``rows`` (a list of
+    bytes, block ``i`` at width ``ws[i]`` of at most 8) through the narrow
+    gather: the rows back to back in a section at an odd offset, a constant
+    block before each one, and the last row ending the section."""
+    ws = np.asarray(ws)
+    widths = np.zeros(2 * len(rows), dtype=np.uint8)
+    widths[1::2] = ws
+    sizes = np.zeros(2 * len(rows), dtype=np.int64)
+    sizes[1::2] = [len(r) for r in rows]
+    offs = 3 + codec._section_offsets(sizes)
+    section = np.frombuffer(b"\xff" * 3 + b"".join(rows), dtype=np.uint8)
+    nz = np.flatnonzero(widths)
+    out = np.full(((k + 7) // 8 * 8, nz.size), 7, dtype=np.uint64)
+    assert codec._gather_narrow(section, offs, widths, nz, out) is out
+    return out[:k].T
+
+
 class TestBitPacking:
     @pytest.mark.parametrize("k", [1, 3, 7, 8, 13, 32, 64])
     def test_kernels_match_reference_packer(self, k):
@@ -723,9 +838,22 @@ class TestBitPacking:
             ref = np.array([list(ref_pack_row(row.tolist(), w)) for row in mat],
                            dtype=np.uint8)
             assert np.array_equal(codec._pack_mag_rows(mat, w), ref), w
-            assert np.array_equal(codec._unpack_mag_rows(ref, k, w), mat), w
+            assert np.array_equal(unpack_rows(ref, k, w), mat), w
+            if w <= 8:
+                assert np.array_equal(gather_rows([r.tobytes() for r in ref], k, [w] * 4), mat), w
 
-    @pytest.mark.parametrize("k", [13, 32])
+    @pytest.mark.parametrize("k", [1, 3, 7, 8, 13, 32, 64])
+    def test_narrow_gather_mixes_widths(self, k):
+        # one gather splits every width 1..8 at once, each block by its own
+        # shift and mask
+        rng = np.random.default_rng(90 + k)
+        ws = np.tile(np.arange(1, 9), 3)
+        mat = rng.integers(0, 256, (ws.size, k), dtype=np.uint64) >> (8 - ws[:, None]).astype(np.uint64)
+        mat[:, -1] = (1 << ws) - 1
+        rows = [ref_pack_row(row.tolist(), int(w)) for row, w in zip(mat, ws)]
+        assert np.array_equal(gather_rows(rows, k, ws), mat)
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 8, 13, 32, 64])
     def test_unpack_reads_row_views(self, k):
         # the rows as decode passes them: a read-only view into a larger
         # byte buffer, starting at an odd byte offset
@@ -735,7 +863,7 @@ class TestBitPacking:
             packed = b"".join(ref_pack_row(row.tolist(), w) for row in mat)
             buf = np.frombuffer(b"\xff" * 3 + packed + b"\xff" * 5, dtype=np.uint8)
             rows = buf[3 : 3 + len(packed)].reshape(5, -1)
-            assert np.array_equal(codec._unpack_mag_rows(rows, k, w), mat), w
+            assert np.array_equal(unpack_rows(rows, k, w), mat), w
 
     def test_stream_matches_reference_packer(self):
         # 8 full blocks of 12 and a ragged tail of 4; widths 0 (constant) to 64

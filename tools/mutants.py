@@ -83,7 +83,18 @@ MUTANTS = [
     _m("codec sign flip", CODEC, [T_CODEC],
        ("np.subtract(b1, b0, out=d[1:])", "np.subtract(b0, b1, out=d[1:])"),
        ("([False], b1 < b0)", "([False], b1 > b0)"),
-       ("    np.negative(s, out=s)  # branch-free", "    s ^= 1\n    np.negative(s, out=s)  # branch-free")),
+       ("    np.multiply(s, -2, out=s)  # branch-free",
+        "    s ^= 1\n    np.multiply(s, -2, out=s)  # branch-free")),
+    # the slot-major decode of codec._decode_compact
+    _m("narrow gather masks w + 1 bits", CODEC, [T_CODEC],
+       ("[(1 << w) - 1 for w in range(9)]", "[(1 << (w + 1)) - 1 for w in range(9)]")),
+    _m("narrow gather steps 8 bytes per group", CODEC, [T_CODEC],
+       ("np.arange(out.shape[0] // 8)[:, None] * wz", "np.arange(out.shape[0] // 8)[:, None] * 8")),
+    _m("narrow gather without the 8 zero bytes", CODEC, [T_CODEC],
+       ("    buf = np.zeros(p1 - p0 + 8, dtype=np.uint8)\n    buf[:-8] = section[p0:p1]\n",
+        "    buf = section[p0:p1]\n")),
+    _m("slot 0 not seeded with the outliers", CODEC, [T_CODEC, T_OPS],
+       ("    r[0] = outliers\n", "")),
     _m("ragged block at the full block length", CODEC, [T_CODEC],
        ("yield nfull, nfull + 1, n % k,", "yield nfull, nfull + 1, k,")),
     # the outlier terms of ops._sums and ops._pair_dot
@@ -99,9 +110,12 @@ MUTANTS = [
     _m("k*Oa*Ob dropped, aligned path", OPS, [T_OPS],
        ("return k * _exact_dot(oa[ca], ma, ob[ca], mb)", "return _exact_dot(oa[ca], ma, ob[ca], mb)")),
     _m("a's rows weighed by a's own outliers", OPS, [T_OPS],
-       ("ma, ob[ra & cb, None], mb)", "ma, oa[ra & cb, None], mb)")),
+       ("_block_dot(xa, ma, ta, ob[~ca & cb], mb)", "_block_dot(xa, ma, ta, oa[~ca & cb], mb)")),
     _m("b's rows weighed by b's own outliers", OPS, [T_OPS],
-       ("mb, oa[rb & ca, None], ma)", "mb, ob[rb & ca, None], ma)")),
+       ("_block_dot(xb, mb, tb, oa[~cb & ca], ma)", "_block_dot(xb, mb, tb, ob[~cb & ca], ma)")),
+    _m("block sums past int64 dotted as they wrap", OPS, [T_OPS],
+       ("    if k * mx <= _I64_MAX:\n        return _exact_dot(x.sum(axis=0)",
+        "    if True:\n        return _exact_dot(x.sum(axis=0)")),
     _m("aligned path when only the constant counts agree", OPS, [T_OPS],
        ("if np.array_equal(ca, cb):", "if ca.sum() == cb.sum():")),
     _m("mean weights k - 1 - i", OPS, [T_OPS],
@@ -125,6 +139,9 @@ MUTANTS = [
     _m("constant-range shortcut when any operand is constant", OPS, [T_OPS],
        ("return not any(c.widths[b0:b1].any() for c in streams)",
         "return any(not c.widths[b0:b1].any() for c in streams)")),
+    _m("residual sums aligned where the constant blocks differ", OPS, [T_OPS, T_CODEC],
+       ("aligned = all(np.array_equal(live, c.widths[b0:b1] > 0) for c in streams[1:])",
+        "aligned = True")),
     _m("constant-range sum without the signs", OPS, [T_OPS],
        ("                yield outliers, None\n",
         "                yield sum(c.outliers[b0:b1].astype(np.int64) for c in streams), None\n")),

@@ -27,7 +27,7 @@ import numpy as np
 from . import codec, ops
 from .distsim import SimScenario, simulate
 from .errors import HoszpError, VerificationMismatch
-from .model import QuantParams, _as_dims, deserialize, serialize
+from .model import DTYPES, QuantParams, _as_dims, deserialize, serialize
 from .synth import smooth_field
 
 CSV_COLUMNS = ["op", "bytes_in", "cr", "t_homo_s", "t_oracle_s", "speedup", "max_abs_diff"]
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--report", choices=["text", "csv", "json"], default="text")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--dims", type=_parse_dims, required=True)
-    field.add_argument("--dtype", choices=["f32", "f64"], default="f32")
+    field.add_argument("--dtype", choices=list(DTYPES), default="f32")
     field.add_argument("--eps", type=float, required=True)
     field.add_argument("--block-len", type=int, default=32)
 

@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, QuantOverflow
-from .model import (CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, _equal_fields,
-                    _section_offsets)
+from .model import (CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, _dtype_of,
+                    _equal_fields, _section_offsets)
 
 _POW2 = np.asarray([1 << i for i in range(64)], dtype=np.uint64)
 _I64_MAX = 2**63 - 1
@@ -92,7 +92,7 @@ _SLICE_RUNS = 16
 _NARROW_SHIFTS = (64 - np.arange(1, 9)[:, None] * np.arange(9)).astype(np.uint64)
 _NARROW_MASKS = np.asarray([(1 << w) - 1 for w in range(9)], dtype=np.uint64)
 # the output dtypes of decompress, by numpy dtype
-_OUT_DTYPES = {np.dtype(t): name for name, (_, t, _) in DTYPES.items()}
+_OUT_DTYPES = {t: name for name, t in DTYPES.items()}
 
 
 @dataclass(eq=False)
@@ -105,7 +105,7 @@ class RawArray:
 
     def __post_init__(self):
         self.dims = _as_dims(self.dims)
-        values = np.ascontiguousarray(self.values, dtype=DTYPES[self.dtype][1]).ravel()
+        values = np.ascontiguousarray(self.values, dtype=_dtype_of(self.dtype)).ravel()
         n = math.prod(self.dims)
         if values.shape[0] != n:
             raise ValueError(f"got {values.shape[0]} values for dims {self.dims}")
@@ -115,15 +115,14 @@ class RawArray:
 
     @property
     def nbytes(self) -> int:
-        return self.values.size * DTYPES[self.dtype][2]
+        return self.values.nbytes
 
     __eq__ = _equal_fields
 
 
 def read_raw(path, dims, dtype: str = "f32") -> RawArray:
     """Read a headerless flat little-endian IEEE-754 binary file."""
-    code = "<f4" if dtype == "f32" else "<f8"
-    values = np.fromfile(path, dtype=code)
+    values = np.fromfile(path, dtype=_dtype_of(dtype))
     dims = _as_dims(dims)
     n = math.prod(dims)
     if values.size != n:
@@ -134,21 +133,22 @@ def read_raw(path, dims, dtype: str = "f32") -> RawArray:
 
 
 def write_raw(raw: RawArray, path) -> None:
-    code = "<f4" if raw.dtype == "f32" else "<f8"
-    raw.values.astype(code).tofile(path)
+    raw.values.astype(DTYPES[raw.dtype]).tofile(path)
 
 
 def resolve_eps(raw: RawArray, eps: float, mode: str = "abs") -> float:
     """Resolve a relative error bound against the input's value range.
 
     ``rel`` mode returns ``eps * (max - min)``; the resolved absolute bound
-    is what gets stored in the stream header.
+    is what gets stored in the stream header.  A constant input has no
+    value range to scale, and ``rel`` mode rejects it with ``ValueError``.
     """
     if mode == "abs":
         return float(eps)
     if mode == "rel":
-        lo = float(raw.values.min())
-        hi = float(raw.values.max())
+        lo, hi = float(raw.values.min()), float(raw.values.max())
+        if hi == lo:
+            raise ValueError(f"eps mode 'rel' needs a nonzero value range, but every value is {lo}")
         return float(eps) * (hi - lo)
     raise ValueError(f"eps mode must be 'abs' or 'rel', got {mode!r}")
 
@@ -677,7 +677,7 @@ def decompress(stream: CompressedStream, threads: int = 1,
         dtype = params.dtype if out_dtype is None else _OUT_DTYPES[np.dtype(out_dtype)]
     except (TypeError, KeyError):
         raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
-    values = np.empty(params.element_count, dtype=DTYPES[dtype][1])
+    values = np.empty(params.element_count, dtype=DTYPES[dtype])
     buf = None
     for b0, b1, k, e in _block_ranges(params):
         bins = _decode_range(stream, b0, b1, k, out=buf)

@@ -37,9 +37,9 @@ from .errors import (
 MAGIC = b"HSZP"
 VERSION = 1
 
-#: dtype name -> (header code, numpy dtype, bytes per element)
-DTYPES = {"f32": (0, np.float32, 4), "f64": (1, np.float64, 8)}
-_DTYPE_BY_CODE = {code: name for name, (code, _, _) in DTYPES.items()}
+#: dtype name -> numpy dtype, little-endian as raw files hold it; the
+#: header's dtype code is the entry's position
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 _I32_MIN = -(2**31)
 _I32_MAX = 2**31 - 1
@@ -63,6 +63,15 @@ def _as_dims(dims) -> tuple[int, ...]:
     if len(ints) != len(dims) or any(d < 1 for d in ints):
         raise ValueError(f"dims must be integers of at least 1, got {dims!r}")
     return ints
+
+
+def _dtype_of(name) -> np.dtype:
+    """The one dtype lookup: the numpy dtype of ``name``, or ``ValueError``
+    for a name that is not in :data:`DTYPES`."""
+    try:
+        return DTYPES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {name!r}") from None
 
 
 def _equal_fields(self, other):
@@ -108,8 +117,7 @@ class QuantParams:
             raise ValueError(f"block_len must be an integer, got {self.block_len!r}") from None
         if not 1 <= self.block_len <= _MAX_BLOCK_LEN:
             raise ValueError(f"block_len must be in [1, 2^32 - 1], got {self.block_len}")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
+        _dtype_of(self.dtype)
 
     @property
     def element_count(self) -> int:
@@ -122,11 +130,11 @@ class QuantParams:
 
     @property
     def numpy_dtype(self):
-        return DTYPES[self.dtype][1]
+        return DTYPES[self.dtype]
 
     @property
     def raw_nbytes(self) -> int:
-        return self.element_count * DTYPES[self.dtype][2]
+        return self.element_count * DTYPES[self.dtype].itemsize
 
     def block_lengths(self) -> np.ndarray:
         """Actual length of each block (the last one may be partial)."""
@@ -305,7 +313,7 @@ def serialize(stream: CompressedStream) -> bytes:
     p = stream.params
     _as_int32_outliers(stream.outliers)  # re-assert the 32-bit contract
     parts = [
-        _HEADER.pack(MAGIC, VERSION, DTYPES[p.dtype][0], len(p.dims), p.eps, p.block_len),
+        _HEADER.pack(MAGIC, VERSION, list(DTYPES).index(p.dtype), len(p.dims), p.eps, p.block_len),
         np.asarray(p.dims, dtype="<u8").tobytes(),
         stream.widths.tobytes(),
         stream.outliers.astype("<i4").tobytes(),
@@ -328,7 +336,7 @@ def deserialize(data: bytes) -> CompressedStream:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise VersionMismatch(f"unsupported stream version {version}")
-    if dtype_code not in _DTYPE_BY_CODE:
+    if dtype_code >= len(DTYPES):
         raise GeometryMismatch(f"unknown dtype code {dtype_code}")
 
     pos = _HEADER.size
@@ -343,7 +351,7 @@ def deserialize(data: bytes) -> CompressedStream:
 
     dims = tuple(int(d) for d in np.frombuffer(take(8 * ndim, "dims table"), dtype="<u8"))
     try:
-        params = QuantParams(eps, dims, block_len, _DTYPE_BY_CODE[dtype_code])
+        params = QuantParams(eps, dims, block_len, list(DTYPES)[dtype_code])
     except ValueError as exc:
         raise GeometryMismatch(f"invalid header: {exc}") from None
 

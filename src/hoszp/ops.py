@@ -22,11 +22,12 @@ weighted by the block length, and nothing is scattered into a full range.
 Every sum is taken in int64, splitting a factor into halves where the sum
 could pass int64 (``_exact_dot``).
 
-``OPS`` is the one table of operations: each ``OpSpec`` pairs the
-homomorphic call with its oracle, the traditional reference workflow - full
-decompression, the same operation in the value domain, full recompression -
-used to certify that every homomorphic result is identical to it.  Both are
-called as ``(streams, scalar)``.  ``apply`` runs any operation by name;
+``OPS`` is the one table of operations: each ``OpSpec`` holds the public
+function of an operation next to its oracle, the traditional reference
+workflow - full decompression, the same operation in the value domain, full
+recompression - used to certify that every homomorphic result is identical
+to it.  ``OpSpec.apply`` and the oracle are both called as ``(streams,
+scalar)``.  ``apply`` runs any operation by name;
 ``oracle_stream``, ``oracle_reduction`` and ``oracle_apply`` run its
 oracle.  All four check the name, the operand count and the scalar in one
 place.  Where a public function takes ``threads``, it is accepted and
@@ -54,7 +55,8 @@ class ScalarBin:
     The bin is ``trunc(s / (2 * eps))`` toward zero, so the quantized
     scalar ``2 * eps * bin`` differs from ``s`` by strictly less than
     ``2 * eps``.  (This is deliberately not the floor rule the array
-    quantizer uses.)
+    quantizer uses.)  A NaN or infinite scalar raises ``ValueError``, a
+    finite one whose bin passes 63 bits :class:`QuantOverflow`.
     """
 
     value: float
@@ -63,8 +65,10 @@ class ScalarBin:
 
     @classmethod
     def of(cls, value: float, eps: float) -> "ScalarBin":
+        if not math.isfinite(value):
+            raise ValueError(f"scalar must be finite, got {value}")
         t = float(value) / (2.0 * eps)
-        if not np.isfinite(t) or abs(t) >= 2.0**63:
+        if abs(t) >= 2.0**63:
             raise QuantOverflow(f"scalar {value} overflows the bin grid at eps={eps}")
         return cls(float(value), float(eps), math.trunc(t))
 
@@ -515,11 +519,6 @@ def _linear_oracle(fn):
     return oracle
 
 
-def _scalar_value(scalar: float, eps: float) -> float:
-    """A scalar enters the value domain as its quantized value ``2 eps * bin``."""
-    return ScalarBin.of(scalar, eps).quantized_value
-
-
 def _product_oracle(streams, scalar):
     """Oracle of the multiplicative operations (the scalar's bin is the
     second factor of a one-stream product).
@@ -569,56 +568,39 @@ def _value_ssim(va: np.ndarray, vb: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One operation: its homomorphic call next to the oracle that certifies
-    it.  ``apply`` and ``oracle`` both take ``(streams, scalar)``; a stream
-    operation returns a CompressedStream from both, a reduction a float.
-    Operations that take no scalar ignore it."""
+    """One operation: its public function ``fn`` next to the oracle that
+    certifies it.  :meth:`apply` calls ``fn`` on the operands, and on the
+    scalar when ``takes_scalar`` is set; ``oracle`` takes ``(streams,
+    scalar)`` and ignores the scalar where the operation takes none.  A
+    stream operation returns a CompressedStream from both, a reduction a
+    float."""
 
     name: str
     arity: int
     takes_scalar: bool
     reduction: bool
-    apply: Callable
+    fn: Callable
     oracle: Callable
+
+    def apply(self, streams, scalar):
+        return self.fn(*streams, scalar) if self.takes_scalar else self.fn(*streams)
 
 
 OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
-    OpSpec("neg", 1, False, False,
-           lambda s, x: negate(s[0]),
-           _linear_oracle(lambda v, x, eps: -v[0])),
-    OpSpec("sadd", 1, True, False,
-           lambda s, x: scalar_add(s[0], x),
-           _linear_oracle(lambda v, x, eps: v[0] + _scalar_value(x, eps))),
-    OpSpec("ssub", 1, True, False,
-           lambda s, x: scalar_sub(s[0], x),
-           _linear_oracle(lambda v, x, eps: v[0] - _scalar_value(x, eps))),
-    OpSpec("smul", 1, True, False,
-           lambda s, x: scalar_mul(s[0], x),
-           _product_oracle),
-    OpSpec("eadd", 2, False, False,
-           lambda s, x: elementwise_add(s[0], s[1]),
-           _linear_oracle(lambda v, x, eps: v[0] + v[1])),
-    OpSpec("esub", 2, False, False,
-           lambda s, x: elementwise_sub(s[0], s[1]),
-           _linear_oracle(lambda v, x, eps: v[0] - v[1])),
-    OpSpec("hadamard", 2, False, False,
-           lambda s, x: hadamard(s[0], s[1]),
-           _product_oracle),
-    OpSpec("mean", 1, False, True,
-           lambda s, x: mean(s[0]),
-           _reduction_oracle(np.mean)),
-    OpSpec("variance", 1, False, True,
-           lambda s, x: variance(s[0]),
-           _reduction_oracle(np.var)),
-    OpSpec("stddev", 1, False, True,
-           lambda s, x: stddev(s[0]),
-           _reduction_oracle(np.std)),
-    OpSpec("covariance", 2, False, True,
-           lambda s, x: covariance(s[0], s[1]),
-           _reduction_oracle(_value_covariance)),
-    OpSpec("ssim", 2, False, True,
-           lambda s, x: ssim_global(s[0], s[1]),
-           _reduction_oracle(_value_ssim)),
+    OpSpec("neg", 1, False, False, negate, _linear_oracle(lambda v, x, eps: -v[0])),
+    OpSpec("sadd", 1, True, False, scalar_add,
+           _linear_oracle(lambda v, x, eps: v[0] + ScalarBin.of(x, eps).quantized_value)),
+    OpSpec("ssub", 1, True, False, scalar_sub,
+           _linear_oracle(lambda v, x, eps: v[0] - ScalarBin.of(x, eps).quantized_value)),
+    OpSpec("smul", 1, True, False, scalar_mul, _product_oracle),
+    OpSpec("eadd", 2, False, False, elementwise_add, _linear_oracle(lambda v, x, eps: v[0] + v[1])),
+    OpSpec("esub", 2, False, False, elementwise_sub, _linear_oracle(lambda v, x, eps: v[0] - v[1])),
+    OpSpec("hadamard", 2, False, False, hadamard, _product_oracle),
+    OpSpec("mean", 1, False, True, mean, _reduction_oracle(np.mean)),
+    OpSpec("variance", 1, False, True, variance, _reduction_oracle(np.var)),
+    OpSpec("stddev", 1, False, True, stddev, _reduction_oracle(np.std)),
+    OpSpec("covariance", 2, False, True, covariance, _reduction_oracle(_value_covariance)),
+    OpSpec("ssim", 2, False, True, ssim_global, _reduction_oracle(_value_ssim)),
 )}
 
 

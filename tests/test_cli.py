@@ -145,8 +145,7 @@ class TestStats:
         assert float(rows[0]["max_abs_diff"]) <= 1e-15
 
     def test_oracle_mismatch_is_verify_error(self, example_hsz, monkeypatch, capsys):
-        wrong = dataclasses.replace(ops.OPS["mean"],
-                                    apply=lambda s, x: ops.mean(s[0]) + _quantum(s[0]))
+        wrong = dataclasses.replace(ops.OPS["mean"], fn=lambda c: ops.mean(c) + _quantum(c))
         monkeypatch.setitem(ops.OPS, "mean", wrong)
         code, cap = _run(capsys, ["stats", "mean", str(example_hsz), "--verify"])
         assert code == 5
@@ -177,7 +176,9 @@ class TestStats:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_against_finite_is_verify_error(self, example_hsz, monkeypatch, capsys,
                                                         side, bad):
-        spec = dataclasses.replace(ops.OPS["variance"], **{side: lambda s, x: bad})
+        # the operation's fn takes the stream alone, its oracle (streams, scalar)
+        fake = {"apply": {"fn": lambda c: bad}, "oracle": {"oracle": lambda s, x: bad}}[side]
+        spec = dataclasses.replace(ops.OPS["variance"], **fake)
         monkeypatch.setitem(ops.OPS, "variance", spec)
         code, cap = _run(capsys, ["stats", "variance", str(example_hsz), "--verify"])
         assert code == 5
@@ -224,11 +225,11 @@ class TestVerifyQuantumFloor:
         _, hsz = constant_field
         spec = ops.OPS[name]
 
-        def off(s, x):
-            q = _quantum(s[0])
-            return spec.apply(s, x) + (q * q if name in ("variance", "covariance") else q)
+        def off(*streams):
+            q = _quantum(streams[0])
+            return spec.fn(*streams) + (q * q if name in ("variance", "covariance") else q)
 
-        monkeypatch.setitem(ops.OPS, name, dataclasses.replace(spec, apply=off))
+        monkeypatch.setitem(ops.OPS, name, dataclasses.replace(spec, fn=off))
         code, cap = _run(capsys, ["stats", name, *[str(hsz)] * self.ARGS[name], "--verify"])
         assert code == 5
         assert "kind=VerificationMismatch" in cap.err
@@ -353,6 +354,28 @@ class TestExitCodes:
         code, cap = _run(capsys, ["op", "sadd", str(wide), "--scalar", "1.0", "-o", str(out)])
         assert code == 4
         assert "kind=QuantOverflow" in cap.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scalar", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["sadd", "ssub", "smul"])
+    def test_non_finite_scalar_is_usage_error(self, tmp_path, example_hsz, capsys, name, scalar):
+        # "--scalar=-inf": a bare -inf would read as a flag; ssub names the
+        # scalar it adds, the negated one
+        out = tmp_path / "out.hsz"
+        code, cap = _run(capsys, ["op", name, str(example_hsz), f"--scalar={scalar}",
+                                  "-o", str(out), "--verify"])
+        assert code == 2
+        assert "kind=ValueError: scalar must be finite, got" in cap.err
+        assert not out.exists()
+
+    def test_rel_eps_on_a_constant_field_names_the_zero_range(self, tmp_path, capsys):
+        src, out = tmp_path / "const.bin", tmp_path / "x.hsz"
+        np.full(4, 0.25, dtype="<f4").tofile(src)
+        code, cap = _run(capsys, ["compress", str(src), "-o", str(out), "--dims", "4",
+                                  "--eps", "1e-3", "--eps-mode", "rel"])
+        assert code == 2
+        assert "kind=ValueError" in cap.err
+        assert "nonzero value range, but every value is 0.25" in cap.err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
@@ -599,11 +622,11 @@ class TestBench:
         assert all(r["eps"] == "0.05" for r in rows)
 
     @pytest.mark.parametrize("name, wrong", [
-        ("neg", lambda s, x: ops.scalar_add(s[0], 1.0)),
-        ("mean", lambda s, x: ops.mean(s[0]) + _quantum(s[0])),
+        ("neg", lambda c: ops.scalar_add(c, 1.0)),
+        ("mean", lambda c: ops.mean(c) + _quantum(c)),
     ])
     def test_oracle_mismatch_is_verify_error(self, monkeypatch, capsys, name, wrong):
-        monkeypatch.setitem(ops.OPS, name, dataclasses.replace(ops.OPS[name], apply=wrong))
+        monkeypatch.setitem(ops.OPS, name, dataclasses.replace(ops.OPS[name], fn=wrong))
         code, cap = _run(capsys, ["bench", "--dims", "8x8", "--eps", "1e-2",
                                   "--ops", f"sadd,{name}", "--report", "csv"])
         assert code == 5
@@ -621,10 +644,9 @@ class TestBench:
         path = tmp_path / "zeros.bin"
         np.zeros(64, dtype="<f4").tofile(path)
         if failing:
-            def fail(s, x):
+            def fail(c):
                 raise hoszp.QuantOverflow("injected")
-            monkeypatch.setitem(ops.OPS, failing, dataclasses.replace(ops.OPS[failing],
-                                                                      apply=fail))
+            monkeypatch.setitem(ops.OPS, failing, dataclasses.replace(ops.OPS[failing], fn=fail))
         code, cap = _run(capsys, ["bench", "--input", str(path), "--dims", "64",
                                   "--eps", "0.01", "--report", "csv"])
         assert code == exit_code

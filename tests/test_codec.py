@@ -940,6 +940,28 @@ class TestRawIO:
         with pytest.raises(ValueError):
             RawArray(np.array([np.inf, 0.0]), (2,), "f32")
 
+    def test_unknown_dtype_is_value_error(self, tmp_path):
+        # 16 bytes: 2 values when read as f64, 4 as f32
+        path = tmp_path / "sixteen.bin"
+        np.zeros(8, dtype="<f2").tofile(path)
+        for call in (lambda: read_raw(path, (2,), "f16"),
+                     lambda: read_raw(path, (4,), "f16"),
+                     lambda: RawArray(np.zeros(4), (4,), "f16")):
+            with pytest.raises(ValueError, match=r"one of \['f32', 'f64'\], got 'f16'"):
+                call()
+
+    @pytest.mark.parametrize("dtype, code", [("f32", "<f4"), ("f64", "<f8")])
+    def test_write_read_keeps_the_little_endian_bytes(self, tmp_path, dtype, code):
+        info = np.finfo(code)
+        values = np.array([-0.0, 1.0, -1.5, np.pi, info.max, -info.max, info.tiny,
+                           info.smallest_subnormal], dtype=code)
+        src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+        src.write_bytes(values.tobytes())
+        raw = read_raw(src, (2, 4), dtype)
+        assert raw.nbytes == src.stat().st_size
+        write_raw(raw, out)
+        assert out.read_bytes() == src.read_bytes()
+
 
 class TestRelativeEps:
     def test_resolves_against_value_range(self):
@@ -960,6 +982,10 @@ class TestRelativeEps:
         raw = _raw([3.0, 3.0, 3.0])
         with pytest.raises(ValueError):
             QuantParams(resolve_eps(raw, 1e-4, "rel"), (3,), 32, "f64")
+
+    def test_zero_range_is_named(self):
+        with pytest.raises(ValueError, match="nonzero value range, but every value is 3.0"):
+            resolve_eps(_raw([3.0, 3.0, 3.0]), 1e-4, "rel")
 
 
 @settings(max_examples=100, deadline=None)

@@ -106,6 +106,18 @@ class TestScalarBin:
         with pytest.raises(QuantOverflow):
             ScalarBin.of(1e300, 1e-10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_value_error(self, value):
+        with pytest.raises(ValueError, match=f"scalar must be finite, got {value}"):
+            ScalarBin.of(value, 0.01)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sadd", "ssub", "smul"])
+    def test_non_finite_scalar_fails_as_its_oracle_does(self, example_stream, name, value):
+        for run in (ops.apply, oracle_stream):
+            with pytest.raises(ValueError, match="scalar must be finite"):
+                run(name, [example_stream], value)
+
     @settings(max_examples=200, deadline=None)
     @given(s=st.floats(-1e9, 1e9, allow_nan=False),
            eps=st.sampled_from([1e-4, 1e-2, 0.5, 3.0]))
@@ -1267,6 +1279,39 @@ class TestOpTable:
         assert choices("op") == streams
         assert choices("stats") == set(ops.OPS) - streams
         assert len(ops.OPS) == 12
+
+    #: the exported function each entry holds
+    EXPORTED = {"neg": negate, "sadd": scalar_add, "ssub": scalar_sub, "smul": scalar_mul,
+                "eadd": elementwise_add, "esub": elementwise_sub, "hadamard": hadamard,
+                "mean": mean, "variance": variance, "stddev": stddev, "covariance": covariance,
+                "ssim": ssim_global}
+
+    def test_each_entry_holds_its_exported_function(self):
+        assert list(ops.OPS) == list(self.EXPORTED)
+        for name, fn in self.EXPORTED.items():
+            assert ops.OPS[name].fn is fn
+
+    @pytest.mark.parametrize("scalar", [None, 2.5])
+    @pytest.mark.parametrize("name", list(ops.OPS))
+    def test_apply_passes_the_scalar_exactly_when_taken(self, name, scalar):
+        calls = []
+        spec = dataclasses.replace(ops.OPS[name], fn=lambda *args: calls.append(args))
+        streams = [object() for _ in range(spec.arity)]
+        spec.apply(streams, scalar)
+        assert calls == [(*streams, scalar) if spec.takes_scalar else tuple(streams)]
+
+    def test_apply_by_name_equals_the_direct_call(self):
+        rng = np.random.default_rng(271)
+        for _ in range(8):
+            p = random_params(rng)
+            # the bin cap keeps the products inside the 32-bit outlier slot
+            pair = [random_stream(rng, params=p, hi=2**15) for _ in range(2)]
+            for name, fn in self.EXPORTED.items():
+                spec = ops.OPS[name]
+                streams = pair[: spec.arity]
+                got = ops.apply(name, streams, 1.5)
+                want = fn(*streams, *([1.5] if spec.takes_scalar else []))
+                assert got == want if spec.reduction else serialize(got) == serialize(want)
 
     def test_every_entry_has_an_oracle(self, example_stream):
         s = example_stream

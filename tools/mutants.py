@@ -145,6 +145,10 @@ MUTANTS = [
     _m("constant-range sum without the signs", OPS, [T_OPS],
        ("                yield outliers, None\n",
         "                yield sum(c.outliers[b0:b1].astype(np.int64) for c in streams), None\n")),
+    # the scalar dispatch of ops.OpSpec.apply
+    _m("scalar passed whenever one is given", OPS, [T_OPS],
+       ("if self.takes_scalar else self.fn(*streams)",
+        "if scalar is not None else self.fn(*streams)")),
     # the 63-bit check of a scalar shift
     _m("scalar-shift check skipped", OPS, [T_OPS, T_CLI],
        ("if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:",

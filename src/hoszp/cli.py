@@ -9,7 +9,8 @@ column set is fixed for scripting:
 
 (bench rows append ``eps``, distsim rows ``node_count`` and ``eps``; text
 and JSON reports additionally carry the derived throughput).  The ``op``,
-``stats`` and ``bench`` subcommands take their operations from ``ops.OPS``.
+``stats`` and ``bench`` subcommands take their operations from ``ops.OPS``,
+and judge a verified result by the operation's own ``OpSpec.agrees``.
 Exit codes: 0 ok, 2 usage, 3 I/O, 4 codec error, 5 verification mismatch.
 """
 
@@ -17,12 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import codec, ops
 from .distsim import SimScenario, simulate
@@ -39,21 +37,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CODEC = 4
 EXIT_VERIFY = 5
-
-#: relative tolerance for --verify on computation-as-output reductions
-REDUCTION_RTOL = 1e-9
-
-
-def _half_quantum(name: str, params: QuantParams) -> float:
-    """Half the smallest nonzero magnitude that reduction ``name``'s exact
-    integer formula can return: ``2 eps / N`` for mean and stddev, its
-    square for variance and covariance, 0.0 for ssim.  An oracle that
-    differs by less, such as ``np.var``'s rounding noise around an exact
-    0.0, agrees with it."""
-    q = 2.0 * params.eps / params.element_count
-    if name in ("variance", "covariance"):
-        return q * q / 2
-    return q / 2 if name in ("mean", "stddev") else 0.0
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -203,29 +186,15 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 def _run_op(name, streams, scalar, verify):
     """Time operation ``name``; with ``verify`` also time its oracle and
-    compare (stream results bit for bit, finite reductions to REDUCTION_RTOL
-    or to less than half the reduction's quantum, see ``_half_quantum``,
-    and a non-finite reduction to an identical value).
-    Returns (result, report row, whether it matched)."""
+    judge the result by the operation's own rule (``ops.OpSpec.agrees``).
+    Returns (result, report row, whether it agreed)."""
     spec = ops.OPS[name]
     result, t_homo = _timed(ops.apply, name, streams, scalar)
     t_oracle = diff = None
     ok = True
     if verify:
         want, t_oracle = _timed(spec.oracle, streams, scalar)
-        if spec.reduction and not (math.isfinite(result) and math.isfinite(want)):
-            # a non-finite value agrees only with the same value, NaN with NaN
-            ok = result == want or math.isnan(result) and math.isnan(want)
-            diff = 0.0 if ok else abs(result - want)
-        elif spec.reduction:
-            diff = abs(result - want)
-            ok = (diff <= REDUCTION_RTOL * max(abs(want), abs(result), 1e-300)
-                  or diff < _half_quantum(name, streams[0].params))
-        else:
-            got = codec.decompress(result, out_dtype=np.float64).values
-            want = codec.decompress(want, out_dtype=np.float64).values
-            diff = float(np.max(np.abs(got - want))) if got.size else 0.0
-            ok = diff == 0.0
+        ok, diff = spec.agrees(result, want, streams[0].params)
     cr = (streams[0] if spec.reduction else result).compression_ratio
     row = _row(name, t_homo, sum(s.params.raw_nbytes for s in streams), cr, t_oracle, diff)
     return result, row, ok

@@ -387,12 +387,13 @@ def _pack_mag_rows(mat: np.ndarray, w: int) -> np.ndarray:
     return octets.reshape(g, groups * w)[:, : (k * w + 7) // 8]
 
 
-def _unpack_mag_rows(rows: np.ndarray, k: int, w: int, out: np.ndarray) -> np.ndarray:
+def _unpack_mag_rows(rows: np.ndarray, k: int, w: int, out: np.ndarray, cols) -> np.ndarray:
     """Inverse of :func:`_pack_mag_rows`, slot-major: unpack the byte rows
-    of ``rows.shape[0]`` blocks of ``k`` into ``out``, a uint64 matrix of
-    ``8 * ceil(k / 8)`` slots by those blocks (any strides), whose first
-    ``k`` slots then hold the magnitudes.  Lane ``j`` of group ``g`` goes
-    straight into slot ``8 g + j``.  Returns ``out``."""
+    of ``rows.shape[0]`` blocks of ``k`` into columns ``cols`` of ``out``
+    (a slice or an index array, one column per block), a uint64 matrix of
+    ``8 * ceil(k / 8)`` slots; the first ``k`` slots of those columns then
+    hold the magnitudes.  Lane ``j`` of group ``g`` goes straight into slot
+    ``8 g + j``.  Returns ``out``."""
     g = rows.shape[0]
     groups, nw = (k + 7) // 8, (w + 7) // 8
     if rows.shape[1] == groups * w:  # k % 8 == 0: the rows need no padding
@@ -418,7 +419,7 @@ def _unpack_mag_rows(rows: np.ndarray, k: int, w: int, out: np.ndarray) -> np.nd
             np.left_shift(words[i], np.uint64(o + w - 64), out=lane)
             lane |= np.right_shift(words[i + 1], np.uint64(128 - o - w), out=tmp)
         lane &= mask
-        out[j::8] = lane
+        out[j::8, cols] = lane
     return out
 
 
@@ -531,22 +532,24 @@ def _decode_compact(stream: CompressedStream, b0: int, b1: int, k: int, out=None
     of all the range's blocks.  A constant block is its outlier alone, so
     the range's metadata finish it.  The matrix takes ``8 * ceil(k / 8)``
     slots, of which ``rows`` is the first ``k``, in a prefix of ``out``
-    when that is long enough.
+    when one is given: a buffer sized for the first of the ranges holds
+    every later one.
 
     Their sign rows, back to back in the section, take one ``unpackbits``
     down the transposed bytes, which lands slot-major.  A range whose
     widths are all at most 8 unpacks its magnitudes in one gather
     (:func:`_gather_narrow`); any other range by width
-    (:func:`_block_chunks`, :func:`_unpack_mag_rows`).
-    :func:`_resolve_range` applies the signs and, with ``bins``, the prefix
-    sums.  Residuals past 63 bits come back wrapped modulo 2^64."""
+    (:func:`_block_chunks`), each chunk unpacked straight into its columns
+    (:func:`_unpack_mag_rows`).  :func:`_resolve_range` applies the signs
+    and, with ``bins``, the prefix sums.  Residuals past 63 bits come back
+    wrapped modulo 2^64."""
     sign_offs, payload_offs = stream.offsets
     ws = stream.widths[b0:b1]
     outliers = stream.outliers[b0:b1].astype(np.int64)
     nz = np.flatnonzero(ws)
     slots = (k + 7) // 8 * 8
     nc = slots * nz.size
-    c = out[:nc] if out is not None and out.size >= nc else np.empty(nc, dtype=np.int64)
+    c = np.empty(nc, dtype=np.int64) if out is None else out[:nc]
     mat = c.reshape(slots, nz.size)
     if not nc:
         return mat[:k], nz, outliers
@@ -562,11 +565,7 @@ def _decode_compact(stream: CompressedStream, b0: int, b1: int, k: int, out=None
     else:
         for cw, ids, rows in _block_chunks(ws):
             view, at = _row_slots(payload, offs, ids, (k * cw + 7) // 8)
-            if isinstance(rows, slice):  # a run of blocks: unpack in place
-                _unpack_mag_rows(view[at], k, cw, umat[:, rows])
-            else:  # blocks grouped by width: unpack, then scatter
-                umat[:, rows] = _unpack_mag_rows(view[at], k, cw,
-                                                 np.empty((slots, len(rows)), dtype=np.uint64))
+            _unpack_mag_rows(view[at], k, cw, umat, rows)
     return _resolve_range(mat[:k], s.view(np.int8), outliers[nz], k, w, bins), nz, outliers
 
 

@@ -9,10 +9,11 @@ root aggregates two ways over identical inputs:
   (the n-ary sum behind element-wise addition, decoding each incoming
   stream once and re-packing once at the end).
 
-Both aggregates must decompress bit-identically; the report records the
-timing of each path and their ratio.  The "network" is an in-memory
-hand-off; an optional per-byte latency models transfer cost and applies
-equally to both paths (the payload sent is the same).
+Both aggregates must decompress bit-identically, by the stream agreement
+rule of ``ops`` (``ops.streams_agree``); the report records the timing of
+each path and their ratio.  The "network" is an in-memory hand-off; an
+optional per-byte latency models transfer cost and applies equally to
+both paths (the payload sent is the same).
 """
 
 from __future__ import annotations
@@ -103,13 +104,10 @@ def simulate(scn: SimScenario) -> SimReport:
         trad = _aggregate_traditional(streams)
         t_trad = min(t_trad, time.perf_counter() - t0)
 
-    v_homo = codec.decompress(homo, out_dtype=np.float64).values
-    v_trad = codec.decompress(trad, out_dtype=np.float64).values
-    if not np.array_equal(v_homo, v_trad):
+    ok, diff = ops.streams_agree(homo, trad)
+    if not ok:
         raise VerificationMismatch(
-            "homomorphic and traditional aggregates decompress differently "
-            f"(max abs diff {np.max(np.abs(v_homo - v_trad))})"
-        )
+            f"homomorphic and traditional aggregates decompress differently (max abs diff {diff})")
     return SimReport(
         node_count=scn.node_count,
         eps=params.eps,

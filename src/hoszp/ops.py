@@ -27,7 +27,9 @@ function of an operation next to its oracle, the traditional reference
 workflow - full decompression, the same operation in the value domain, full
 recompression - used to certify that every homomorphic result is identical
 to it.  ``OpSpec.apply`` and the oracle are both called as ``(streams,
-scalar)``.  ``apply`` runs any operation by name;
+scalar)``, and ``OpSpec.agrees`` is the one rule by which a result agrees
+with its oracle's (stream results through ``streams_agree``, which the
+distributed simulator calls too).  ``apply`` runs any operation by name;
 ``oracle_stream``, ``oracle_reduction`` and ``oracle_apply`` run its
 oracle.  All four check the name, the operand count and the scalar in one
 place.  Where a public function takes ``threads``, it is accepted and
@@ -118,16 +120,15 @@ def negate(c: CompressedStream) -> CompressedStream:
     return c._derive(-c.outliers.astype(np.int64), flipped.tobytes())
 
 
-def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
-    """Shift every block outlier by the scalar's bin; the result
-    decompresses to the input plus the quantized scalar, exactly.
+def _shift(c: CompressedStream, rs: int) -> CompressedStream:
+    """Shift every block outlier by the bin ``rs``; the result decompresses
+    to the input plus ``2 eps rs``, exactly.
 
     A shifted bin past 63 bits raises :class:`QuantOverflow`, as the oracle
     does.  Only a range whose ``codec._bin_bound`` passes int64 can hold
     one, and only such a range is decoded, which checks its bins; with the
     int32 outliers and the stream's widest block well within int64 (every
     ordinary stream) the shift stays metadata-only."""
-    rs = ScalarBin.of(s, c.params.eps).bin
     out = c._derive(c.outliers.astype(np.int64) + rs)
     if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:
         for b0, b1, k, _ in codec._block_ranges(c.params):
@@ -136,9 +137,14 @@ def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
     return out
 
 
+def scalar_add(c: CompressedStream, s: float) -> CompressedStream:
+    """Shift every outlier by the scalar's bin (:func:`_shift`)."""
+    return _shift(c, ScalarBin.of(s, c.params.eps).bin)
+
+
 def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
     # truncation is odd, so the bin of -s is exactly minus the bin of s
-    return scalar_add(c, -s)
+    return _shift(c, -ScalarBin.of(s, c.params.eps).bin)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +568,20 @@ def _value_ssim(va: np.ndarray, vb: np.ndarray) -> float:
     return (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2) / den
 
 
+#: the relative tolerance within which a reduction agrees with its oracle
+REDUCTION_RTOL = 1e-9
+
+
+def streams_agree(got: CompressedStream, want: CompressedStream) -> tuple[bool, float]:
+    """The agreement rule of stream results: ``(ok, diff)``, where ``diff``
+    is the largest absolute difference of the two streams' float64
+    reconstruction grids and ``ok`` holds when it is 0.0, that is, when
+    the grids are equal (``decompress`` returns no non-finite value)."""
+    a, b = (codec.decompress(c, out_dtype=np.float64).values for c in (got, want))
+    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+    return diff == 0.0, diff
+
+
 # ---------------------------------------------------------------------------
 # the operation table
 
@@ -573,7 +593,9 @@ class OpSpec:
     scalar when ``takes_scalar`` is set; ``oracle`` takes ``(streams,
     scalar)`` and ignores the scalar where the operation takes none.  A
     stream operation returns a CompressedStream from both, a reduction a
-    float."""
+    float.  :meth:`agrees` judges a result against its oracle's; a
+    reduction's ``quantum`` is the power of ``2 eps / N`` whose multiples
+    its exact integer formula returns (0 where there is none)."""
 
     name: str
     arity: int
@@ -581,9 +603,29 @@ class OpSpec:
     reduction: bool
     fn: Callable
     oracle: Callable
+    quantum: int = 0
 
     def apply(self, streams, scalar):
         return self.fn(*streams, scalar) if self.takes_scalar else self.fn(*streams)
+
+    def agrees(self, got, want, params: QuantParams) -> tuple[bool, float]:
+        """The one agreement rule, ``(ok, diff)`` of result ``got`` and the
+        oracle's ``want`` on operands of ``params``: stream results by
+        :func:`streams_agree`; a finite reduction within
+        :data:`REDUCTION_RTOL`, or closer than half its smallest nonzero
+        value (``2 eps / N`` to the power ``quantum``), so that an oracle's
+        rounding noise around an exact 0.0 agrees; a non-finite reduction
+        only with the same value."""
+        if not self.reduction:
+            return streams_agree(got, want)
+        if not (math.isfinite(got) and math.isfinite(want)):
+            # a non-finite value agrees only with the same value, NaN with NaN
+            ok = got == want or math.isnan(got) and math.isnan(want)
+            return ok, 0.0 if ok else abs(got - want)
+        diff = abs(got - want)
+        q = 2.0 * params.eps / params.element_count
+        half = {0: 0.0, 1: q, 2: q * q}[self.quantum] / 2  # q ** 2 raises on overflow
+        return diff <= REDUCTION_RTOL * max(abs(want), abs(got), 1e-300) or diff < half, diff
 
 
 OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
@@ -596,10 +638,10 @@ OPS: dict[str, OpSpec] = {spec.name: spec for spec in (
     OpSpec("eadd", 2, False, False, elementwise_add, _linear_oracle(lambda v, x, eps: v[0] + v[1])),
     OpSpec("esub", 2, False, False, elementwise_sub, _linear_oracle(lambda v, x, eps: v[0] - v[1])),
     OpSpec("hadamard", 2, False, False, hadamard, _product_oracle),
-    OpSpec("mean", 1, False, True, mean, _reduction_oracle(np.mean)),
-    OpSpec("variance", 1, False, True, variance, _reduction_oracle(np.var)),
-    OpSpec("stddev", 1, False, True, stddev, _reduction_oracle(np.std)),
-    OpSpec("covariance", 2, False, True, covariance, _reduction_oracle(_value_covariance)),
+    OpSpec("mean", 1, False, True, mean, _reduction_oracle(np.mean), 1),
+    OpSpec("variance", 1, False, True, variance, _reduction_oracle(np.var), 2),
+    OpSpec("stddev", 1, False, True, stddev, _reduction_oracle(np.std), 1),
+    OpSpec("covariance", 2, False, True, covariance, _reduction_oracle(_value_covariance), 2),
     OpSpec("ssim", 2, False, True, ssim_global, _reduction_oracle(_value_ssim)),
 )}
 

@@ -359,13 +359,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("scalar", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["sadd", "ssub", "smul"])
     def test_non_finite_scalar_is_usage_error(self, tmp_path, example_hsz, capsys, name, scalar):
-        # "--scalar=-inf": a bare -inf would read as a flag; ssub names the
-        # scalar it adds, the negated one
+        # "--scalar=-inf": a bare -inf would read as a flag; every operation
+        # names the scalar as given
         out = tmp_path / "out.hsz"
         code, cap = _run(capsys, ["op", name, str(example_hsz), f"--scalar={scalar}",
                                   "-o", str(out), "--verify"])
         assert code == 2
-        assert "kind=ValueError: scalar must be finite, got" in cap.err
+        assert f"kind=ValueError: scalar must be finite, got {scalar}\n" in cap.err
         assert not out.exists()
 
     def test_rel_eps_on_a_constant_field_names_the_zero_range(self, tmp_path, capsys):

@@ -737,6 +737,10 @@ class TestSlotMajorDecode:
         widths = np.resize([3, 8, 0, 9, 12, 1, 0, 30], -(-n // k))
         s = self._check(QuantArray(width_bins(rng, widths, k, n), QuantParams(0.5, (n,), k, "f64")))
         assert s.widths.tolist() == widths.tolist()
+        # past _SLICE_RUNS runs with widths over 8: the chunks group by
+        # width, and unpack into index-array columns
+        chunks = list(codec._block_chunks(s.widths[: codec._RANGE_ELEMS // k]))
+        assert any(not isinstance(rows, slice) for *_, rows in chunks)
 
     @pytest.mark.parametrize("widths", [[8], [9], [8, 9], [8, 0], [9, 0]])
     def test_width_8_and_width_9(self, widths):
@@ -798,15 +802,21 @@ class TestLossinessLocalization:
 
 def unpack_rows(rows, k, w):
     """The ``(blocks, k)`` magnitudes of byte rows ``rows`` through the
-    slot-major unpack kernel, written as decode writes a run of blocks:
-    into a column slice of a wider matrix, whose other columns must stay
-    untouched."""
+    slot-major unpack kernel, written as decode writes a chunk: into
+    columns of a wider matrix, once a slice (a run of blocks) and once an
+    index array (blocks grouped by width).  The other columns must stay
+    untouched, and both must give the same magnitudes."""
     slots, g = (k + 7) // 8 * 8, rows.shape[0]
-    wide = np.full((slots, g + 3), 7, dtype=np.uint64)
-    out = wide[:, 2 : 2 + g]
-    assert codec._unpack_mag_rows(rows, k, w, out) is out
-    assert (wide[:, :2] == 7).all() and (wide[:, 2 + g :] == 7).all()
-    return out[:k].T
+    got = []
+    for cols in (slice(2, 2 + g), 1 + 2 * np.arange(g)):
+        wide = np.full((slots, 2 * g + 3), 7, dtype=np.uint64)
+        assert codec._unpack_mag_rows(rows, k, w, wide, cols) is wide
+        rest = np.ones(wide.shape[1], dtype=bool)
+        rest[cols] = False
+        assert (wide[:, rest] == 7).all()
+        got.append(wide[:k, cols].T)
+    assert np.array_equal(*got)
+    return got[0]
 
 
 def gather_rows(rows, k, ws):

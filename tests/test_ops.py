@@ -259,6 +259,21 @@ class TestScalarSub:
             assert np.array_equal(_values(scalar_sub(s, x)),
                                   oracle_apply("ssub", [s], scalar=x).values)
 
+    @pytest.mark.parametrize("scalar, error, message", [
+        (1e30, QuantOverflow, "scalar 1e+30 overflows the bin grid at eps=1e-12"),
+        (-1e30, QuantOverflow, "scalar -1e+30 overflows the bin grid at eps=1e-12"),
+        (math.inf, ValueError, "scalar must be finite, got inf"),
+        (-math.inf, ValueError, "scalar must be finite, got -inf"),
+    ])
+    def test_errors_name_the_scalar_as_given(self, scalar, error, message):
+        # the operation and its oracle raise alike, naming the scalar
+        # subtracted rather than the one added
+        s = _stream([1, -2, 3], eps=1e-12)
+        for run in (scalar_sub, lambda c, x: oracle_stream("ssub", [c], x)):
+            with pytest.raises(error) as exc:
+                run(s, scalar)
+            assert str(exc.value) == message
+
 
 class TestOutlierLimits:
     """Outliers at the limits of format v1's signed 32-bit field, under
@@ -1252,6 +1267,64 @@ class TestOracleApply:
             call("eadd", [example_stream])
         with pytest.raises(ValueError, match="needs a scalar"):
             call("sadd", [example_stream])
+
+
+#: 2 eps / N of AGREE_PARAMS
+AGREE_Q = 2 * 1e-3 / 1000
+AGREE_PARAMS = QuantParams(1e-3, (1000,))
+
+
+class TestAgreementRule:
+    """``OpSpec.agrees``, the one rule by which every result is judged
+    against its oracle: stream results bit for bit; a finite reduction
+    within ``REDUCTION_RTOL``, or closer than half the smallest nonzero
+    value of its exact integer formula (``2 eps / N`` for mean and stddev,
+    its square for variance and covariance, none for ssim); a non-finite
+    reduction only with the same value."""
+
+    #: each reduction's smallest nonzero value; ssim has none, and probes
+    #: with ``2 eps / N``
+    UNIT = {"mean": AGREE_Q, "variance": AGREE_Q * AGREE_Q, "stddev": AGREE_Q,
+            "covariance": AGREE_Q * AGREE_Q, "ssim": AGREE_Q}
+    #: case -> ((got, want) from the unit, whether they agree; None: where
+    #: the reduction has a smallest nonzero value)
+    CASES = {
+        "exact": (lambda u: (0.37, 0.37), True),
+        "within rtol": (lambda u: (1e6 * (1 + 5e-10), 1e6), True),
+        "past rtol": (lambda u: (1e6 * (1 + 2e-9), 1e6), False),
+        "within half its quantum": (lambda u: (0.0, 0.4 * u), None),
+        "one quantum off": (lambda u: (5 * u, 6 * u), False),
+        "inf vs inf": (lambda u: (math.inf, math.inf), True),
+        "nan vs nan": (lambda u: (math.nan, math.nan), True),
+        "inf vs finite": (lambda u: (math.inf, 1.0), False),
+        "finite vs -inf": (lambda u: (1.0, -math.inf), False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("name", list(UNIT))
+    def test_reduction(self, name, case):
+        make, agrees = self.CASES[case]
+        got, want = make(self.UNIT[name])
+        ok, diff = ops.OPS[name].agrees(got, want, AGREE_PARAMS)
+        assert ok == (name != "ssim" if agrees is None else agrees)
+        assert diff == (0.0 if ok and not math.isfinite(got) else abs(got - want))
+
+    @pytest.mark.parametrize("name", ["variance", "covariance"])
+    def test_squared_quantum_past_the_float_range(self, name):
+        # (2 eps / N)^2 overflows to inf: every finite oracle agrees
+        assert ops.OPS[name].agrees(0.0, 1e-3, QuantParams(1e160, (4,))) == (True, 1e-3)
+
+    @pytest.mark.parametrize("name", [n for n, spec in ops.OPS.items() if not spec.reduction])
+    def test_stream(self, name):
+        eps = 2.0**-10  # the grid is exact: one bin apart is 2 eps apart
+        bins = np.arange(-40, 40)
+        a, same = _stream(bins, eps), _stream(bins, eps)
+        bins[17] += 1
+        off = _stream(bins, eps)
+        spec = ops.OPS[name]
+        assert spec.agrees(a, same, a.params) == (True, 0.0)
+        assert spec.agrees(a, off, a.params) == (False, 2 * eps)
+        assert ops.streams_agree(off, a) == (False, 2 * eps)
 
 
 #: one changed field each; (2, 2) has as many elements as (4,)

@@ -49,7 +49,7 @@ def _m(name, file, tests, *edits, equivalent=False):
     return Mutant(name, file, tuple(tests), tuple(edits), equivalent)
 
 
-CODEC, OPS, CLI = "codec.py", "ops.py", "cli.py"
+CODEC, OPS = "codec.py", "ops.py"
 T_CODEC, T_OPS, T_DISTSIM = "tests/test_codec.py", "tests/test_ops.py", "tests/test_distsim.py"
 T_CLI = "tests/test_cli.py"
 
@@ -97,6 +97,8 @@ MUTANTS = [
        ("    r[0] = outliers\n", "")),
     _m("ragged block at the full block length", CODEC, [T_CODEC],
        ("yield nfull, nfull + 1, n % k,", "yield nfull, nfull + 1, k,")),
+    _m("chunk unpacked into the leading columns", CODEC, [T_CODEC],
+       ("        out[j::8, cols] = lane\n", "        out[j::8, : lane.shape[1]] = lane\n")),
     # the outlier terms of ops._sums and ops._pair_dot
     _m("k*O dropped from the constant blocks' sum", OPS, [T_OPS],
        ("s[i] += k * _exact_dot(oc, m) +", "s[i] += _exact_dot(oc, m) +")),
@@ -153,10 +155,13 @@ MUTANTS = [
     _m("scalar-shift check skipped", OPS, [T_OPS, T_CLI],
        ("if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:",
         "if False:")),
-    # --verify on a non-finite reduction
-    _m("non-finite verify rule reverted", CLI, [T_CLI],
-       ("if spec.reduction and not (math.isfinite(result) and math.isfinite(want)):",
-        "if False:")),
+    # the agreement rule of ops.OpSpec.agrees
+    _m("non-finite verify rule reverted", OPS, [T_OPS, T_CLI],
+       ("if not (math.isfinite(got) and math.isfinite(want)):", "if False:")),
+    _m("variance quantum taken as 2 eps / N", OPS, [T_CLI, T_OPS],
+       ("_reduction_oracle(np.var), 2)", "_reduction_oracle(np.var), 1)")),
+    _m("squared quantum by float power", OPS, [T_OPS, T_CLI],
+       ("2: q * q}", "2: q ** 2}")),
 ]
 
 

@@ -252,7 +252,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_distsim(args: argparse.Namespace) -> int:
-    """``SimScenario`` rejects fewer than 2 nodes with a ValueError (exit 2);
+    """``SimScenario`` rejects fewer than 2 nodes and a negative or
+    non-finite ``--latency-per-byte`` with a ValueError (exit 2, no row);
     ``simulate`` raises unless both aggregates agree, so the row's
     ``max_abs_diff`` is 0.0."""
     sim = simulate(SimScenario(_fields(args, args.nodes), args.eps, args.block_len, args.reps,

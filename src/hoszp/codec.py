@@ -20,20 +20,27 @@ joined.  A ragged last block is a range of its own, so every range is a
 yields each range with its ``k`` and its element slice.
 ``_decode_compact`` slices a range's sign and payload offsets from the
 stream's section layout (``CompressedStream.offsets``, computed once per
-stream), so walking the ranges derives no sizes.  ``_encode_ranges`` is
-the one encoder, with one entry: each range comes in as its bins, which
-it splits into residuals itself, or as its outliers and split residuals,
-or, where every block is constant, its outliers alone.  ``compress``
-hands it each range's quantized bins, ``encode_from_quant`` and the
-products in ``ops`` their bins, and ``ops.sum_streams`` its summed
-residuals (or the bins of a range summed in limbs).  It fills the range's
-widths and packs its sign rows (one ``packbits`` over the range) and its
-payload.  The encoder moves a range's non-constant blocks in chunks of
-one width (``_block_chunks``), counting runs of equal widths over the
-non-constant blocks alone: a range of few runs, such as noise with a rare
-narrower block, moves each run as one slice of the sections, where its
-rows lie back to back; a range of many runs, such as cloud-like data with
-widths interleaved, gathers its rows by width.  Decode works on a
+stream), so walking the ranges derives no sizes.  ``_lockstep`` is the one
+range walk: it checks that its operands share params, walks their ranges
+in lockstep and decodes an operand's range on request, whole or compact,
+into that operand's one buffer, made for the first range that needs it
+and reused (a range of constant blocks alone, read compact, needs none).
+``decompress`` and the operations in ``ops`` read their ranges through
+it.  ``_encode_ranges`` is the one encoder, with one entry: it drives the
+walk and asks a per-range function, ``part``, for each range's input:
+its bins, which it splits into residuals itself, or its outliers and
+split residuals, or, where every block is constant, its outliers alone.
+``compress`` answers with each range's quantized bins,
+``encode_from_quant`` and the products in ``ops`` with their bins, and
+``ops.sum_streams`` with its summed residuals (or the bins of a range
+summed in limbs).  It fills the range's widths and packs its sign rows
+(one ``packbits`` over the range) and its payload.  The encoder moves a
+range's non-constant blocks in chunks of one width (``_block_chunks``),
+counting runs of equal widths over the non-constant blocks alone: a range
+of few runs, such as noise with a rare narrower block, moves each run as
+one slice of the sections, where its rows lie back to back; a range of
+many runs, such as cloud-like data with widths interleaved, gathers its
+rows by width.  Decode works on a
 slot-major compact matrix of the range's non-constant blocks alone,
 ``(k, blocks)`` in block order, so that slot ``i`` of every block is one
 contiguous row (``_decode_compact``): one ``unpackbits`` down the range's
@@ -73,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatch, QuantOverflow
+from .errors import GeometryMismatch, ParamsMismatch, QuantOverflow
 from .model import (CompressedStream, DTYPES, QuantArray, QuantParams, _as_dims, _dtype_of,
                     _equal_fields, _section_offsets)
 
@@ -614,12 +621,46 @@ def _encode_range(neg: np.ndarray, mags: np.ndarray, w: np.ndarray, k: int) -> t
     return sign_bytes, payload.tobytes()
 
 
-def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
-    """The one encoder.  ``parts`` yields, for each of
-    :func:`_block_ranges` in turn, either the range's bins (int64), which
-    it splits into residuals (:func:`_split_residuals`) in one buffer made
-    on first use and reused, or ``(outliers, resid)``: the range's block
-    outliers and its residuals as ``(neg, mags)`` (see
+def _check_params(streams):
+    """Raise :class:`ParamsMismatch` unless every operand has the first
+    one's params."""
+    bad = [c.params for c in streams[1:] if c.params != streams[0].params]
+    if bad:
+        raise ParamsMismatch(f"operand params differ: {streams[0].params} vs {bad[0]}")
+
+
+def _lockstep(streams, params: QuantParams | None = None):
+    """The one range walk: the operands' ranges in lockstep, over the
+    ranges of ``params`` (by default the first operand's).  Yields ``(b0,
+    b1, k, e, decode)`` for each of :func:`_block_ranges`: ``decode(i,
+    bins=True, compact=False)`` decodes operand ``i``'s range into that
+    operand's reused int64 buffer, as the whole range (:func:`_decode_range`)
+    or, with ``compact``, as its non-constant blocks alone, ``(rows, nz,
+    outliers)`` (:func:`_decode_compact`), whose matrix takes whole groups
+    of 8 slots.  Operands whose params differ raise :class:`ParamsMismatch`
+    before any range is decoded."""
+    _check_params(streams)
+    bufs = [None] * len(streams)
+    for b0, b1, k, e in _block_ranges(streams[0].params if params is None else params):
+
+        def decode(i, bins=True, compact=False):
+            # made for the first range that needs one, which no later range
+            # outgrows; a range of constant blocks alone needs no compact one
+            if bufs[i] is None and (not compact or streams[i].widths[b0:b1].any()):
+                bufs[i] = np.empty((k + 7) // 8 * 8 * (b1 - b0), dtype=np.int64)
+            dec = _decode_compact if compact else _decode_range
+            return dec(streams[i], b0, b1, k, bufs[i], bins)
+
+        yield b0, b1, k, e, decode
+
+
+def _encode_ranges(params: QuantParams, part, streams=()) -> CompressedStream:
+    """The one encoder.  It drives :func:`_lockstep` over ``streams`` (none
+    for a stream built from values or bins) and asks ``part(b0, b1, k, e,
+    decode)`` for each range's input: either the range's bins (int64),
+    which it splits into residuals (:func:`_split_residuals`) in one buffer
+    made on first use and reused, or ``(outliers, resid)``: the range's
+    block outliers and its residuals as ``(neg, mags)`` (see
     :func:`_encode_range`), or None for a range whose every block is
     constant, which has width 0 and no sign or payload bytes and so needs
     no per-element buffer.  The per-range sections are joined once at the
@@ -628,12 +669,13 @@ def _encode_ranges(params: QuantParams, parts) -> CompressedStream:
     outliers = np.empty(params.block_count, dtype=np.int64)
     signs, payload = [], []
     buf = None
-    for (b0, b1, k, _), part in zip(_block_ranges(params), parts):
-        if isinstance(part, np.ndarray):
+    for b0, b1, k, e, decode in _lockstep(streams, params):
+        x = part(b0, b1, k, e, decode)
+        if isinstance(x, np.ndarray):
             # the first range split is the longest still to come
-            buf = np.empty(part.size, dtype=np.int64) if buf is None else buf
-            part = part[::k], _split_residuals(part, k, out=buf)
-        outs, resid = part
+            buf = np.empty(x.size, dtype=np.int64) if buf is None else buf
+            x = x[::k], _split_residuals(x, k, out=buf)
+        outs, resid = x
         outliers[b0:b1] = outs
         if resid is not None:
             s, p = _encode_range(*resid, widths[b0:b1], k)
@@ -652,8 +694,8 @@ def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> Compressed
     (input, params)."""
     _check_geometry(raw, params)
     buf = np.empty(next(_block_ranges(params))[3].stop, dtype=np.int64)  # the longest range
-    return _encode_ranges(params, (_quantize_values(raw.values[e], params, buf)
-                                   for *_, e in _block_ranges(params)))
+    return _encode_ranges(params, lambda b0, b1, k, e, decode:
+                          _quantize_values(raw.values[e], params, buf))
 
 
 def decompress(stream: CompressedStream, threads: int = 1,
@@ -677,11 +719,8 @@ def decompress(stream: CompressedStream, threads: int = 1,
     except (TypeError, KeyError):
         raise ValueError(f"out_dtype must be None, float32 or float64, got {out_dtype!r}") from None
     values = np.empty(params.element_count, dtype=DTYPES[dtype])
-    buf = None
-    for b0, b1, k, e in _block_ranges(params):
-        bins = _decode_range(stream, b0, b1, k, out=buf)
-        buf = bins if buf is None else buf
-        _dequantize_into(bins, params.eps, values[e])
+    for *_, e, decode in _lockstep([stream]):
+        _dequantize_into(decode(0), params.eps, values[e])
     return _checked_raw(values, params)
 
 
@@ -699,4 +738,4 @@ def decode_to_quant(stream: CompressedStream, threads: int = 1) -> QuantArray:
 def encode_from_quant(q: QuantArray, threads: int = 1) -> CompressedStream:
     """Inverse of :func:`decode_to_quant`: decorrelate and re-pack, range by
     range (``threads`` is accepted and ignored)."""
-    return _encode_ranges(q.params, (q.bins[e] for *_, e in _block_ranges(q.params)))
+    return _encode_ranges(q.params, lambda b0, b1, k, e, decode: q.bins[e])

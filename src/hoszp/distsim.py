@@ -12,13 +12,16 @@ root aggregates two ways over identical inputs:
 Both aggregates must decompress bit-identically, by the stream agreement
 rule of ``ops`` (``ops.streams_agree``); the report records the timing of
 each path and their ratio.  The "network" is an in-memory hand-off; an
-optional per-byte latency models transfer cost and applies equally to
-both paths (the payload sent is the same).
+optional per-byte latency, in seconds, models transfer cost and applies
+equally to both paths (the payload sent is the same).  It must be finite
+and non-negative: ``SimScenario`` rejects anything else with
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,6 +51,9 @@ class SimScenario:
                 raise ParamsMismatch("all node chunks must share dims and dtype")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not (math.isfinite(self.latency_per_byte) and self.latency_per_byte >= 0):
+            raise ValueError(
+                f"latency_per_byte must be finite and >= 0, got {self.latency_per_byte}")
 
     @property
     def node_count(self) -> int:

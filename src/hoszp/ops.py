@@ -14,13 +14,17 @@ Each operation runs in the shallowest decode domain that supports it:
 
 No operation ever inverts quantization on its inputs; the reductions sum
 bins in exact integer arithmetic and apply the real-valued scaling once at
-the end, every second moment by one rule (``_moment``).  One accumulator,
-``_sums``, walks the codec's decode ranges and decodes each operand once,
-as the compact matrix of its non-constant blocks
-(``codec._decode_compact``): a constant block adds its outlier alone,
-weighted by the block length, and nothing is scattered into a full range.
-Every sum is taken in int64, splitting a factor into halves where the sum
-could pass int64 (``_exact_dot``).
+the end, every second moment by one rule (``_moment``).  No operation
+iterates ranges itself: each reads its operands through the codec's one
+range walk (``codec._lockstep``), which checks their params and owns their
+decode buffers, and a stream operation hands the encoder
+(``codec._encode_ranges``) a per-range function that turns a range's
+operands into the encoder's input.  One accumulator, ``_sums``, decodes
+each operand's range once, as the compact matrix of its non-constant
+blocks: a constant block adds its outlier alone, weighted by the block
+length, and nothing is scattered into a full range.  Every sum is taken
+in int64, splitting a factor into halves where the sum could pass int64
+(``_exact_dot``).
 
 ``OPS`` is the one table of operations: each ``OpSpec`` holds the public
 function of an operation next to its oracle, the traditional reference
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import codec
 from .codec import _I64_MAX, RawArray
-from .errors import ParamsMismatch, QuantOverflow
+from .errors import QuantOverflow
 from .model import CompressedStream, QuantArray, QuantParams
 
 
@@ -77,16 +81,6 @@ class ScalarBin:
     @property
     def quantized_value(self) -> float:
         return 2.0 * self.eps * self.bin
-
-
-def _check_params(streams):
-    """Raise :class:`ParamsMismatch` unless every operand has the first
-    one's params."""
-    for other in streams[1:]:
-        if other.params != streams[0].params:
-            raise ParamsMismatch(
-                f"operand params differ: {streams[0].params} vs {other.params}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +120,15 @@ def _shift(c: CompressedStream, rs: int) -> CompressedStream:
 
     A shifted bin past 63 bits raises :class:`QuantOverflow`, as the oracle
     does.  Only a range whose ``codec._bin_bound`` passes int64 can hold
-    one, and only such a range is decoded, which checks its bins; with the
-    int32 outliers and the stream's widest block well within int64 (every
-    ordinary stream) the shift stays metadata-only."""
+    one, and only such a range is decoded (``codec._lockstep``), which
+    checks its bins; where the bound of the int32 outlier extreme and the
+    stream's widest block is within int64 (every ordinary stream) the shift
+    stays metadata-only."""
     out = c._derive(c.outliers.astype(np.int64) + rs)
-    if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:
-        for b0, b1, k, _ in codec._block_ranges(c.params):
+    if codec._bin_bound(np.array([-(2**31)]), c.params.block_len, c.width_max) > _I64_MAX:
+        for b0, b1, k, _, decode in codec._lockstep([out]):
             if codec._bin_bound(out.outliers[b0:b1], k, int(c.widths[b0:b1].max())) > _I64_MAX:
-                codec._decode_compact(out, b0, b1, k)
+                decode(0, compact=True)
     return out
 
 
@@ -149,30 +144,6 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 
 # ---------------------------------------------------------------------------
 # residual-space operations
-
-
-def _lockstep(streams):
-    """Walk the operands' decode ranges in lockstep.  Yields ``(b0, b1, k,
-    decode)`` for each of ``codec._block_ranges``: ``decode(i, bins=True,
-    compact=False)`` decodes operand ``i``'s range into that operand's
-    reused int64 buffer, as the whole range (``codec._decode_range``) or,
-    with ``compact``, as its non-constant blocks alone, ``(rows, nz,
-    outliers)`` (``codec._decode_compact``), whose matrix takes whole
-    groups of 8 slots.  Operands whose params differ raise
-    :class:`ParamsMismatch` before any range is decoded."""
-    _check_params(streams)
-    bufs = [None] * len(streams)
-    for b0, b1, k, _ in codec._block_ranges(streams[0].params):
-
-        def decode(i, bins=True, compact=False):
-            # made for the first range that needs one, which no later range
-            # outgrows; a range of constant blocks alone needs no compact one
-            if bufs[i] is None and (not compact or streams[i].widths[b0:b1].any()):
-                bufs[i] = np.empty((k + 7) // 8 * 8 * (b1 - b0), dtype=np.int64)
-            dec = codec._decode_compact if compact else codec._decode_range
-            return dec(streams[i], b0, b1, k, bufs[i], bins)
-
-        yield b0, b1, k, decode
 
 
 def _all_constant(streams, b0: int, b1: int) -> bool:
@@ -201,41 +172,40 @@ def sum_streams(streams, signs) -> CompressedStream:
     constant in every operand is ``sum(sign * outlier)`` per block, with
     no decode, so no buffer outgrows a range or 32 times the operands'
     bytes (a non-constant block of ``k`` brings at least ``k / 4`` of
-    them).  Each range goes to ``codec._encode_ranges`` in whichever of its
-    three forms it took.
+    them).  ``codec._encode_ranges`` drives the range walk and asks
+    ``part`` for each range, which answers in whichever of the three forms
+    the range took.
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
+    buf = None  # the aligned sums' range buffer; no later range outgrows the first
 
-    def parts():
-        buf = None  # the aligned sums' range buffer; no later range outgrows the first
-        for b0, b1, k, decode in _lockstep(streams):
-            if sum(codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
-                   for c in streams) > _I64_MAX:
-                yield _limb_sum([decode(i) for i in range(len(streams))], signs)
-                continue
-            outliers = sum(g * c.outliers[b0:b1].astype(np.int64) for g, c in zip(signs, streams))
-            if _all_constant(streams, b0, b1):
-                yield outliers, None
-                continue
-            # where the operands' constant blocks coincide, their compact
-            # matrices align and add up before one scatter
-            live = streams[0].widths[b0:b1] > 0
-            aligned = all(np.array_equal(live, c.widths[b0:b1] > 0) for c in streams[1:])
-            acc = None
-            for i, g in enumerate(signs):
-                x = decode(i, bins=False, compact=aligned)
-                x = x[0] if aligned else x
-                if g < 0:
-                    np.negative(x, out=x)
-                acc = x if acc is None else np.add(acc, x, out=acc)
-            if aligned:
-                m = (b1 - b0) * k
-                buf = np.empty(m, dtype=np.int64) if buf is None else buf
-                acc = codec._scatter(acc, np.flatnonzero(live), 0, buf[:m])
-            yield outliers, (acc < 0, np.abs(acc, out=acc).view(np.uint64))
+    def part(b0, b1, k, e, decode):
+        nonlocal buf
+        if sum(codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
+               for c in streams) > _I64_MAX:
+            return _limb_sum([decode(i) for i in range(len(streams))], signs)
+        outliers = sum(g * c.outliers[b0:b1].astype(np.int64) for g, c in zip(signs, streams))
+        if _all_constant(streams, b0, b1):
+            return outliers, None
+        # where the operands' constant blocks coincide, their compact
+        # matrices align and add up before one scatter
+        live = streams[0].widths[b0:b1] > 0
+        aligned = all(np.array_equal(live, c.widths[b0:b1] > 0) for c in streams[1:])
+        acc = None
+        for i, g in enumerate(signs):
+            x = decode(i, bins=False, compact=aligned)
+            x = x[0] if aligned else x
+            if g < 0:
+                np.negative(x, out=x)
+            acc = x if acc is None else np.add(acc, x, out=acc)
+        if aligned:
+            m = (b1 - b0) * k
+            buf = np.empty(m, dtype=np.int64) if buf is None else buf
+            acc = codec._scatter(acc, np.flatnonzero(live), 0, buf[:m])
+        return outliers, (acc < 0, np.abs(acc, out=acc).view(np.uint64))
 
-    return codec._encode_ranges(streams[0].params, parts())
+    return codec._encode_ranges(streams[0].params, part, streams)
 
 
 def _limb_sum(xs, signs) -> np.ndarray:
@@ -287,20 +257,19 @@ def _rescale(x: np.ndarray, y, eps: float) -> np.ndarray:
 def _rescaled_products(streams, factor=None) -> CompressedStream:
     """Encode :func:`_rescale` of ``a`` and ``b`` range by range, where
     ``a`` is the first stream's bins and ``b`` the second's or the bin
-    ``factor``: each range goes to ``codec._encode_ranges`` as its bins.  A
-    range constant in every operand rescales the outliers alone, one
-    product per block, with no decode (the memory bound of
+    ``factor``: ``part`` answers ``codec._encode_ranges`` with each
+    range's bins.  A range constant in every operand rescales the outliers
+    alone, one product per block, with no decode (the memory bound of
     :func:`sum_streams`), and goes as ``(outliers, None)``."""
     params = streams[0].params
 
-    def rescaled():
-        for b0, b1, _, decode in _lockstep(streams):
-            const = _all_constant(streams, b0, b1)
-            get = (lambda i: streams[i].outliers[b0:b1].astype(np.int64)) if const else decode
-            bins = _rescale(get(0), get(1) if len(streams) == 2 else factor, params.eps)
-            yield (bins, None) if const else bins
+    def part(b0, b1, k, e, decode):
+        const = _all_constant(streams, b0, b1)
+        get = (lambda i: streams[i].outliers[b0:b1].astype(np.int64)) if const else decode
+        bins = _rescale(get(0), get(1) if len(streams) == 2 else factor, params.eps)
+        return (bins, None) if const else bins
 
-    return codec._encode_ranges(params, rescaled())
+    return codec._encode_ranges(params, part, streams)
 
 
 def scalar_mul(c: CompressedStream, s: float, threads: int = 1) -> CompressedStream:
@@ -392,8 +361,8 @@ def _pair_dot(k: int, a, b) -> int:
 
 def _sums(streams, *, sq: bool = False, minmax: bool = False):
     """Exact integer sums over the bins of one operand or a pair, walking
-    the operands' decode ranges in lockstep so that each is decoded once,
-    and only its non-constant blocks (``codec._decode_compact``).
+    the operands' ranges in lockstep (``codec._lockstep``) so that each is
+    decoded once, and only its non-constant blocks (compact).
 
     Returns Python ints ``(s, sqq, sab, lo, hi)``: per operand, in lists,
     the sum of its bins, with ``sq`` of their squares and with ``minmax``
@@ -411,7 +380,7 @@ def _sums(streams, *, sq: bool = False, minmax: bool = False):
     quad = sq or n == 2  # the sums hold products of two bins
     s, sqq, lo, hi = [0] * n, [0] * n, [math.inf] * n, [-math.inf] * n
     sab = 0
-    for b0, b1, k, decode in _lockstep(streams):
+    for b0, b1, k, _, decode in codec._lockstep(streams):
         parts = []
         for i, c in enumerate(streams):
             ws = c.widths[b0:b1]
@@ -507,7 +476,7 @@ def ssim_global(a: CompressedStream, b: CompressedStream, *,
 def _decompressed(streams):
     """Check the operands share params; return them fully decompressed to
     the double-precision reconstruction grid."""
-    _check_params(streams)
+    codec._check_params(streams)
     return [codec.decompress(s, out_dtype=np.float64).values for s in streams]
 
 
@@ -545,9 +514,11 @@ def _product_oracle(streams, scalar):
 
 def _reduction_oracle(fn):
     """Oracle of a reduction: ``fn`` on the decompressed values, computed in
-    floating point."""
+    floating point.  A value past the f64 range comes out inf or NaN, as
+    the homomorphic result does, without a numpy warning."""
     def oracle(streams, scalar):
-        return float(fn(*_decompressed(streams)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(fn(*_decompressed(streams)))
     return oracle
 
 

@@ -675,6 +675,14 @@ class TestDistsimCommand:
         assert (row["bytes_in"], row["cr"], row["max_abs_diff"]) == ("7200", _zeros_ratio(),
                                                                       "0.0")
 
+    @pytest.mark.parametrize("latency", ["-1", "nan", "inf"])
+    def test_invalid_latency_is_usage_error(self, capsys, latency):
+        code, cap = _run(capsys, ["distsim", "--nodes", "2", "--dims", "16x16", "--eps", "1e-3",
+                                  f"--latency-per-byte={latency}"])
+        assert code == 2
+        assert "latency_per_byte must be finite and >= 0" in cap.err
+        assert cap.out == ""
+
     def test_too_few_nodes(self, capsys):
         code, _ = _run(capsys, ["distsim", "--nodes", "1", "--dims", "8x8",
                                 "--eps", "1e-2"])

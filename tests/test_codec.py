@@ -14,6 +14,7 @@ from hoszp import (
     CompressedStream,
     GeometryMismatch,
     HoszpError,
+    ParamsMismatch,
     QuantArray,
     QuantOverflow,
     QuantParams,
@@ -568,6 +569,47 @@ class TestRangeEncode:
         for call in (compress, quantize):
             with pytest.raises(QuantOverflow, match="63-bit"):
                 call(raw, p)
+
+
+class TestRangeWalk:
+    """``codec._lockstep`` is the one range walk and ``_encode_ranges``
+    drives it, asking ``part`` for each range's input."""
+
+    @pytest.mark.parametrize("k", [32, 33])
+    def test_part_once_per_range_in_order(self, k):
+        n = range_sizes(k)[-1]  # two ranges and a half, then a ragged block
+        p = QuantParams(0.5, (n,), k, "f64")
+        bins, _ = wide_block_bins(np.random.default_rng(431 + k), n, k,
+                                  constant_first_range=True)
+        s = encode_from_quant(QuantArray(bins, p))
+        calls, decoded = [], []
+
+        def part(b0, b1, rk, e, decode):
+            calls.append((b0, b1, rk, e))
+            decoded.append(decode(0))
+            assert np.array_equal(decoded[-1], bins[e])
+            return decoded[-1]
+
+        assert codec._encode_ranges(p, part, [s]) == s
+        assert calls == list(codec._block_ranges(p))
+        assert calls[-1][2] == n % k > 0
+        # every range decodes into the buffer made for the first
+        assert all(np.shares_memory(x, decoded[0]) for x in decoded)
+
+    def test_params_mismatch_before_any_part_or_decode(self, monkeypatch):
+        p = QuantParams(0.5, (100,), 8, "f64")
+        bins = np.arange(100, dtype=np.int64)
+        a = encode_from_quant(QuantArray(bins, p))
+        b = encode_from_quant(QuantArray(bins, QuantParams(0.25, (100,), 8, "f64")))
+        decodes, parts = [], []
+        for name in ("_decode_range", "_decode_compact"):
+            monkeypatch.setattr(codec, name, lambda *args, name=name: decodes.append(name))
+        with pytest.raises(ParamsMismatch, match="operand params differ"):
+            codec._encode_ranges(p, lambda *r: parts.append(r), [a, b])
+        for call in (ops.elementwise_add, ops.hadamard, ops.covariance):
+            with pytest.raises(ParamsMismatch):
+                call(a, b)
+        assert (parts, decodes) == ([], [])
 
 
 def width_bins(rng, widths, k, n):

@@ -39,6 +39,19 @@ class TestScenario:
         with pytest.raises(ValueError, match="repetitions"):
             SimScenario(_chunks(2), eps=1e-2, repetitions=0)
 
+    @pytest.mark.parametrize("latency", [-1.0, -1e-12, float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_latency_must_be_finite_and_non_negative(self, latency):
+        with pytest.raises(ValueError, match="latency_per_byte"):
+            SimScenario(_chunks(2, dims=(8, 8)), eps=1e-2, latency_per_byte=latency)
+
+    def test_latency_adds_to_both_paths(self):
+        chunks = _chunks(2, dims=(16, 16))
+        free = simulate(SimScenario(chunks, eps=1e-3))
+        slow = simulate(SimScenario(chunks, eps=1e-3, latency_per_byte=1.0))
+        assert slow.t_homomorphic >= slow.bytes_compressed > free.t_homomorphic
+        assert slow.t_traditional >= slow.bytes_compressed
+
     def test_chunks_must_match(self):
         bad = [smooth_field((8, 8), seed=0), smooth_field((8, 9), seed=1)]
         with pytest.raises(ParamsMismatch):

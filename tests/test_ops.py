@@ -1,6 +1,7 @@
 """Homomorphic operations: worked-example goldens, oracle equivalence, invariants."""
 
 import argparse
+import ast
 import dataclasses
 import math
 import os
@@ -9,6 +10,8 @@ import sys
 import textwrap
 import tracemalloc
 import unittest.mock
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -811,6 +814,20 @@ class TestOverflowingScale:
             assert oracle_reduction("covariance", [a, negate(a)]) == -math.inf
             assert math.isnan(oracle_reduction("ssim", [a, a]))
 
+    def test_oracles_warn_nothing_past_the_f64_range(self):
+        # values near +-1e307 at eps 1e300: the value-domain squares pass
+        # the f64 range, and each oracle agrees with its operation
+        p = QuantParams(1e300, (64,), 4, "f64")
+        a = compress(RawArray(np.resize([1e307, -1e307, 9e306, -8e306], 64), (64,), "f64"), p)
+        for name in ("variance", "covariance", "ssim"):
+            spec = ops.OPS[name]
+            streams = [a] * spec.arity
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = oracle_reduction(name, streams)
+            assert not math.isfinite(want)
+            assert spec.agrees(spec.apply(streams, None), want, p) == (True, 0.0)
+
 
 class TestRangeReductions:
     """Reductions stream exact sums over the decode ranges; each range is
@@ -1410,6 +1427,18 @@ class TestOpTable:
         a, b = _mismatched(delta)
         with pytest.raises(ParamsMismatch):
             ops.sum_streams([a, a, b], [1, -1, 1])
+
+
+def test_ops_walks_no_ranges_itself():
+    # the range walk is codec._lockstep alone: ops names none of the
+    # codec's range helpers in its code
+    tree = ast.parse(Path(ops.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names}
+    assert names & {"_block_ranges", "_decode_range", "_decode_compact"} == set()
+    assert "_lockstep" in names
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,6 +99,13 @@ MUTANTS = [
        ("yield nfull, nfull + 1, n % k,", "yield nfull, nfull + 1, k,")),
     _m("chunk unpacked into the leading columns", CODEC, [T_CODEC],
        ("        out[j::8, cols] = lane\n", "        out[j::8, : lane.shape[1]] = lane\n")),
+    # the one range walk, codec._lockstep
+    _m("walk allocates for a constant-only range", CODEC, [T_OPS],
+       ("if bufs[i] is None and (not compact or streams[i].widths[b0:b1].any()):",
+        "if bufs[i] is None:")),
+    _m("walk skips the params check", CODEC, [T_CODEC, T_OPS],
+       ("    _check_params(streams)\n    bufs = [None] * len(streams)\n",
+        "    bufs = [None] * len(streams)\n")),
     # the outlier terms of ops._sums and ops._pair_dot
     _m("k*O dropped from the constant blocks' sum", OPS, [T_OPS],
        ("s[i] += k * _exact_dot(oc, m) +", "s[i] += _exact_dot(oc, m) +")),
@@ -145,15 +152,15 @@ MUTANTS = [
        ("aligned = all(np.array_equal(live, c.widths[b0:b1] > 0) for c in streams[1:])",
         "aligned = True")),
     _m("constant-range sum without the signs", OPS, [T_OPS],
-       ("                yield outliers, None\n",
-        "                yield sum(c.outliers[b0:b1].astype(np.int64) for c in streams), None\n")),
+       ("            return outliers, None\n",
+        "            return sum(c.outliers[b0:b1].astype(np.int64) for c in streams), None\n")),
     # the scalar dispatch of ops.OpSpec.apply
     _m("scalar passed whenever one is given", OPS, [T_OPS],
        ("if self.takes_scalar else self.fn(*streams)",
         "if scalar is not None else self.fn(*streams)")),
     # the 63-bit check of a scalar shift
     _m("scalar-shift check skipped", OPS, [T_OPS, T_CLI],
-       ("if 2**31 + (c.params.block_len - 1) * ((1 << c.width_max) - 1) > _I64_MAX:",
+       ("if codec._bin_bound(np.array([-(2**31)]), c.params.block_len, c.width_max) > _I64_MAX:",
         "if False:")),
     # the agreement rule of ops.OpSpec.agrees
     _m("non-finite verify rule reverted", OPS, [T_OPS, T_CLI],

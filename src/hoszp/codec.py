@@ -27,16 +27,20 @@ into that operand's one buffer, made for the first range that needs it
 and reused (a range of constant blocks alone, read compact, needs none).
 ``decompress`` and the operations in ``ops`` read their ranges through
 it.  ``_encode_ranges`` is the one encoder, with one entry: it drives the
-walk and asks a per-range function, ``part``, for each range's input:
-its bins, which it splits into residuals itself, or its outliers and
-split residuals, or, where every block is constant, its outliers alone.
-``compress`` answers with each range's quantized bins,
-``encode_from_quant`` and the products in ``ops`` with their bins, and
-``ops.sum_streams`` with its summed residuals (or the bins of a range
-summed in limbs).  It fills the range's widths and packs its sign rows
-(one ``packbits`` over the range) and its payload.  The encoder moves a
-range's non-constant blocks in chunks of one width (``_block_chunks``),
-counting runs of equal widths over the non-constant blocks alone: a range
+walk and encodes each range from its bins, which it splits into
+residuals itself, or from its outliers and split residuals.  A stream
+operation hands it its bin rule.  A range constant in every operand is
+constant in the result, and the rule on the operands' outliers finishes
+it with no decode; any other range comes from a per-range function,
+``part``, or, where there is none or it answers None, from the rule on
+the operands' decoded bins.  ``compress`` and ``encode_from_quant``
+answer ``part`` with each range's bins, ``ops.sum_streams`` with its
+summed residuals (its rule sums bins in limbs), and the products in
+``ops`` pass their rule alone.  The encoder fills the range's widths and
+packs its sign rows (one ``packbits`` over the range) and its payload.
+It moves a range's non-constant blocks in chunks of one width
+(``_block_chunks``), counting runs of equal widths over the non-constant
+blocks alone: a range
 of few runs, such as noise with a rare narrower block, moves each run as
 one slice of the sections, where its rows lie back to back; a range of
 many runs, such as cloud-like data with widths interleaved, gathers its
@@ -173,12 +177,17 @@ def _dequantize_into(bins: np.ndarray, eps: float, out: np.ndarray) -> None:
         np.multiply(bins, 2.0 * eps, out=out)
 
 
-def _check_geometry(raw: RawArray, params: QuantParams):
+def _check_input(raw: RawArray, params: QuantParams):
+    """Check that ``raw`` matches ``params`` and that the grid step ``2 *
+    eps`` is finite: past the f64 range even bin 0 would reconstruct to
+    NaN, so quantizing raises :class:`QuantOverflow` before it starts."""
     if raw.dims != params.dims or raw.dtype != params.dtype:
         raise ValueError(
             f"raw geometry {raw.dims}/{raw.dtype} does not match params "
             f"{params.dims}/{params.dtype}"
         )
+    if not math.isfinite(2.0 * params.eps):
+        raise QuantOverflow(f"grid step 2 * eps is not finite at eps={params.eps}")
 
 
 def _quantize_values(x: np.ndarray, params: QuantParams, out: np.ndarray) -> np.ndarray:
@@ -224,7 +233,7 @@ def quantize(raw: RawArray, params: QuantParams) -> QuantArray:
     a repair pass then nudges any bin whose reconstructed value violates
     the bound by a floating-point rounding ulp.  Both run range by range.
     """
-    _check_geometry(raw, params)
+    _check_input(raw, params)
     bins = np.empty(params.element_count, dtype=np.int64)
     for *_, e in _block_ranges(params):
         _quantize_values(raw.values[e], params, bins[e])
@@ -298,11 +307,13 @@ def _block_widths(mags: np.ndarray, k: int) -> np.ndarray:
     return np.searchsorted(_POW2, mags.reshape(-1, k).max(axis=1), side="right").astype(np.uint8)
 
 
-def _bin_bound(outliers: np.ndarray, k: int, w: int) -> int:
+def _bin_bound(outliers, k: int, w: int) -> int:
     """``max|O| + (k-1) * (2^w - 1)``: no bin of blocks of ``k`` with these
-    outliers and widths of at most ``w`` bits is larger in magnitude."""
-    return (max(-int(outliers.min(initial=0)), int(outliers.max(initial=0)))
-            + (k - 1) * ((1 << w) - 1))
+    outliers and widths of at most ``w`` bits is larger in magnitude.
+    ``outliers`` is an array of them or, as an int, ``max|O|`` itself."""
+    if not isinstance(outliers, int):
+        outliers = max(-int(outliers.min(initial=0)), int(outliers.max(initial=0)))
+    return outliers + (k - 1) * ((1 << w) - 1)
 
 
 def _resolve_range(r: np.ndarray, s: np.ndarray, outliers: np.ndarray, k: int, w: int,
@@ -654,33 +665,41 @@ def _lockstep(streams, params: QuantParams | None = None):
         yield b0, b1, k, e, decode
 
 
-def _encode_ranges(params: QuantParams, part, streams=()) -> CompressedStream:
+def _encode_ranges(params: QuantParams, part=None, streams=(), rule=None) -> CompressedStream:
     """The one encoder.  It drives :func:`_lockstep` over ``streams`` (none
-    for a stream built from values or bins) and asks ``part(b0, b1, k, e,
-    decode)`` for each range's input: either the range's bins (int64),
-    which it splits into residuals (:func:`_split_residuals`) in one buffer
-    made on first use and reused, or ``(outliers, resid)``: the range's
-    block outliers and its residuals as ``(neg, mags)`` (see
-    :func:`_encode_range`), or None for a range whose every block is
-    constant, which has width 0 and no sign or payload bytes and so needs
-    no per-element buffer.  The per-range sections are joined once at the
-    end."""
+    for a stream built from values or bins) and encodes each range from its
+    input: either the range's bins (int64), which it splits into residuals
+    (:func:`_split_residuals`) in one buffer made on first use and reused,
+    or ``(outliers, resid)``: the range's block outliers and its residuals
+    as ``(neg, mags)`` (see :func:`_encode_range`).
+
+    ``rule`` is an element-wise operation's bin rule: it maps a list of the
+    operands' int64 bins to the result's.  A range whose blocks are
+    constant in every operand is constant in the result, so the rule on
+    the operands' outliers finishes it, at width 0, with no decode and no
+    per-element buffer.  For any other range the encoder asks ``part(b0,
+    b1, k, e, decode)`` for its input and, where ``part`` is None or
+    answers None, applies ``rule`` to the operands' decoded bins.  The
+    per-range sections are joined once at the end."""
     widths = np.zeros(params.block_count, dtype=np.uint8)
     outliers = np.empty(params.block_count, dtype=np.int64)
     signs, payload = [], []
     buf = None
     for b0, b1, k, e, decode in _lockstep(streams, params):
-        x = part(b0, b1, k, e, decode)
+        if streams and not any(c.widths[b0:b1].any() for c in streams):
+            outliers[b0:b1] = rule([c.outliers[b0:b1].astype(np.int64) for c in streams])
+            continue
+        x = None if part is None else part(b0, b1, k, e, decode)
+        if x is None:
+            x = rule([decode(i) for i in range(len(streams))])
         if isinstance(x, np.ndarray):
             # the first range split is the longest still to come
             buf = np.empty(x.size, dtype=np.int64) if buf is None else buf
             x = x[::k], _split_residuals(x, k, out=buf)
-        outs, resid = x
-        outliers[b0:b1] = outs
-        if resid is not None:
-            s, p = _encode_range(*resid, widths[b0:b1], k)
-            signs.append(s)
-            payload.append(p)
+        outliers[b0:b1], resid = x
+        s, p = _encode_range(*resid, widths[b0:b1], k)
+        signs.append(s)
+        payload.append(p)
     return CompressedStream(params, widths, outliers, b"".join(signs), b"".join(payload))
 
 
@@ -692,7 +711,7 @@ def compress(raw: RawArray, params: QuantParams, threads: int = 1) -> Compressed
     """quantize -> decorrelate -> bit-pack, one range at a time (``threads``
     is accepted and ignored).  Deterministic: one canonical output per
     (input, params)."""
-    _check_geometry(raw, params)
+    _check_input(raw, params)
     buf = np.empty(next(_block_ranges(params))[3].stop, dtype=np.int64)  # the longest range
     return _encode_ranges(params, lambda b0, b1, k, e, decode:
                           _quantize_values(raw.values[e], params, buf))

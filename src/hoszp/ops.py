@@ -17,9 +17,11 @@ bins in exact integer arithmetic and apply the real-valued scaling once at
 the end, every second moment by one rule (``_moment``).  No operation
 iterates ranges itself: each reads its operands through the codec's one
 range walk (``codec._lockstep``), which checks their params and owns their
-decode buffers, and a stream operation hands the encoder
-(``codec._encode_ranges``) a per-range function that turns a range's
-operands into the encoder's input.  One accumulator, ``_sums``, decodes
+decode buffers.  A stream operation hands the encoder
+(``codec._encode_ranges``) its bin rule, which the encoder applies to the
+outliers of a range constant in every operand, with no decode, and to the
+decoded bins of any other range; ``sum_streams`` adds a per-range
+function for its residual-domain sums.  One accumulator, ``_sums``, decodes
 each operand's range once, as the compact matrix of its non-constant
 blocks: a constant block adds its outlier alone, weighted by the block
 length, and nothing is scattered into a full range.  Every sum is taken
@@ -125,7 +127,7 @@ def _shift(c: CompressedStream, rs: int) -> CompressedStream:
     stream's widest block is within int64 (every ordinary stream) the shift
     stays metadata-only."""
     out = c._derive(c.outliers.astype(np.int64) + rs)
-    if codec._bin_bound(np.array([-(2**31)]), c.params.block_len, c.width_max) > _I64_MAX:
+    if codec._bin_bound(2**31, c.params.block_len, c.width_max) > _I64_MAX:
         for b0, b1, k, _, decode in codec._lockstep([out]):
             if codec._bin_bound(out.outliers[b0:b1], k, int(c.widths[b0:b1].max())) > _I64_MAX:
                 decode(0, compact=True)
@@ -146,35 +148,25 @@ def scalar_sub(c: CompressedStream, s: float) -> CompressedStream:
 # residual-space operations
 
 
-def _all_constant(streams, b0: int, b1: int) -> bool:
-    """Whether blocks [b0, b1) are constant in every operand: a stream
-    operation's result blocks there are constant too, and follow from the
-    outliers alone, with no decode."""
-    return not any(c.widths[b0:b1].any() for c in streams)
-
-
 def sum_streams(streams, signs) -> CompressedStream:
     """``sum(sign * stream)`` in the residual domain, one sign of +1 or -1
     per stream: per block, the outliers and the signed residuals combine
     linearly, so the result decompresses to the exact signed sum of the
     operands' reconstructions.
 
-    A range whose operands' ``codec._bin_bound`` add up within int64 sums
-    their signed residuals in int64; no residual or bin of the sum can pass
-    it.  Where the operands' constant blocks coincide (noise, or a stream
-    and one derived from it), their slot-major compact matrices align and
-    add up as they are, and the sum is scattered into a range buffer once
-    (``codec._scatter``); otherwise each operand's whole range is decoded
-    and added.  Any other range sums their bins instead
-    (:func:`_limb_sum`), so an n-ary sum fails only where its result does,
-    and hands the encoder the summed bins to split: a bin of the sum past
-    63 bits raises ``QuantOverflow``, as the oracle does.  A range
-    constant in every operand is ``sum(sign * outlier)`` per block, with
-    no decode, so no buffer outgrows a range or 32 times the operands'
-    bytes (a non-constant block of ``k`` brings at least ``k / 4`` of
-    them).  ``codec._encode_ranges`` drives the range walk and asks
-    ``part`` for each range, which answers in whichever of the three forms
-    the range took.
+    The bin rule (:func:`_limb_sum`) is exact in int64 and fails only where
+    the sum does: a bin of the sum past 63 bits raises ``QuantOverflow``,
+    as the oracle does.  ``codec._encode_ranges`` applies it to the
+    outliers of a range constant in every operand, with no decode, so no
+    buffer outgrows a range or 32 times the operands' bytes (a non-constant
+    block of ``k`` brings at least ``k / 4`` of them), and to the decoded
+    bins of a range whose operands' ``codec._bin_bound`` add up past int64.
+    On every other range ``part`` sums the signed residuals in int64, which
+    no residual or bin of the sum can pass.  Where the operands' constant
+    blocks coincide (noise, or a stream and one derived from it), their
+    slot-major compact matrices align and add up as they are, and the sum
+    is scattered into a range buffer once (``codec._scatter``); otherwise
+    each operand's whole range is decoded and added.
     """
     if not streams or len(signs) != len(streams) or any(g not in (1, -1) for g in signs):
         raise ValueError("sum_streams needs one sign of +1 or -1 per stream")
@@ -184,10 +176,8 @@ def sum_streams(streams, signs) -> CompressedStream:
         nonlocal buf
         if sum(codec._bin_bound(c.outliers[b0:b1], k, int(c.widths[b0:b1].max()))
                for c in streams) > _I64_MAX:
-            return _limb_sum([decode(i) for i in range(len(streams))], signs)
+            return None
         outliers = sum(g * c.outliers[b0:b1].astype(np.int64) for g, c in zip(signs, streams))
-        if _all_constant(streams, b0, b1):
-            return outliers, None
         # where the operands' constant blocks coincide, their compact
         # matrices align and add up before one scatter
         live = streams[0].widths[b0:b1] > 0
@@ -205,12 +195,13 @@ def sum_streams(streams, signs) -> CompressedStream:
             acc = codec._scatter(acc, np.flatnonzero(live), 0, buf[:m])
         return outliers, (acc < 0, np.abs(acc, out=acc).view(np.uint64))
 
-    return codec._encode_ranges(streams[0].params, part, streams)
+    return codec._encode_ranges(streams[0].params, part, streams,
+                                lambda xs: _limb_sum(xs, signs))
 
 
 def _limb_sum(xs, signs) -> np.ndarray:
     """The exact ``sum(sign * x)`` of one range's operand bins ``xs``
-    (int64), as int64 bins for :func:`sum_streams` to encode.  The high and
+    (int64), as int64 bins: the bin rule of :func:`sum_streams`.  The high and
     low 32-bit halves of the bins sum apart in int64 and the low sum's
     carry moves up, so the int64 sum is exact; a sum past 63 bits, -2^63
     included, raises :class:`QuantOverflow`."""
@@ -257,19 +248,12 @@ def _rescale(x: np.ndarray, y, eps: float) -> np.ndarray:
 def _rescaled_products(streams, factor=None) -> CompressedStream:
     """Encode :func:`_rescale` of ``a`` and ``b`` range by range, where
     ``a`` is the first stream's bins and ``b`` the second's or the bin
-    ``factor``: ``part`` answers ``codec._encode_ranges`` with each
-    range's bins.  A range constant in every operand rescales the outliers
-    alone, one product per block, with no decode (the memory bound of
-    :func:`sum_streams`), and goes as ``(outliers, None)``."""
-    params = streams[0].params
-
-    def part(b0, b1, k, e, decode):
-        const = _all_constant(streams, b0, b1)
-        get = (lambda i: streams[i].outliers[b0:b1].astype(np.int64)) if const else decode
-        bins = _rescale(get(0), get(1) if len(streams) == 2 else factor, params.eps)
-        return (bins, None) if const else bins
-
-    return codec._encode_ranges(params, part, streams)
+    ``factor``: the bin rule ``codec._encode_ranges`` applies to each
+    range's decoded bins, or to the outliers of a range constant in every
+    operand (the memory bound of :func:`sum_streams`)."""
+    eps = streams[0].params.eps
+    return codec._encode_ranges(streams[0].params, streams=streams, rule=lambda xs:
+                                _rescale(xs[0], xs[1] if len(xs) == 2 else factor, eps))
 
 
 def scalar_mul(c: CompressedStream, s: float, threads: int = 1) -> CompressedStream:

@@ -545,6 +545,23 @@ class TestProcess:
             assert "kind=QuantOverflow" in proc.stderr
             assert "RuntimeWarning" not in proc.stderr
 
+    def test_overflowing_grid_step_is_refused_at_compress(self, tmp_path, zeros_file):
+        # 2 * 9e307 is inf: no stream is written, and no numpy warning leaks
+        out = tmp_path / "z.hsz"
+        proc = self._hoszp("compress", zeros_file, "-o", out, "--dims", "20x30",
+                           "--eps", "9e307")
+        assert proc.returncode == 4, proc.stderr
+        assert "kind=QuantOverflow" in proc.stderr and "2 * eps" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+        # a grid step that is still finite round-trips the zeros
+        back = tmp_path / "z.bin"
+        for argv in (("compress", zeros_file, "-o", out, "--dims", "20x30", "--eps", "8e307"),
+                     ("decompress", out, "-o", back)):
+            proc = self._hoszp(*argv)
+            assert proc.returncode == 0, proc.stderr
+        assert np.fromfile(back, dtype="<f4").tolist() == [0.0] * 600
+
     def test_stream_too_large_to_decode_is_a_codec_error(self, tmp_path):
         # 33 bytes: one constant block of 2^32 - 1 elements, whose 16 GiB
         # f32 output does not fit under the cap

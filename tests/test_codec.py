@@ -115,6 +115,21 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(example_raw, p)  # dims (2,2) vs (4,)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_overflowing_grid_step_raises_before_quantizing(self, dtype):
+        # 2 * 9e307 is inf: even bin 0 would reconstruct to 0 * inf = NaN
+        raw = _raw([0.0, 1.0, -2.5, 3e10], dtype)
+        p = QuantParams(eps=9e307, dims=(4,), dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (quantize, compress):
+                with pytest.raises(QuantOverflow, match=r"2 \* eps is not finite"):
+                    call(raw, p)
+        # an eps whose grid step is still finite round-trips
+        p = QuantParams(eps=8e307, dims=(4,), dtype=dtype)
+        assert quantize(raw, p).bins.tolist() == [0, 0, 0, 0]
+        assert decompress(compress(raw, p)).values.tolist() == [0.0] * 4
+
 
 class TestDequantize:
     def test_example_bins(self, example_params):
@@ -577,23 +592,35 @@ class TestRangeWalk:
 
     @pytest.mark.parametrize("k", [32, 33])
     def test_part_once_per_range_in_order(self, k):
+        # the first range is constant: the rule finishes it from the
+        # outliers, and part is asked for each later range, in order; where
+        # part answers None (the ragged last block) the rule gets the bins
         n = range_sizes(k)[-1]  # two ranges and a half, then a ragged block
         p = QuantParams(0.5, (n,), k, "f64")
         bins, _ = wide_block_bins(np.random.default_rng(431 + k), n, k,
                                   constant_first_range=True)
         s = encode_from_quant(QuantArray(bins, p))
-        calls, decoded = [], []
+        ranges = list(codec._block_ranges(p))
+        calls, decoded, ruled = [], [], []
 
         def part(b0, b1, rk, e, decode):
             calls.append((b0, b1, rk, e))
+            if calls[-1] == ranges[-1]:
+                return None
             decoded.append(decode(0))
             assert np.array_equal(decoded[-1], bins[e])
             return decoded[-1]
 
-        assert codec._encode_ranges(p, part, [s]) == s
-        assert calls == list(codec._block_ranges(p))
+        def rule(xs):
+            ruled.append(xs[0].tolist())
+            return xs[0]
+
+        assert codec._encode_ranges(p, part, [s], rule) == s
+        assert calls == ranges[1:]
         assert calls[-1][2] == n % k > 0
-        # every range decodes into the buffer made for the first
+        (b0, b1, *_), e = ranges[0], ranges[-1][3]
+        assert ruled == [s.outliers[b0:b1].tolist(), bins[e].tolist()]
+        # every range decodes into the buffer made for the first that needs one
         assert all(np.shares_memory(x, decoded[0]) for x in decoded)
 
     def test_params_mismatch_before_any_part_or_decode(self, monkeypatch):

@@ -1080,6 +1080,73 @@ class TestRangeEncodeOps:
                 ops.sum_streams(operands, signs)
 
 
+class TestConstantRangeRule:
+    """``codec._encode_ranges`` finishes a range constant in every operand
+    from the operation's bin rule on the outliers: no decode and no
+    ``part``.  A range constant in one operand alone is decoded and, where
+    the operation has a ``part``, asked of it."""
+
+    K, R = 16, 64  # block length, blocks per range
+
+    def _operands(self):
+        # ranges of R blocks: 0 constant in both operands (outliers of
+        # opposite sign), 1 constant in b alone, 2 live in both, then a
+        # ragged last block of 5, live in both
+        k, r = self.K, self.R
+        n = 3 * r * k + 5
+        p = QuantParams(0.5, (n,), k, "f64")  # 2 eps = 1: the values are the bins
+        rng = np.random.default_rng(557)
+        qa, qb = rng.integers(-3000, 3000, n), rng.integers(-3000, 3000, n)
+        qa[: r * k] = np.repeat(rng.integers(1, 1000, r), k)
+        qb[: r * k] = -np.repeat(rng.integers(1, 1000, r), k)
+        qb[r * k : 2 * r * k] = np.repeat(rng.integers(-1000, 1000, r), k)
+        return p, qa, qb
+
+    def _spy(self, monkeypatch):
+        """The ranges, by index, that ``part`` was asked for and that an
+        operand decoded, since the last clear."""
+        seen = {"part": set(), "decode": set()}
+        monkeypatch.setattr(codec, "_RANGE_ELEMS", self.K * self.R)
+        for name in ("_decode_range", "_decode_compact"):
+            def decode(stream, b0, *args, real=getattr(codec, name), **kwargs):
+                seen["decode"].add(b0 // self.R)
+                return real(stream, b0, *args, **kwargs)
+            monkeypatch.setattr(codec, name, decode)
+        encode = codec._encode_ranges
+
+        def encode_ranges(params, part=None, streams=(), rule=None):
+            def asked(b0, *args):
+                seen["part"].add(b0 // self.R)
+                return part(b0, *args)
+            return encode(params, part and asked, streams, rule)
+
+        monkeypatch.setattr(codec, "_encode_ranges", encode_ranges)
+        return seen
+
+    def test_all_constant_range_is_neither_decoded_nor_asked(self, monkeypatch):
+        p, qa, qb = self._operands()
+        a, b = (encode_from_quant(QuantArray(q, p)) for q in (qa, qb))
+        r = self.R
+        assert not (a.widths[:r].any() or b.widths[: 2 * r].any())
+        assert a.widths[r : 2 * r].all() and a.widths[2 * r :].all() and b.widths[2 * r :].all()
+        seen = self._spy(monkeypatch)
+        cases = [("eadd", lambda: elementwise_add(a, b), True),
+                 ("esub", lambda: elementwise_sub(a, b), True),
+                 ("smul", lambda: scalar_mul(a, -3.0), False),
+                 ("hadamard", lambda: hadamard(a, b), False),
+                 ("sum3", lambda: ops.sum_streams([a, b, a], [1, -1, -1]), True)]
+        for name, call, has_part in cases:
+            for v in seen.values():
+                v.clear()
+            got = call()
+            assert seen == {"part": {1, 2, 3} if has_part else set(),
+                            "decode": {1, 2, 3}}, name
+            if name == "sum3":
+                assert got == reference_stream(QuantArray(-qb, p))
+            else:
+                assert got == oracle_stream(name, [a, b][: ops.OPS[name].arity], -3.0), name
+
+
 class TestBoundedMemory:
     """Reductions hold one range per operand, never a full-length array;
     stream operations decode no range that is constant in every operand."""

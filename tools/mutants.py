@@ -99,6 +99,9 @@ MUTANTS = [
        ("yield nfull, nfull + 1, n % k,", "yield nfull, nfull + 1, k,")),
     _m("chunk unpacked into the leading columns", CODEC, [T_CODEC],
        ("        out[j::8, cols] = lane\n", "        out[j::8, : lane.shape[1]] = lane\n")),
+    # the refusal of a grid step past the f64 range, codec._check_input
+    _m("infinite grid step accepted", CODEC, [T_CODEC, T_CLI],
+       ("if not math.isfinite(2.0 * params.eps):", "if False:")),
     # the one range walk, codec._lockstep
     _m("walk allocates for a constant-only range", CODEC, [T_OPS],
        ("if bufs[i] is None and (not compact or streams[i].widths[b0:b1].any()):",
@@ -144,23 +147,28 @@ MUTANTS = [
     # the one finish of a second moment
     _m("moment multiplies before it divides", OPS, [T_OPS],
        ("e2 * e2 * (float(num) / (n * n))", "e2 * e2 * float(num) / (n * n)")),
-    # stream operations on a range constant in every operand
-    _m("constant-range shortcut when any operand is constant", OPS, [T_OPS],
-       ("return not any(c.widths[b0:b1].any() for c in streams)",
-        "return any(not c.widths[b0:b1].any() for c in streams)")),
+    # a range constant in every operand, finished by codec._encode_ranges
+    # from the operation's bin rule on the outliers
+    _m("constant-range shortcut when any operand is constant", CODEC, [T_OPS],
+       ("if streams and not any(c.widths[b0:b1].any() for c in streams):",
+        "if streams and any(not c.widths[b0:b1].any() for c in streams):")),
+    _m("encoder decodes constant ranges", CODEC, [T_OPS],
+       ("if streams and not any(c.widths[b0:b1].any() for c in streams):", "if False:")),
+    _m("constant rule on the first operand's outliers only", CODEC, [T_OPS],
+       ("rule([c.outliers[b0:b1].astype(np.int64) for c in streams])",
+        "rule([streams[0].outliers[b0:b1].astype(np.int64)] * len(streams))")),
+    _m("constant-range sum without the signs", OPS, [T_OPS],
+       ("lambda xs: _limb_sum(xs, signs)", "lambda xs: _limb_sum(xs, [1] * len(xs))")),
     _m("residual sums aligned where the constant blocks differ", OPS, [T_OPS, T_CODEC],
        ("aligned = all(np.array_equal(live, c.widths[b0:b1] > 0) for c in streams[1:])",
         "aligned = True")),
-    _m("constant-range sum without the signs", OPS, [T_OPS],
-       ("            return outliers, None\n",
-        "            return sum(c.outliers[b0:b1].astype(np.int64) for c in streams), None\n")),
     # the scalar dispatch of ops.OpSpec.apply
     _m("scalar passed whenever one is given", OPS, [T_OPS],
        ("if self.takes_scalar else self.fn(*streams)",
         "if scalar is not None else self.fn(*streams)")),
     # the 63-bit check of a scalar shift
     _m("scalar-shift check skipped", OPS, [T_OPS, T_CLI],
-       ("if codec._bin_bound(np.array([-(2**31)]), c.params.block_len, c.width_max) > _I64_MAX:",
+       ("if codec._bin_bound(2**31, c.params.block_len, c.width_max) > _I64_MAX:",
         "if False:")),
     # the agreement rule of ops.OpSpec.agrees
     _m("non-finite verify rule reverted", OPS, [T_OPS, T_CLI],
